@@ -33,6 +33,7 @@ from .basis import (
     product_state,
 )
 from .dynamics import Block, Generator
+from .evolve import _merge_modes
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -235,24 +236,6 @@ def pattern_compression(family: Family, generator: Generator) -> np.ndarray:
     return out
 
 
-def _merge_modes(freqs: np.ndarray, coeffs: np.ndarray,
-                 tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(freqs)
-    freqs, coeffs = freqs[order], coeffs[order]
-    out_f: list[float] = []
-    out_c: list[np.ndarray] = []
-    for f, c in zip(freqs, coeffs):
-        if out_f and abs(f - out_f[-1]) <= tol:
-            out_c[-1] = out_c[-1] + c
-        else:
-            out_f.append(float(f))
-            out_c.append(c.astype(complex))
-    keep = [k for k, c in enumerate(out_c) if np.abs(c).max() > 1e-14]
-    if not keep:
-        return np.zeros(0), np.zeros((0, coeffs.shape[1]), dtype=complex)
-    return np.array([out_f[k] for k in keep]), np.array([out_c[k] for k in keep])
-
-
 def matrix_representation(matrix: np.ndarray, initial: np.ndarray,
                           scale: np.ndarray | None = None):
     """Exponential-sum solution of i dx/dt = xi * matrix @ x, x(0) = initial.
@@ -352,14 +335,6 @@ def _n4_single_representation(params: Mapping[str, complex]):
     return freqs, coeffs
 
 
-def n4_single_cavity_amplitudes(a: complex, b: complex, xi: float,
-                                t: float) -> AmplitudeSet:
-    """Total-4 solution for all pairs seeded in cavity 3 (a on the photon
-    level, b on the excited level); the mirror-pair labels A, B, E carry
-    weight on two basis states each."""
-    return FAMILIES["n4_single_cavity"].evaluate(xi, t, a=a, b=b)
-
-
 # --- total 4, photons split over two cavities -----------------------------
 
 N4_TWO_LABELS = ("A", "B", "D", "E", "F", "L", "M", "N", "P")
@@ -382,13 +357,6 @@ def _n4_two_representation(params: Mapping[str, complex]):
         [0.0, 0.0, 0.0, 0.0, 0.0, bd, 0.0, 0.0, 0.0],
     ], dtype=complex)
     return freqs, coeffs
-
-
-def n4_two_cavity_amplitudes(a: complex, b: complex, c: complex, d: complex,
-                             xi: float, t: float) -> AmplitudeSet:
-    """Total-4 solution for one pair-carrying superposition in each of
-    cavities 2 and 3 and cavity 1 empty."""
-    return FAMILIES["n4_two_cavity"].evaluate(xi, t, a=a, b=b, c=c, d=d)
 
 
 # --- total 6, all photons seeded in cavity 1 ------------------------------
@@ -494,14 +462,6 @@ def _n6_symmetric_representation(params: Mapping[str, complex]):
     return _merge_modes(np.concatenate(freqs_all), np.concatenate(coeffs_all))
 
 
-def n6_symmetric_amplitudes(a: complex, b: complex, xi: float,
-                            t: float) -> AmplitudeSet:
-    """Reference solution for the fully symmetric seed: exact spectral
-    solve of the family's reduced blocks (see the module docstring for why
-    this is not the true propagator)."""
-    return FAMILIES["n6_symmetric"].evaluate(xi, t, a=a, b=b)
-
-
 # Printed 4-decimal transcription of the oscillatory one-excitation group;
 # regression data only, superseded by the exact block solve above.
 _N6_SYM_PRINTED_FREQS = np.array([11.2644, 3.7306, -8.6745, -6.3205])
@@ -551,12 +511,6 @@ def _n6_asymmetric_representation(params: Mapping[str, complex]):
         [3 / 15, s6 / 15, s6 / 15, 3 / 15, 3 / 15, s6 / 15],
     ], dtype=complex)
     return freqs, coeffs
-
-
-def n6_asymmetric_amplitudes(xi: float, t: float) -> AmplitudeSet:
-    """Total-6 solution for the strictly asymmetric seed: cavity 1 excited
-    with one pair, one pair in cavity 2, cavity 3 empty."""
-    return FAMILIES["n6_asymmetric"].evaluate(xi, t)
 
 
 # --- registry ---------------------------------------------------------------

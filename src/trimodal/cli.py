@@ -239,8 +239,8 @@ class RunConfig:
         if self.times_in not in ("xi_t", "t"):
             raise CliError(
                 f"times-in must be 'xi_t' or 't', got {self.times_in!r}")
-        if self.xi <= 0:
-            raise CliError(f"xi must be positive, got {self.xi}")
+        if not (math.isfinite(self.xi) and self.xi > 0):
+            raise CliError(f"xi must be positive and finite, got {self.xi}")
         if self.N not in (2, 4, 6):
             raise CliError(f"N must be 2, 4, or 6, got {self.N}")
 

@@ -15,6 +15,7 @@ rows embed into the parent basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,7 +84,7 @@ class Generator:
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
         if mat.shape != (self.manifold.dim, self.manifold.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {self.manifold.dim}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
             raise ValueError("generator must be Hermitian")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -122,17 +123,33 @@ def _dressed_pairs(manifold: Manifold, params: DressedParams):
     return table
 
 
+def _hopping_matrix(manifold: Manifold, xi: float) -> np.ndarray:
+    """Pair-exchange matrix, built from each state's at most six pair moves.
+
+    Each coupled pair is filled once, from its lower-indexed state, with
+    that state as the bra of `hopping_element`.
+    """
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
+    basis = manifold.basis
+    mat = np.zeros((manifold.dim, manifold.dim))
+    for i, state in enumerate(basis):
+        for src, dst in itertools.permutations(range(3), 2):
+            if not state.levels[src].pairs:
+                continue
+            levels = list(state.levels)
+            levels[src] = CavityLevel(levels[src].excitation, levels[src].pairs - 1)
+            levels[dst] = CavityLevel(levels[dst].excitation, levels[dst].pairs + 1)
+            j = manifold.index_of(BasisState(tuple(levels)))
+            if j > i:
+                mat[i, j] = mat[j, i] = hopping_element(state, basis[j], xi)
+    return mat
+
+
 def build_large_xi_generator(manifold: Manifold, xi: float = 1.0) -> Generator:
     """Pair-exchange-only generator; exact when the hopping dominates."""
-    dim = manifold.dim
-    mat = np.zeros((dim, dim))
-    for i, bra in enumerate(manifold.basis):
-        for j in range(i + 1, dim):
-            el = hopping_element(bra, manifold.basis[j], xi)
-            if el:
-                mat[i, j] = el
-                mat[j, i] = el
-    return Generator(manifold=manifold, matrix=mat, mode="large_hopping", xi=xi)
+    return Generator(manifold=manifold, matrix=_hopping_matrix(manifold, xi),
+                     mode="large_hopping", xi=xi)
 
 
 def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 1.0) -> Generator:
@@ -143,14 +160,7 @@ def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 
     w_n * [[tan^2, tan], [tan, 1]] with w_n the splitting-times-cos^2 ratio
     to the reference pair n_total - 2; |g,0> contributes nothing.
     """
-    dim = manifold.dim
-    mat = np.zeros((dim, dim))
-    for i, bra in enumerate(manifold.basis):
-        for j in range(i + 1, dim):
-            el = hopping_element(bra, manifold.basis[j], xi)
-            if el:
-                mat[i, j] = el
-                mat[j, i] = el
+    mat = _hopping_matrix(manifold, xi)
     pairs = _dressed_pairs(manifold, params)
     for i, state in enumerate(manifold.basis):
         for cav, level in enumerate(state.levels):

@@ -48,6 +48,38 @@ def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
     return Spectrum(frequencies=freqs, modes=modes)
 
 
+def _evolve(generator: Generator | Block, initial: np.ndarray,
+            times: np.ndarray) -> np.ndarray:
+    """Rows exp(-i M t) @ initial, one per entry of times."""
+    spec = spectrum(generator)
+    coeffs = spec.modes.conj().T @ initial
+    osc = np.exp(-1j * times[:, None] * spec.frequencies[None, :])
+    return (osc * coeffs[None, :]) @ spec.modes.T
+
+
+def _merge_modes(freqs: np.ndarray, coeffs: np.ndarray,
+                 tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the coefficient rows of modes whose frequencies agree within tol.
+
+    Returns ascending frequencies (each group keeps its lowest) and the
+    summed (mode, label) coefficients, without modes that vanish to 1e-14.
+    """
+    order = np.argsort(freqs)
+    freqs, coeffs = freqs[order], coeffs[order]
+    out_f: list[float] = []
+    out_c: list[np.ndarray] = []
+    for f, c in zip(freqs, coeffs):
+        if out_f and abs(f - out_f[-1]) <= tol:
+            out_c[-1] = out_c[-1] + c
+        else:
+            out_f.append(float(f))
+            out_c.append(c.astype(complex))
+    keep = [k for k, c in enumerate(out_c) if np.abs(c).max() > 1e-14]
+    if not keep:
+        return np.zeros(0), np.zeros((0, coeffs.shape[1]), dtype=complex)
+    return np.array([out_f[k] for k in keep]), np.array([out_c[k] for k in keep])
+
+
 def eigenfrequencies(generator: Generator | Block | np.ndarray) -> np.ndarray:
     """Sorted eigenfrequencies of a generator or block."""
     return spectrum(generator).frequencies
@@ -92,16 +124,17 @@ def propagate(generator: Generator, initial: StateVector, times,
     if abs(initial.norm - 1.0) > 1e-9:
         raise ValueError(f"initial state is not normalized: |psi| = {initial.norm!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if times_are_phase and generator.xi == 0:
+        raise ValueError("phase times xi*t cannot be read back as times when xi == 0")
     # The generator matrix carries the factor of xi itself, so exp(-i M t)
     # wants physical times; phase inputs xi*t are divided back down.
     scaled = times / generator.xi if times_are_phase else times
-    spec = spectrum(generator)
-    coeffs = spec.modes.conj().T @ initial.amplitudes
-    osc = np.exp(-1j * scaled[:, None] * spec.frequencies[None, :])
-    amplitudes = (osc * coeffs[None, :]) @ spec.modes.T
+    amplitudes = _evolve(generator, initial.amplitudes, scaled)
     norms = np.linalg.norm(amplitudes, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > NORM_TOL:
+    if not worst <= NORM_TOL:
         raise NumericalContractError(f"norm drifted by {worst:.3e} during evolution")
     return Trajectory(manifold=generator.manifold, generator=generator,
                       times=times, times_are_phase=times_are_phase,
@@ -111,10 +144,7 @@ def propagate(generator: Generator, initial: StateVector, times,
 def evolve_block(block: Block, initial: np.ndarray, phases) -> np.ndarray:
     """Evolve block coordinates through exp(-i M_block * phase)."""
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    spec = spectrum(block)
-    coeffs = spec.modes.conj().T @ np.asarray(initial, dtype=complex)
-    osc = np.exp(-1j * phases[:, None] * spec.frequencies[None, :])
-    return (osc * coeffs[None, :]) @ spec.modes.T
+    return _evolve(block, np.asarray(initial, dtype=complex), phases)
 
 
 def sector_probabilities(trajectory: Trajectory, by: str = "count") -> dict:
@@ -150,22 +180,10 @@ def mode_expansion(generator: Generator | Block | np.ndarray,
     matching the sign convention of the closed-form families.  Modes with
     negligible coefficient are dropped; degenerate frequencies are merged.
     """
-    spec = spectrum(_matrix_of(generator))
+    spec = spectrum(generator)
     coeffs = spec.modes.conj().T @ np.asarray(initial, dtype=complex)
     weights = spec.modes * coeffs[None, :]
-    out = []
-    for i in range(spec.dim):
-        terms: list[tuple[complex, float]] = []
-        for k in range(spec.dim):
-            c = weights[i, k]
-            if abs(c) < 1e-14:
-                continue
-            mu = -float(spec.frequencies[k])
-            for t, (c0, mu0) in enumerate(terms):
-                if abs(mu0 - mu) < 1e-9:
-                    terms[t] = (c0 + c, mu0)
-                    break
-            else:
-                terms.append((complex(c), mu))
-        out.append([(c, mu) for c, mu in terms if abs(c) > 1e-14])
-    return out
+    weights[np.abs(weights) < 1e-14] = 0.0
+    freqs, weights = _merge_modes(spec.frequencies, weights.T)
+    return [[(complex(c), -float(f)) for f, c in zip(freqs, row) if abs(c) > 1e-14]
+            for row in weights.T]

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .analytic import Family
 
@@ -119,6 +118,7 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     def scalar(x: float) -> float:
         return float(np.asarray(objective(np.array([x])))[0])
 
+    last = (-1, "")
     for i in range(1, grid - 1):
         is_min = ys[i] <= ys[i - 1] and ys[i] <= ys[i + 1] \
             and (ys[i] < ys[i - 1] or ys[i] < ys[i + 1])
@@ -126,10 +126,15 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
             and (ys[i] > ys[i - 1] or ys[i] > ys[i + 1])
         if not (is_min or is_max):
             continue
+        kind = "min" if is_min else "max"
+        # samples i-1 and i flag the same kind only when they tie around one
+        # extremum, which the bracket of i-1 already contains
+        if last == (i - 1, kind):
+            continue
+        last = (i, kind)
         sgn = 1.0 if is_min else -1.0
         x_star = _golden(lambda x: sgn * scalar(x), xs[i - 1], xs[i + 1], tol)
-        found.append(Extremum(phase=x_star, value=scalar(x_star),
-                              kind="min" if is_min else "max",
+        found.append(Extremum(phase=x_star, value=scalar(x_star), kind=kind,
                               at_endpoint=False))
     if ys[0] != ys[1]:
         found.append(Extremum(phase=float(xs[0]), value=float(ys[0]),
@@ -140,15 +145,7 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
                               kind="max" if ys[-1] > ys[-2] else "min",
                               at_endpoint=True))
     found.sort(key=lambda e: e.phase)
-    deduped: list[Extremum] = []
-    for e in found:
-        # grid ties (an extremum exactly between two samples) refine to the
-        # same point from two brackets; collapse anything within 10*tol
-        if deduped and abs(e.phase - deduped[-1].phase) <= 10 * tol \
-                and e.kind == deduped[-1].kind:
-            continue
-        deduped.append(e)
-    return deduped
+    return found
 
 
 @dataclass(frozen=True)
@@ -169,6 +166,20 @@ class DwellTime:
         return abs(self.closed_form - self.quadrature)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
+    """Composite Simpson over an even number of intervals.
+
+    Term for term the rule scipy.integrate.simpson applies to an odd number
+    of samples, so both give the same bits.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
+                                + y[1::2] * (hsum * (hsum / hprod))
+                                + y[2::2] * (2.0 - h0divh1)))
+
+
 def dwell_time(family: Family, label: str, span: float = math.pi, *,
                quadrature_points: int = 1_000_000, **params) -> DwellTime:
     """Average of |X_label(phase)|^2 over phases [0, span], both ways.
@@ -176,13 +187,17 @@ def dwell_time(family: Family, label: str, span: float = math.pi, *,
     The closed form evaluates the mode cross-terms exactly:
         sum_fg c_f conj(c_g) * E((f - g) * span),  E(z) = (exp(-iz) - 1)/(-iz).
     The quadrature route is composite Simpson on `quadrature_points`
-    intervals; the two agree to ~1e-9 by construction, so a larger gap
-    signals a representation bug.
+    intervals, an even integer >= 2; the two agree to ~1e-9 by construction,
+    so a larger gap signals a representation bug.
     """
     if label not in family.labels:
         raise ValueError(f"{family.name} has no label {label!r}")
     if span <= 0:
         raise ValueError(f"span must be positive, got {span}")
+    if not (isinstance(quadrature_points, (int, np.integer))
+            and quadrature_points >= 2 and quadrature_points % 2 == 0):
+        raise ValueError("quadrature_points must be an even integer >= 2, "
+                         f"got {quadrature_points!r}")
     freqs, coeffs = family.representation(**params)
     col = coeffs[:, family.labels.index(label)]
     delta = np.subtract.outer(freqs, freqs) * span
@@ -194,7 +209,7 @@ def dwell_time(family: Family, label: str, span: float = math.pi, *,
     acc = np.zeros(phases.size, dtype=complex)
     for c, f in zip(col, freqs):
         acc += c * np.exp(-1j * f * phases)
-    quad = float(simpson(np.abs(acc) ** 2, x=phases) / span)
+    quad = float(_simpson(np.abs(acc) ** 2, phases) / span)
     return DwellTime(label=label, span=span, closed_form=closed,
                      quadrature=quad)
 

@@ -159,6 +159,9 @@ def test_run_config_validation():
         parse_config({"command": "evolve", "nonsense": 1})
     with pytest.raises(CliError):
         parse_config({})
+    for xi in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(CliError, match="xi must be positive and finite"):
+            parse_config({"command": "evolve", "xi": xi})
 
 
 def test_emit_parse_fixed_point():
@@ -268,6 +271,12 @@ def test_evolve_errors(tmp_path, capsys):
     assert main(["evolve", "--N", "4", "--state-file", path,
                  "--times", "0:1:3"]) == 1
     assert "N=4" in capsys.readouterr().err
+
+
+def test_evolve_rejects_nan_xi(capsys):
+    assert main(["evolve", "--N", "2", "--xi", "nan", "--init", "g0|g0|g2",
+                 "--times", "0:1:3"]) == 1
+    assert "xi must be positive and finite" in capsys.readouterr().err
 
 
 def test_entangle_product_state(capsys):

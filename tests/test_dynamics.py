@@ -104,9 +104,41 @@ def test_generator_validation():
         Generator(manifold=MAN2, matrix=bad, mode="full", xi=1.0)
     with pytest.raises(ValueError):
         Generator(manifold=MAN2, matrix=np.zeros((5, 5)), mode="full", xi=1.0)
+    with pytest.raises(ValueError):
+        Generator(manifold=MAN2, matrix=np.full((6, 6), np.nan), mode="full", xi=1.0)
     gen = build_large_xi_generator(MAN2)
     with pytest.raises(ValueError):
         gen.matrix[0, 0] = 5.0
+
+
+def _all_pairs_hopping(manifold, xi):
+    """The element formula on every pair of states, lower index as bra."""
+    mat = np.zeros((manifold.dim, manifold.dim))
+    for i, bra in enumerate(manifold.basis):
+        for j in range(i + 1, manifold.dim):
+            mat[i, j] = mat[j, i] = hopping_element(bra, manifold.basis[j], xi)
+    return mat
+
+
+@pytest.mark.parametrize("n_total", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("xi", [1.0, 0.37, 50.0, 2.0 / 3.0, 1e-3])
+def test_builders_equal_the_all_pairs_element_loop(n_total, xi):
+    man = enumerate_manifold(n_total)
+    ref = _all_pairs_hopping(man, xi)
+    assert np.array_equal(build_large_xi_generator(man, xi).matrix, ref)
+    params = DressedParams(r=1.3, delta=0.4)
+    dressed = build_full_generator(man, params, xi=0.0).matrix
+    # the dressed terms only flip atoms, so no entry holds both kinds
+    assert not np.any((ref != 0) & (dressed != 0))
+    assert np.array_equal(build_full_generator(man, params, xi).matrix, ref + dressed)
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_builders_reject_non_finite_xi(xi):
+    with pytest.raises(ValueError, match="finite"):
+        build_large_xi_generator(MAN2, xi)
+    with pytest.raises(ValueError, match="finite"):
+        build_full_generator(MAN2, DressedParams(r=1.0), xi)
 
 
 # ------------------------------------------------------------------- blocks

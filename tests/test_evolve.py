@@ -9,6 +9,7 @@ from trimodal.basis import StateVector, enumerate_manifold
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import build_full_generator, build_large_xi_generator, sector_block
 from trimodal.evolve import (
+    NumericalContractError,
     Trajectory,
     eigenfrequencies,
     evolve_block,
@@ -74,6 +75,29 @@ def test_propagate_input_validation():
         propagate(gen, corner_state(MAN6), [0.0])
     with pytest.raises(ValueError):
         propagate(gen, StateVector(MAN2, 0.5 * np.eye(6)[0]), [0.0])
+
+
+def test_propagate_rejects_phase_times_at_zero_xi():
+    gen = build_large_xi_generator(MAN2, xi=0.0)
+    with pytest.raises(ValueError, match="xi == 0"):
+        propagate(gen, corner_state(MAN2), [0.5], times_are_phase=True)
+    still = propagate(gen, corner_state(MAN2), [0.5])
+    assert np.allclose(still.amplitudes[0], np.eye(MAN2.dim)[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("phase", [False, True])
+def test_propagate_rejects_non_finite_times(bad, phase):
+    with pytest.raises(ValueError, match="finite"):
+        propagate(build_large_xi_generator(MAN2), corner_state(MAN2), [0.0, bad],
+                  times_are_phase=phase)
+
+
+def test_norm_contract_fails_closed_on_nan():
+    # a finite time whose product with a frequency overflows gives NaN rows
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(NumericalContractError):
+        propagate(build_large_xi_generator(MAN2), corner_state(MAN2), [1e308])
 
 
 def test_trajectory_state_accessor():
@@ -146,3 +170,37 @@ def test_mode_expansion_reconstructs_propagation():
         for c, mu in terms:
             rebuilt[:, i] += c * np.exp(1j * mu * phases)
     assert np.max(np.abs(rebuilt - traj.amplitudes)) < 1e-12
+
+
+def _per_row_expansion(generator, initial):
+    """Per-row loop: drop terms below 1e-14, merge frequencies within 1e-9."""
+    spec = spectrum(generator)
+    weights = spec.modes * (spec.modes.conj().T @ initial)[None, :]
+    out = []
+    for row in weights:
+        terms = []
+        for c, f in zip(row, spec.frequencies):
+            if abs(c) < 1e-14:
+                continue
+            for t, (c0, mu0) in enumerate(terms):
+                if abs(mu0 + f) < 1e-9:
+                    terms[t] = (c0 + c, mu0)
+                    break
+            else:
+                terms.append((complex(c), -float(f)))
+        out.append([(c, mu) for c, mu in terms if abs(c) > 1e-14])
+    return out
+
+
+@pytest.mark.parametrize("n_total", [6, 10])
+def test_mode_expansion_matches_the_per_row_loop(n_total):
+    man = enumerate_manifold(n_total)
+    rng = np.random.default_rng(n_total)
+    init = rng.normal(size=man.dim) + 1j * rng.normal(size=man.dim)
+    init /= np.linalg.norm(init)
+    gen = build_large_xi_generator(man)   # highly degenerate spectrum
+    got, ref = mode_expansion(gen, init), _per_row_expansion(gen, init)
+    assert [len(row) for row in got] == [len(row) for row in ref]
+    for row, ref_row in zip(got, ref):
+        for (c, mu), (c_ref, mu_ref) in zip(row, ref_row):
+            assert abs(c - c_ref) <= 1e-14 and abs(mu - mu_ref) < 1e-9

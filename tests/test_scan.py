@@ -1,12 +1,15 @@
 """Objective parsing, extremum scans, dwell averages, and recurrence analysis."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from trimodal.analytic import FAMILIES
 from trimodal.scan import (
+    _simpson,
     detect_period,
     dwell_time,
     family_objective,
@@ -75,6 +78,19 @@ def test_scan_reproduces_exchange_family_landmarks():
         [math.pi / 3.0, 2.0 * math.pi / 3.0], abs=1e-6)
 
 
+def test_scan_reports_a_grid_tie_once():
+    # samples 7 and 8 tie on a plateau wider than one grid step; their two
+    # brackets refine to different plateau points, 0.1 apart
+    plateau = scan_extrema(lambda p: np.maximum(np.abs(np.asarray(p) - 7.5), 0.6),
+                           0.0, 15.0, grid=16)
+    assert [e.kind for e in plateau] == ["max", "min", "max"]
+    # the same tie in a family objective: two refinements 4.4e-9 apart
+    fam = FAMILIES["n4_single_cavity"]
+    found = scan_extrema(family_objective(fam, "|C|^2+|F|^2"), 0.0, math.pi, grid=4096)
+    near = [e for e in found if abs(e.phase - math.pi / 2.0) < 1e-3]
+    assert len(near) == 1 and near[0].kind == "min"
+
+
 def test_scan_window_validation():
     with pytest.raises(ValueError):
         scan_extrema(lambda p: np.asarray(p), 1.0, 1.0)
@@ -109,6 +125,28 @@ def test_dwell_validation():
         dwell_time(fam, "Z")
     with pytest.raises(ValueError):
         dwell_time(fam, "A", span=0.0)
+
+
+@pytest.mark.parametrize("points", [0, 1, 3, 4097, 4096.0, True])
+def test_dwell_rejects_a_non_even_interval_count(points):
+    with pytest.raises(ValueError, match="even integer"):
+        dwell_time(FAMILIES["n2_general"], "A", quadrature_points=points)
+
+
+@pytest.mark.parametrize("intervals", [4096, 20000])
+@pytest.mark.parametrize("span", [math.pi, math.pi / 12.0])
+def test_simpson_matches_scipy_bit_for_bit(intervals, span):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    x = np.linspace(0.0, span, intervals + 1)
+    y = np.cos(3.0 * x) ** 2 + np.random.default_rng(intervals).random(x.size)
+    assert _simpson(y, x) == scipy_integrate.simpson(y, x=x)
+
+
+def test_import_pulls_in_no_scipy():
+    code = "import sys, trimodal; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ periods
