@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,17 @@ class ConservedSum:
     value: Callable[[Mapping[str, complex]], float]
 
 
+class _PatternIndex(NamedTuple):
+    """Basis row, weight and label column of every pattern entry (label by
+    label), each label's first entry, and the basis rows no pattern covers."""
+
+    rows: np.ndarray
+    weights: np.ndarray
+    cols: np.ndarray
+    firsts: np.ndarray
+    uncovered: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Family:
     """One closed-form amplitude family and its reduced linear system."""
@@ -113,6 +125,25 @@ class Family:
     modulus_period: float | None
     _representation: Callable[[Mapping[str, complex]], tuple[np.ndarray, np.ndarray]]
     _factors: Callable[[Mapping[str, complex]], list[list[tuple]]]
+
+    @cached_property
+    def _index(self) -> _PatternIndex:
+        """Pattern index, built on first use and kept."""
+        man = self.manifold
+        entries = [(man.index_of(bstate), w, k)
+                   for k, lab in enumerate(self.labels)
+                   for bstate, w in self.patterns[lab]]
+        rows = np.array([e[0] for e in entries])
+        cols = np.array([e[2] for e in entries])
+        hits = np.bincount(rows, minlength=man.dim)
+        if hits.max() > 1 or np.bincount(cols, minlength=len(self.labels)).min() == 0:
+            raise ValueError(f"{self.name} needs one non-empty pattern per "
+                             "label, no two sharing a basis state")
+        return _PatternIndex(rows=rows,
+                             weights=np.array([e[1] for e in entries], dtype=float),
+                             cols=cols,
+                             firsts=np.searchsorted(cols, np.arange(len(self.labels))),
+                             uncovered=np.flatnonzero(hits == 0))
 
     @property
     def manifold(self) -> Manifold:
@@ -134,10 +165,12 @@ class Family:
         return self._representation(self._params(overrides))
 
     def evaluate_phases(self, phases, **overrides) -> np.ndarray:
-        """Amplitude table over an array of xi*t values, shape (T, labels)."""
+        """Amplitude table over an array of xi*t values, shape (T, labels).
+
+        Row k equals `evaluate` at phase phases[k] bit for bit.
+        """
         freqs, coeffs = self.representation(**overrides)
-        ph = np.atleast_1d(np.asarray(phases, dtype=float))
-        return np.exp(-1j * np.multiply.outer(ph, freqs)) @ coeffs
+        return _exp_sum(phases, freqs, coeffs)
 
     def evaluate(self, xi: float, t: float, **overrides) -> AmplitudeSet:
         values = self.evaluate_phases([xi * t], **overrides)[0]
@@ -147,47 +180,59 @@ class Family:
         """The family's unentangled initial state on its manifold."""
         return product_state(self.manifold, self._factors(self._params(overrides)))
 
+    def fill_patterns(self, values) -> np.ndarray:
+        """Manifold amplitudes, shape (T, dim), carrying a (T, labels) table."""
+        idx = self._index
+        values = np.asarray(values, dtype=complex)
+        out = np.zeros((values.shape[0], self.manifold.dim), dtype=complex)
+        out[:, idx.rows] += idx.weights * values[:, idx.cols]
+        return out
+
+    def read_patterns(self, amplitudes, tol: float = 1e-9) -> np.ndarray:
+        """Labelled amplitudes, shape (T, labels), read off a (T, dim) table
+        of manifold states.
+
+        Every row must carry the family's pattern structure: within each
+        pattern all basis amplitudes must agree (after weight removal)
+        within `tol`, and no amplitude may live outside the patterns.  The
+        first row that breaks this raises ValueError, naming its first
+        broken pattern, or else its stray weight; NaN breaks both.
+        """
+        amps = np.asarray(amplitudes, dtype=complex)
+        if amps.ndim != 2 or amps.shape[1] != self.manifold.dim:
+            raise ValueError(f"expected a (T, {self.manifold.dim}) amplitude "
+                             f"table, got shape {amps.shape}")
+        idx = self._index
+        reads = amps[:, idx.rows] / idx.weights
+        values = reads[:, idx.firsts]
+        spread = np.maximum.reduceat(np.abs(reads - values[:, idx.cols]),
+                                     idx.firsts, axis=1)
+        stray = np.abs(amps[:, idx.uncovered]).max(axis=1, initial=0.0)
+        broken = ~(spread <= tol)
+        bad_rows = np.flatnonzero(broken.any(axis=1) | ~(stray <= tol))
+        if bad_rows.size:
+            row = bad_rows[0]
+            if broken[row].any():
+                k = int(np.argmax(broken[row]))
+                raise ValueError(
+                    f"state breaks the {self.name}/{self.labels[k]} pattern "
+                    f"symmetry (spread {spread[row, k]:.3e})"
+                )
+            raise ValueError(
+                f"state has weight {stray[row]:.3e} outside the {self.name} patterns"
+            )
+        return values
+
     def state_vector(self, ampset: AmplitudeSet) -> StateVector:
         """Assemble the manifold state carrying the labelled amplitudes."""
-        man = self.manifold
-        out = np.zeros(man.dim, dtype=complex)
-        for lab, value in zip(self.labels, ampset.values):
-            for bstate, w in self.patterns[lab]:
-                out[man.index_of(bstate)] += w * value
-        return StateVector(man, out)
+        return StateVector(self.manifold, self.fill_patterns([ampset.values])[0])
 
     def amplitudes_from_state(self, state: StateVector, xi: float = 1.0,
                               t: float = 0.0, tol: float = 1e-9) -> AmplitudeSet:
-        """Read labelled amplitudes off a manifold state.
-
-        The state must actually carry the family's pattern structure: within
-        each pattern all basis amplitudes must agree (after weight removal)
-        within `tol`, and no amplitude may live outside the patterns.
-        """
-        man = self.manifold
-        if state.manifold.n_total != man.n_total:
+        """Read labelled amplitudes off a manifold state (see `read_patterns`)."""
+        if state.manifold.n_total != self.n_total:
             raise ValueError("state lives on a different manifold")
-        values = np.zeros(len(self.labels), dtype=complex)
-        covered = np.zeros(man.dim, dtype=bool)
-        for k, lab in enumerate(self.labels):
-            pattern = self.patterns[lab]
-            reads = []
-            for bstate, w in pattern:
-                idx = man.index_of(bstate)
-                covered[idx] = True
-                reads.append(state.amplitudes[idx] / w)
-            values[k] = reads[0]
-            spread = max(abs(r - reads[0]) for r in reads)
-            if spread > tol:
-                raise ValueError(
-                    f"state breaks the {self.name}/{lab} pattern symmetry "
-                    f"(spread {spread:.3e})"
-                )
-        stray = np.abs(state.amplitudes[~covered]) if not covered.all() else np.zeros(1)
-        if stray.size and stray.max() > tol:
-            raise ValueError(
-                f"state has weight {stray.max():.3e} outside the {self.name} patterns"
-            )
+        values = self.read_patterns([state.amplitudes], tol)[0]
         return AmplitudeSet(self.name, self.labels, values, float(xi), float(t))
 
     def conservation_residual(self, ampset: AmplitudeSet, **overrides) -> float:
@@ -201,9 +246,24 @@ class Family:
         return worst
 
 
+def _exp_sum(phases, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Rows sum_f coeffs[f] exp(-i f phase), one per phase, shape (T, labels).
+
+    Each row is its own vector-matrix product, so its bits do not depend on
+    how many phases share the call; one (T, m) @ (m, labels) product can
+    differ from them in the last bit.
+    """
+    ph = np.atleast_1d(np.asarray(phases, dtype=float))
+    osc = np.exp(-1j * np.multiply.outer(ph, freqs))
+    out = np.empty((osc.shape[0], coeffs.shape[1]), dtype=complex)
+    for k, row in enumerate(osc):
+        out[k] = row @ coeffs
+    return out
+
+
 def _normalized_pair(params: Mapping[str, complex], first: str, second: str) -> None:
     total = abs(params[first]) ** 2 + abs(params[second]) ** 2
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(
             f"|{first}|^2 + |{second}|^2 = {total!r}, expected 1"
         )
@@ -272,12 +332,11 @@ def n2_amplitudes(initials, xi: float, t) -> AmplitudeSet | np.ndarray:
     if initials.shape != (6,):
         raise ValueError("need six initial amplitudes")
     total = float(np.sum(np.abs(initials) ** 2))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"initial amplitudes have squared norm {total!r}")
     freqs, coeffs = _n2_representation_from(initials)
     scalar = np.isscalar(t) or np.ndim(t) == 0
-    ph = np.atleast_1d(np.asarray(t, dtype=float)) * xi
-    table = np.exp(-1j * np.multiply.outer(ph, freqs)) @ coeffs
+    table = _exp_sum(np.asarray(t, dtype=float) * xi, freqs, coeffs)
     if scalar:
         return AmplitudeSet("n2_general", N2_LABELS, table[0], float(xi), float(t))
     return table
@@ -478,8 +537,7 @@ def n6_symmetric_printed(a: complex, b: complex, xi: float, t) -> dict[str, comp
     """Literal 4-decimal coefficients for the B, E, G, J amplitudes, plus
     the exact closed forms for the other groups."""
     ph = np.asarray(t, dtype=float) * xi
-    osc = np.exp(-1j * np.multiply.outer(ph, _N6_SYM_PRINTED_FREQS))
-    begj = (osc @ _N6_SYM_PRINTED_COEFFS) * (a * a * b)
+    begj = _exp_sum(ph, _N6_SYM_PRINTED_FREQS, _N6_SYM_PRINTED_COEFFS) * (a * a * b)
     cos66, sin66 = np.cos(2 * SQ66 * ph), np.sin(2 * SQ66 * ph)
     out = {
         "A": (a ** 3 / 11) * (6 * cos66 + 5),

@@ -233,7 +233,7 @@ def product_state(
         if len(set(levels)) != len(levels):
             raise ValueError(f"cavity {i + 1} factor repeats a level")
         norm2 = sum(abs(c) ** 2 for _, c in factor)
-        if abs(norm2 - 1.0) > 1e-9:
+        if not abs(norm2 - 1.0) <= 1e-9:
             raise ValueError(
                 f"cavity {i + 1} factor has squared norm {norm2!r}, expected 1"
             )

@@ -195,7 +195,7 @@ def parse_state_file(path: str) -> StateVector:
                 f"{path}: field 'amplitudes[{k}]': expected [re, im] or a "
                 f"real number, got {entry!r}")
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise CliError(
             f"{path}: state norm is {_fmt(norm)}, more than 1e-6 from unit; "
             f"refusing to renormalize")

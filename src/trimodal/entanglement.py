@@ -10,7 +10,11 @@ maximized by alternating power sweeps: each cavity factor in turn is set to
 the exact optimum given the other two, which never decreases the overlap.
 Sweeps run from every product-basis start (deterministic) plus a batch of
 seeded complex-normal starts, and the best squared overlap wins; ties go to
-the lowest start index.  The geometric entanglement is -log2(P_max).
+the lowest start index.  A sweep's first step overwrites u, so basis starts
+(i, j, k) that differ only in i follow one trajectory: duplicate basis
+starts are collapsed to one swept row each, while every start keeps its
+own initial overlap for the stop test and the tie rule.  The geometric
+entanglement is -log2(P_max).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class ProductState:
         for v in vecs:
             if v.shape != (d,):
                 raise ValueError(f"factor shape {v.shape}, expected ({d},)")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
                 raise ValueError("factors must be unit vectors")
         object.__setattr__(self, "vectors", vecs)
 
@@ -104,6 +108,11 @@ def _starts(d: int, restarts: int, seed) -> tuple[np.ndarray, np.ndarray, np.nda
             np.concatenate([w, rw]))
 
 
+def _overlaps(t: np.ndarray, u: np.ndarray, v: np.ndarray,
+              w: np.ndarray) -> np.ndarray:
+    return np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+
+
 def max_product_overlap(state: StateVector, restarts: int = 64,
                         tol: float = 1e-12, *, seed,
                         max_sweeps: int = MAX_SWEEPS) -> OverlapResult:
@@ -111,33 +120,45 @@ def max_product_overlap(state: StateVector, restarts: int = 64,
 
     Runs alternating power sweeps from every product-basis start plus
     `restarts` seeded random starts.  The result is never below the largest
-    squared basis amplitude, and is monotone in `restarts` at fixed seed.
-    `seed` is required so repeated calls are reproducible.
+    squared basis amplitude, never above 1, and is monotone in `restarts`
+    at fixed seed.  `seed` is required so repeated calls are reproducible.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
-    if tol <= 0:
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be positive, got {max_sweeps}")
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     norm = state.norm
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"state norm is {norm!r}, expected 1")
     t = embed(state)
-    u, v, w = _starts(state.manifold.qudit_dim, restarts, seed)
-    sigma = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+    d = state.manifold.qudit_dim
+    u, v, w = _starts(d, restarts, seed)
+    sigma = _overlaps(t, u, v, w)  # per start
+    # swept row of each start: basis start (i, j, k) shares the row of
+    # (0, j, k), since the first half-sweep reads only v and w; `first` is
+    # the first start of each row
+    row_of = np.concatenate([np.arange(d ** 3) % d ** 2,
+                             d ** 2 + np.arange(restarts)])
+    first = np.concatenate([np.arange(d ** 2), d ** 3 + np.arange(restarts)])
+    v, w = v[first], w[first]
     settled = np.zeros(sigma.shape, dtype=bool)
     sweeps = 0
     while sweeps < max_sweeps and not settled.all():
         u = _normalize_rows(np.einsum("ijk,sj,sk->si", t, v.conj(), w.conj()))
         v = _normalize_rows(np.einsum("ijk,si,sk->sj", t, u.conj(), w.conj()))
         w = _normalize_rows(np.einsum("ijk,si,sj->sk", t, u.conj(), v.conj()))
-        new = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+        new = _overlaps(t, u, v, w)[row_of]
         settled = np.abs(new - sigma) <= tol
         sigma = new
         sweeps += 1
     best = int(np.argmax(sigma))
-    overlap = float(sigma[best] ** 2)
-    maximizer = ProductState(state.manifold, (u[best], v[best], w[best]))
-    ent = -math.log2(overlap) if overlap > 0 else math.inf
+    row = row_of[best]
+    overlap = min(float(sigma[best] ** 2), 1.0)
+    maximizer = ProductState(state.manifold, (u[row], v[row], w[row]))
+    # abs, not negation: a product state's 0.0 stays 0.0 rather than -0.0
+    ent = abs(math.log2(overlap)) if overlap > 0 else math.inf
     return OverlapResult(overlap=overlap, entanglement=ent, maximizer=maximizer,
                          converged=bool(settled[best]), sweeps=sweeps,
                          start_index=best, n_starts=int(sigma.size))

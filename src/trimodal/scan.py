@@ -104,7 +104,10 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
 
     A uniform `grid`-point pass brackets every slope sign change; each
     bracket is refined by golden-section search to phase tolerance `tol`.
-    Endpoints that locally dominate their neighbor are reported with
+    A run of equal samples counts as one point: it is an extremum when it
+    sits below (or above) the samples on both sides of it, bracketed by
+    those two samples, and none when it is a shoulder on a slope.  Endpoint
+    runs that locally dominate their neighbor are reported with
     `at_endpoint` set and no refinement.  Results are sorted by phase.
     """
     if grid < 16:
@@ -118,32 +121,24 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     def scalar(x: float) -> float:
         return float(np.asarray(objective(np.array([x])))[0])
 
-    last = (-1, "")
-    for i in range(1, grid - 1):
-        is_min = ys[i] <= ys[i - 1] and ys[i] <= ys[i + 1] \
-            and (ys[i] < ys[i - 1] or ys[i] < ys[i + 1])
-        is_max = ys[i] >= ys[i - 1] and ys[i] >= ys[i + 1] \
-            and (ys[i] > ys[i - 1] or ys[i] > ys[i + 1])
-        if not (is_min or is_max):
+    # runs of equal samples: run r covers samples starts[r] .. starts[r+1]-1
+    starts = np.concatenate([[0], np.flatnonzero(ys[1:] != ys[:-1]) + 1, [grid]])
+    for a, b in zip(starts[1:-2], starts[2:-1]):
+        left, mid, right = ys[a - 1], ys[a], ys[b]
+        if mid < left and mid < right:
+            kind, sgn = "min", 1.0
+        elif mid > left and mid > right:
+            kind, sgn = "max", -1.0
+        else:
             continue
-        kind = "min" if is_min else "max"
-        # samples i-1 and i flag the same kind only when they tie around one
-        # extremum, which the bracket of i-1 already contains
-        if last == (i - 1, kind):
-            continue
-        last = (i, kind)
-        sgn = 1.0 if is_min else -1.0
-        x_star = _golden(lambda x: sgn * scalar(x), xs[i - 1], xs[i + 1], tol)
+        x_star = _golden(lambda x: sgn * scalar(x), xs[a - 1], xs[b], tol)
         found.append(Extremum(phase=x_star, value=scalar(x_star), kind=kind,
                               at_endpoint=False))
-    if ys[0] != ys[1]:
-        found.append(Extremum(phase=float(xs[0]), value=float(ys[0]),
-                              kind="max" if ys[0] > ys[1] else "min",
-                              at_endpoint=True))
-    if ys[-1] != ys[-2]:
-        found.append(Extremum(phase=float(xs[-1]), value=float(ys[-1]),
-                              kind="max" if ys[-1] > ys[-2] else "min",
-                              at_endpoint=True))
+    if starts.size > 2:
+        for end, beside in ((0, starts[1]), (grid - 1, starts[-2] - 1)):
+            found.append(Extremum(phase=float(xs[end]), value=float(ys[end]),
+                                  kind="max" if ys[end] > ys[beside] else "min",
+                                  at_endpoint=True))
     found.sort(key=lambda e: e.phase)
     return found
 
@@ -208,7 +203,8 @@ def dwell_time(family: Family, label: str, span: float = math.pi, *,
     phases = np.linspace(0.0, span, quadrature_points + 1)
     acc = np.zeros(phases.size, dtype=complex)
     for c, f in zip(col, freqs):
-        acc += c * np.exp(-1j * f * phases)
+        if c != 0:  # a zero mode would only add +-0
+            acc += c * np.exp(-1j * f * phases)
     quad = float(_simpson(np.abs(acc) ** 2, phases) / span)
     return DwellTime(label=label, span=span, closed_form=closed,
                      quadrature=quad)
@@ -269,6 +265,12 @@ def detect_period(source: Family | Representation, *, xi: float = 1.0,
     label fed by a single mode has constant modulus).  Periods are returned
     in time units (phase / xi).
     """
+    if not (math.isfinite(xi) and xi != 0):
+        raise ValueError(f"xi must be finite and nonzero, got {xi!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not max_denominator >= 1:
+        raise ValueError(f"max_denominator must be at least 1, got {max_denominator!r}")
     if isinstance(source, Family):
         freqs, coeffs = source.representation(**params)
     else:

@@ -311,43 +311,44 @@ def _pattern_embedding(family, groups) -> np.ndarray:
 # criterion 4: closed-form families vs the exact restricted evolution
 
 
+def _exact_trajectory(fam, window: float, n_samples: int = 1000, **params):
+    """Phases on [0, window] and the exact large-hopping evolution of the
+    family's start over them."""
+    gen = build_large_xi_generator(fam.manifold, xi=1.0)
+    ts = np.linspace(0.0, window, n_samples)
+    return ts, propagate(gen, fam.initial_state(**params), ts,
+                         times_are_phase=True)
+
+
+def _label_error(fam, got: np.ndarray, ref: dict, labels) -> float:
+    """Max |got - ref| over the labels, with hypot like abs(complex)."""
+    worst = 0.0
+    for la in labels:
+        d = got[:, fam.labels.index(la)] - ref[la]
+        worst = max(worst, float(np.max(np.hypot(d.real, d.imag))))
+    return worst
+
+
 def _family_deviation(name: str, window: float, labels=None, n_samples=1000,
                       **params) -> float:
     """Max closed-form amplitude error against the exact evolution."""
     fam = FAMILIES[name]
-    man = fam.manifold
-    gen = build_large_xi_generator(man, xi=1.0)
-    x0 = fam.initial_state(**params)
-    ts = np.linspace(0.0, window, n_samples)
-    traj = propagate(gen, x0, ts, times_are_phase=True)
-    worst = 0.0
-    for k, t in enumerate(ts):
-        amps = fam.evaluate(1.0, float(t), **params)
-        if labels is None:
-            ref = fam.state_vector(amps)
-            err = float(np.max(np.abs(traj.amplitudes[k] - ref.amplitudes)))
-        else:
-            got = fam.amplitudes_from_state(traj.state(k), tol=1e-6)
-            err = max(abs(amps[la] - got[la]) for la in labels)
-        worst = max(worst, err)
-    return worst
+    ts, traj = _exact_trajectory(fam, window, n_samples, **params)
+    amps = fam.evaluate_phases(ts, **params)
+    if labels is None:
+        return float(np.max(np.abs(traj.amplitudes - fam.fill_patterns(amps))))
+    got = fam.read_patterns(traj.amplitudes, tol=1e-6)
+    return _label_error(fam, got, dict(zip(fam.labels, amps.T)), labels)
 
 
 def _printed_sym_deviation(window: float, a: complex, b: complex,
                            n_samples=1000) -> float:
     """Rounded-decimal one-excited forms vs the exact evolution."""
     fam = FAMILIES["n6_symmetric"]
-    gen = build_large_xi_generator(fam.manifold, xi=1.0)
-    x0 = fam.initial_state(a=a, b=b)
-    ts = np.linspace(0.0, window, n_samples)
-    traj = propagate(gen, x0, ts, times_are_phase=True)
-    worst = 0.0
-    for k, t in enumerate(ts):
-        printed = n6_symmetric_printed(a, b, 1.0, float(t))
-        got = fam.amplitudes_from_state(traj.state(k), tol=1e-6)
-        worst = max(worst, max(abs(printed[la] - got[la])
-                               for la in ("B", "E", "G", "J")))
-    return worst
+    ts, traj = _exact_trajectory(fam, window, n_samples, a=a, b=b)
+    got = fam.read_patterns(traj.amplitudes, tol=1e-6)
+    return _label_error(fam, got, n6_symmetric_printed(a, b, 1.0, ts),
+                        ("B", "E", "G", "J"))
 
 
 def _oracle_checks() -> list[CheckResult]:
@@ -374,14 +375,10 @@ def _oracle_checks() -> list[CheckResult]:
                      _fmt(err), "1e-9",
                      "all six patterns, aperiodic window 2*pi"))
     fam = FAMILIES["n6_concentrated"]
-    gen = build_large_xi_generator(fam.manifold, xi=1.0)
-    traj = propagate(gen, fam.initial_state(),
-                     np.linspace(0.0, 2 * math.pi, 1000), times_are_phase=True)
-    worst = 0.0
-    for k, t in enumerate(traj.times):
-        a_ref, f_ref = n6_concentrated_AF(1.0, float(t))
-        got = fam.amplitudes_from_state(traj.state(k), tol=1e-6)
-        worst = max(worst, abs(a_ref - got["A"]), abs(f_ref - got["F"]))
+    ts, traj = _exact_trajectory(fam, 2 * math.pi)
+    a_ref, f_ref = n6_concentrated_AF(1.0, ts)
+    worst = _label_error(fam, fam.read_patterns(traj.amplitudes, tol=1e-6),
+                         {"A": a_ref, "F": f_ref}, ("A", "F"))
     rows.append(_row("c4.concentrated_surds", 4, worst <= 1e-9, "0",
                      _fmt(worst), "1e-9",
                      "explicit surd forms for the stay-put and spread patterns"))
@@ -396,7 +393,7 @@ def _oracle_checks() -> list[CheckResult]:
                        _fmt(err), "1e-9",
                        "documented triplet forms omit the 14*xi diagonal of "
                        "the six-member pattern"))
-    blk = pattern_compression(FAMILIES["n6_symmetric"], gen)
+    blk = pattern_compression(FAMILIES["n6_symmetric"], traj.generator)
     doc = np.array(FAMILIES["n6_symmetric"].system_matrix, dtype=float)
     diff = blk - doc
     expected_diff = np.zeros_like(diff)
@@ -428,12 +425,10 @@ def _oracle_checks() -> list[CheckResult]:
 
     # companion: the documented forms do solve their own reduced blocks
     fam = FAMILIES["n6_symmetric"]
-    worst = 0.0
-    for t in np.linspace(0.0, math.pi, 250):
-        exact = fam.evaluate(1.0, float(t), a=0.6, b=0.8)
-        printed = n6_symmetric_printed(0.6, 0.8, 1.0, float(t))
-        worst = max(worst, max(abs(exact[la] - printed[la])
-                               for la in ("B", "E", "G", "J")))
+    ts = np.linspace(0.0, math.pi, 250)
+    worst = _label_error(fam, fam.evaluate_phases(ts, a=0.6, b=0.8),
+                         n6_symmetric_printed(0.6, 0.8, 1.0, ts),
+                         ("B", "E", "G", "J"))
     rows.append(_row("c4.sym_printed_regression", 4, worst <= 5e-4,
                      "0", _fmt(worst), "5e-4",
                      "rounded decimals vs the exact documented-block solve"))

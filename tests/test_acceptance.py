@@ -8,6 +8,8 @@ starts to hold, the suite flips that row to ``FAIL`` (stale analysis) and the
 test fails loudly instead of silently going green.
 """
 
+from pathlib import Path
+
 import pytest
 
 from trimodal.verification import (
@@ -53,6 +55,13 @@ def test_check_ids_unique():
 def test_suite_is_deterministic():
     # byte-for-byte: the rendered report is part of the CLI contract
     assert render_table(run_suite(seed=0)) == render_table(ROWS)
+
+
+def test_table_matches_the_golden_bytes():
+    # the rendered `trimodal verify --suite paper --seed 0` table, kept
+    # byte for byte: any change to a printed digit shows up here
+    golden = Path(__file__).parent / "data" / "verify_paper_seed0.txt"
+    assert render_table(ROWS) == golden.read_text(encoding="utf-8")
 
 
 def test_render_table_summary_line():

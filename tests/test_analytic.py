@@ -1,5 +1,6 @@
 """Closed-form amplitude families against the exact propagator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -107,6 +108,141 @@ def test_amplitudes_from_state_rejects_off_pattern_states():
         fam.amplitudes_from_state(StateVector(man, stray))
 
 
+# the per-state pattern read and fill the batched forms replace, kept as
+# the bit-for-bit reference
+
+def _read_reference(fam, amplitudes, tol):
+    man = fam.manifold
+    values = np.zeros(len(fam.labels), dtype=complex)
+    covered = np.zeros(man.dim, dtype=bool)
+    for k, lab in enumerate(fam.labels):
+        reads = []
+        for bstate, w in fam.patterns[lab]:
+            idx = man.index_of(bstate)
+            covered[idx] = True
+            reads.append(amplitudes[idx] / w)
+        values[k] = reads[0]
+        spread = max(abs(r - reads[0]) for r in reads)
+        if not spread <= tol:
+            raise ValueError(f"state breaks the {fam.name}/{lab} pattern "
+                             f"symmetry (spread {spread:.3e})")
+    stray = np.abs(amplitudes[~covered]) if not covered.all() else np.zeros(1)
+    if not stray.max() <= tol:
+        raise ValueError(f"state has weight {stray.max():.3e} outside the "
+                         f"{fam.name} patterns")
+    return values
+
+
+def _fill_reference(fam, values):
+    man = fam.manifold
+    out = np.zeros(man.dim, dtype=complex)
+    for lab, value in zip(fam.labels, values):
+        for bstate, w in fam.patterns[lab]:
+            out[man.index_of(bstate)] += w * value
+    return out
+
+
+PARAMS = {"n2_general": dict(a=0.6, b=0.8j), "n4_single_cavity": dict(a=0.6, b=0.8),
+          "n4_two_cavity": dict(a=0.6, b=0.8, c=0.8, d=-0.6j),
+          "n6_symmetric": dict(a=0.6, b=0.8)}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_evaluate_phases_rows_equal_evaluate(name):
+    fam = FAMILIES[name]
+    params = PARAMS.get(name, {})
+    phases = np.linspace(0.0, 2.0 * math.pi, 97)
+    table = fam.evaluate_phases(phases, **params)
+    assert table.shape == (97, len(fam.labels))
+    for k, phi in enumerate(phases):
+        assert np.array_equal(table[k], fam.evaluate(1.0, phi, **params).values)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_batched_pattern_read_and_fill_equal_the_per_state_loops(name):
+    fam = FAMILIES[name]
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(40, len(fam.labels))) \
+        + 1j * rng.normal(size=(40, len(fam.labels)))
+    states = fam.fill_patterns(values)
+    assert states.shape == (40, fam.manifold.dim)
+    for k in range(40):
+        assert np.array_equal(states[k], _fill_reference(fam, values[k]))
+    # small noise inside tol, so the reads carry the division's rounding
+    noisy = states + 1e-12 * rng.normal(size=states.shape)
+    got = fam.read_patterns(noisy, tol=1e-9)
+    for k in range(40):
+        assert np.array_equal(got[k], _read_reference(fam, noisy[k], 1e-9))
+
+
+def _first_loop_error(fam, table, tol):
+    for row in table:
+        try:
+            _read_reference(fam, row, tol)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["n4_single_cavity", "n6_symmetric", "n4_two_cavity"])
+def test_batched_pattern_read_raises_what_the_loop_raises(name):
+    fam = FAMILIES[name]
+    man = fam.manifold
+    states = fam.fill_patterns(np.ones((6, len(fam.labels))))
+    orbit = next(lab for lab in fam.labels if len(fam.patterns[lab]) > 1)
+    member = man.index_of(fam.patterns[orbit][-1][0])
+    broken = states.copy()
+    broken[4, member] += 1e-3            # a broken pattern in row 4
+    cases = [broken]
+    covered = {man.index_of(b) for p in fam.patterns.values() for b, _ in p}
+    outside = [i for i in range(man.dim) if i not in covered]
+    if outside:
+        stray = states.copy()
+        stray[2, outside[0]] = 1e-3      # stray weight in row 2 ...
+        stray[3, member] += 1e-3         # ... before a broken row
+        cases.append(stray)
+    for table in cases:
+        expected = _first_loop_error(fam, table, 1e-9)
+        assert expected is not None
+        with pytest.raises(ValueError) as exc:
+            fam.read_patterns(table, tol=1e-9)
+        assert str(exc.value) == expected
+
+
+def test_pattern_read_fails_closed_on_nan():
+    fam = FAMILIES["n4_single_cavity"]
+    man = fam.manifold
+    orbit = next(p for p in fam.patterns.values() if len(p) > 1)
+    amps = np.zeros(man.dim, dtype=complex)
+    amps[man.index_of(orbit[0][0])] = np.nan
+    with pytest.raises(ValueError, match="pattern symmetry"):
+        fam.amplitudes_from_state(StateVector(man, amps))
+    covered = {man.index_of(b) for p in fam.patterns.values() for b, _ in p}
+    amps = np.zeros(man.dim, dtype=complex)
+    amps[next(i for i in range(man.dim) if i not in covered)] = np.nan
+    with pytest.raises(ValueError, match="outside"):
+        fam.amplitudes_from_state(StateVector(man, amps))
+
+
+def test_families_need_disjoint_patterns():
+    fam = FAMILIES["n2_general"]
+    shared = dict(fam.patterns, B=fam.patterns["A"])
+    broken = dataclasses.replace(fam, patterns=shared)
+    with pytest.raises(ValueError, match="basis state"):
+        broken.fill_patterns(np.ones((1, len(fam.labels))))
+
+
+def test_normalization_checks_fail_closed_on_nan():
+    with pytest.raises(ValueError):
+        FAMILIES["n2_general"].evaluate(1.0, 0.1, a=math.nan, b=0.0)
+    with pytest.raises(ValueError):
+        FAMILIES["n4_two_cavity"].evaluate(1.0, 0.1, c=math.nan)
+    initials = np.eye(6)[0].astype(complex)
+    initials[3] = math.nan
+    with pytest.raises(ValueError):
+        n2_amplitudes(initials, 1.0, 0.0)
+
+
 def test_parameter_validation():
     fam = FAMILIES["n2_general"]
     with pytest.raises(ValueError):
@@ -138,6 +274,9 @@ def test_stay_probability_profile():
     table = n2_amplitudes(np.eye(6)[0].astype(complex), 1.0, ts)
     assert table.shape == (50, 6)
     assert np.abs(table[:, 0]) ** 2 == pytest.approx((5 + 4 * np.cos(6 * ts)) / 9)
+    for k in (0, 7, 49):
+        single = n2_amplitudes(np.eye(6)[0].astype(complex), 1.0, ts[k])
+        assert np.array_equal(table[k], single.values)
 
 
 def test_n2_amplitudes_validation():

@@ -1,5 +1,7 @@
 """Restricted-basis enumeration, product states, and cavity relabeling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,14 @@ def test_product_state_input_validation():
             man,
             [[(lv("g2"), 0.8), (lv("g2"), 0.6)], good, good],  # repeated level
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_product_state_norm_check_fails_closed(bad):
+    man = enumerate_manifold(2)
+    good = [(lv("g0"), 1.0)]
+    with pytest.raises(ValueError, match="squared norm"):
+        product_state(man, [[(lv("g2"), bad)], good, good])
 
 
 # ---------------------------------------------------------------- relabeling

@@ -117,6 +117,13 @@ def test_state_file_rejects_norm_breach(tmp_path):
         parse_state_file(path)
 
 
+def test_state_file_rejects_a_nan_amplitude(tmp_path):
+    # json reads the NaN literal as a float
+    path = write_state(tmp_path / "s.json", 2, [[1.0, 0.0], [math.nan, 0.0]] + UNIT6[2:])
+    with pytest.raises(CliError, match="refusing to renormalize"):
+        parse_state_file(path)
+
+
 def test_state_file_rejects_wrong_count(tmp_path):
     path = write_state(tmp_path / "s.json", 2, UNIT6[:5])
     with pytest.raises(CliError, match="expected 6 entries"):
@@ -287,6 +294,13 @@ def test_entangle_product_state(capsys):
     assert float(out["entanglement_log2"]) == pytest.approx(0.0, abs=1e-9)
     assert out["converged"] == "true"
     assert int(out["starts"]) == 27 + 4
+
+
+def test_entangle_product_start_prints_exact_unit_overlap(capsys):
+    assert main(["entangle", "--N", "2", "--init", "g0|g0|g2", "--seed", "0"]) == 0
+    out = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    assert out["overlap"] == "1"
+    assert out["entanglement_log2"] == "0"
 
 
 def test_scan_landmarks_as_csv(capsys):

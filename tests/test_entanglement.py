@@ -7,14 +7,18 @@ import pytest
 
 from trimodal.analytic import FAMILIES, evaluate
 from trimodal.basis import StateVector, enumerate_manifold, parse_level, product_state
+from trimodal.cli import parse_init
+from trimodal.dynamics import build_large_xi_generator
 from trimodal.entanglement import (
     ProductState,
+    _starts,
     closed_form_overlap_n2,
     embed,
     geometric_entanglement,
     max_product_overlap,
     symmetric_quarter_turn_check,
 )
+from trimodal.evolve import propagate
 
 MAN2 = enumerate_manifold(2)
 
@@ -52,6 +56,8 @@ def test_product_state_validation():
         ProductState(MAN2, (unit[:2], unit, unit))
     with pytest.raises(ValueError):
         ProductState(MAN2, (2.0 * unit, unit, unit))
+    with pytest.raises(ValueError):
+        ProductState(MAN2, (np.full(d, np.nan, dtype=complex), unit, unit))
 
 
 def test_unentangled_state_has_unit_overlap():
@@ -116,6 +122,76 @@ def test_sweep_input_validation():
         max_product_overlap(state, tol=0.0, seed=0)
     with pytest.raises(ValueError):
         max_product_overlap(StateVector(MAN2, 0.7 * np.eye(6)[0]), seed=0)
+    with pytest.raises(ValueError):
+        max_product_overlap(state, max_sweeps=0, seed=0)
+
+
+def test_sweep_input_validation_fails_closed_on_nan():
+    state = StateVector(MAN2, np.eye(6)[0])
+    with pytest.raises(ValueError, match="tol"):
+        max_product_overlap(state, tol=math.nan, seed=0)
+    amps = np.eye(6)[0].astype(complex)
+    amps[3] = np.nan
+    with pytest.raises(ValueError, match="norm"):
+        max_product_overlap(StateVector(MAN2, amps), seed=0)
+
+
+def test_product_start_has_overlap_one_and_zero_entanglement():
+    # the sweep's rounding put this at overlap 1.0000000000000009 and
+    # entanglement -1.28e-15 before the clamp
+    result = max_product_overlap(parse_init("g0|g0|g2", 2), seed=0)
+    assert result.overlap == 1.0
+    assert result.entanglement == 0.0
+    assert math.copysign(1.0, result.entanglement) == 1.0
+    assert result.converged
+
+
+def _all_start_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
+    """The sweep run on every start row, without collapsing duplicates."""
+    def normalize_rows(m):
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        return m / np.where(norms > 0.0, norms, 1.0)
+
+    t = embed(state)
+    u, v, w = _starts(state.manifold.qudit_dim, restarts, seed)
+    sigma = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+    settled = np.zeros(sigma.shape, dtype=bool)
+    sweeps = 0
+    while sweeps < max_sweeps and not settled.all():
+        u = normalize_rows(np.einsum("ijk,sj,sk->si", t, v.conj(), w.conj()))
+        v = normalize_rows(np.einsum("ijk,si,sk->sj", t, u.conj(), w.conj()))
+        w = normalize_rows(np.einsum("ijk,si,sj->sk", t, u.conj(), v.conj()))
+        new = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+        settled = np.abs(new - sigma) <= tol
+        sigma = new
+        sweeps += 1
+    best = int(np.argmax(sigma))
+    return dict(overlap=float(sigma[best] ** 2), start_index=best,
+                n_starts=int(sigma.size), sweeps=sweeps,
+                converged=bool(settled[best]), vectors=(u[best], v[best], w[best]))
+
+
+@pytest.mark.parametrize("n_total, init, phase, restarts", [
+    (2, "g0|g0|0.6:g2+0.8:e0", 0.4, 64),
+    (2, "g0|g0|g2", 0.0, 64),            # product start: many tied starts
+    (4, "g0|g2|g2", 0.19, 64),
+    (6, "g2|g2|g2", 0.3, 16),
+    (8, "g0|g0|g8", 0.5, 4),
+])
+def test_collapsed_sweep_equals_the_all_start_reference(n_total, init, phase, restarts):
+    man = enumerate_manifold(n_total)
+    traj = propagate(build_large_xi_generator(man), parse_init(init, n_total),
+                     [phase], times_are_phase=True)
+    state = traj.state(0)
+    ref = _all_start_reference(state, restarts, seed=0)
+    got = max_product_overlap(state, restarts, seed=0)
+    d = man.qudit_dim
+    assert got.n_starts == ref["n_starts"] == d ** 3 + restarts
+    assert (got.start_index, got.sweeps, got.converged) == \
+        (ref["start_index"], ref["sweeps"], ref["converged"])
+    assert got.overlap == min(ref["overlap"], 1.0)
+    for mine, theirs in zip(got.maximizer.vectors, ref["vectors"]):
+        assert np.array_equal(mine, theirs)
 
 
 def test_maximizer_reports_its_levels():

@@ -77,6 +77,28 @@ def test_propagate_input_validation():
         propagate(gen, StateVector(MAN2, 0.5 * np.eye(6)[0]), [0.0])
 
 
+def test_initial_norm_check_fails_closed_on_nan():
+    amps = np.eye(MAN2.dim, dtype=complex)[0]
+    amps[1] = np.nan
+    with pytest.raises(ValueError, match="not normalized"):
+        propagate(build_large_xi_generator(MAN2), StateVector(MAN2, amps), [0.0])
+
+
+def test_propagate_equals_the_formula_built_from_temporaries():
+    # the evolution body updates one buffer in place; the rows must keep the
+    # bits of exp(-i f t) * c @ V^T written with fresh temporaries
+    gen = build_full_generator(MAN6, DressedParams(r=1.3, delta=0.2), xi=3.0)
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=MAN6.dim) + 1j * rng.normal(size=MAN6.dim)
+    x0 = StateVector(MAN6, amps / np.linalg.norm(amps))
+    times = np.linspace(0.0, 2.3, 301)
+    spec = spectrum(gen)
+    coeffs = spec.modes.conj().T @ x0.amplitudes
+    reference = (np.exp(-1j * times[:, None] * spec.frequencies[None, :])
+                 * coeffs[None, :]) @ spec.modes.T
+    assert np.array_equal(propagate(gen, x0, times).amplitudes, reference)
+
+
 def test_propagate_rejects_phase_times_at_zero_xi():
     gen = build_large_xi_generator(MAN2, xi=0.0)
     with pytest.raises(ValueError, match="xi == 0"):

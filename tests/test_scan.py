@@ -91,6 +91,39 @@ def test_scan_reports_a_grid_tie_once():
     assert len(near) == 1 and near[0].kind == "min"
 
 
+def _sampled(values):
+    """Piecewise-linear objective through samples at phases 0, 1, 2, ..."""
+    xs = np.arange(len(values), dtype=float)
+    return lambda p: np.interp(np.asarray(p, dtype=float), xs, values)
+
+
+def test_scan_reports_one_extremum_per_flat_run():
+    # max(|x - 7|, 1): samples 6, 7 and 8 tie at the minimum
+    found = scan_extrema(lambda p: np.maximum(np.abs(np.asarray(p) - 7.0), 1.0),
+                         0.0, 15.0, grid=16)
+    interior = [e for e in found if not e.at_endpoint]
+    assert len(interior) == 1
+    assert interior[0].kind == "min"
+    assert interior[0].value == 1.0
+    assert 6.0 <= interior[0].phase <= 8.0
+
+
+def test_scan_skips_a_flat_shoulder_on_a_slope():
+    values = [5.0, 1.0, 1.0, 0.8, 0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1,
+              0.08, 0.06, 0.04, 0.02, 0.0]
+    found = scan_extrema(_sampled(values), 0.0, 15.0, grid=16)
+    assert [e for e in found if not e.at_endpoint] == []
+    assert [(e.kind, e.phase) for e in found] == [("max", 0.0), ("min", 15.0)]
+
+
+def test_scan_reports_a_flat_endpoint_run_at_the_endpoint():
+    values = [1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0,
+              11.0, 12.0, 13.0, 13.0, 13.0]
+    found = scan_extrema(_sampled(values), 0.0, 15.0, grid=16)
+    assert [(e.kind, e.phase, e.at_endpoint) for e in found] == \
+        [("min", 0.0, True), ("max", 15.0, True)]
+
+
 def test_scan_window_validation():
     with pytest.raises(ValueError):
         scan_extrema(lambda p: np.asarray(p), 1.0, 1.0)
@@ -117,6 +150,22 @@ def test_dwell_span_controls_the_average():
     short = dwell_time(fam, "A", span=math.pi / 12.0, quadrature_points=20000)
     assert short.value == pytest.approx(5.0 / 9.0 + 8.0 / (9.0 * math.pi), abs=1e-10)
     assert short.route_gap < 1e-9
+
+
+def test_dwell_quadrature_equals_the_all_mode_sum():
+    # modes with an exact zero coefficient are skipped; they only add +-0
+    fam = FAMILIES["n2_general"]
+    freqs, coeffs = fam.representation(a=1.0, b=0.0)
+    for k, label in enumerate(fam.labels[:3]):
+        col = coeffs[:, k]
+        assert (col == 0).any()
+        phases = np.linspace(0.0, math.pi, 4097)
+        acc = np.zeros(phases.size, dtype=complex)
+        for c, f in zip(col, freqs):
+            acc += c * np.exp(-1j * f * phases)
+        ref = float(_simpson(np.abs(acc) ** 2, phases) / math.pi)
+        got = dwell_time(fam, label, quadrature_points=4096, a=1.0, b=0.0)
+        assert got.quadrature == ref
 
 
 def test_dwell_validation():
@@ -199,6 +248,16 @@ def test_raw_representation_periods():
 def test_period_units_scale_with_the_rate():
     half = detect_period(FAMILIES["n2_general"], xi=2.0)
     assert half.modulus_period == pytest.approx(math.pi / 6.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(xi=0.0), dict(xi=math.nan), dict(xi=math.inf), dict(xi=-math.inf),
+    dict(tol=0.0), dict(tol=-1e-9), dict(tol=math.nan), dict(tol=math.inf),
+    dict(max_denominator=0), dict(max_denominator=-3),
+])
+def test_detect_period_rejects_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        detect_period(FAMILIES["n2_general"], **kwargs)
 
 
 def test_raw_representation_rejects_family_parameters():
