@@ -1,17 +1,22 @@
 """Closed-form amplitude families for the large-hopping dynamics.
 
-Each family bundles the labelled amplitude solution for one initial-state
-class: the basis patterns each label rides on, the exponential-sum form of
-every amplitude, the reduced coefficient matrix those forms solve, and the
-per-sector conservation sums.  Families whose patterns are plain basis
-states (or unnormalized mirror pairs) solve the exact compression of the
-hopping generator onto their patterns.  The `n6_symmetric` family is
-different: its reference forms solve a reduced matrix that DROPS the
-hopping couplings internal to the symmetrized patterns (a 14ξ diagonal on
-the six-member photon pattern and 2ξ diagonals on two others), so away
-from t = 0 it deviates from the true propagator by O(1).  The family is
-kept in that form deliberately — `solves_hopping` is False, and the
-verification suite quantifies the mismatch instead of hiding it.
+A family is data: the basis patterns each label rides on, its parameters,
+its initial product state and its per-sector conservation sums.  Every
+amplitude is an exponential sum, and one solve produces all of them: the
+family's reduced matrix is diagonalized in label coordinates
+(`matrix_representation`), symmetrized by the pattern norms and started
+from the labels read off the initial state.  Five families derive that
+matrix as the exact compression of the hopping generator onto their
+patterns, so they solve the dynamics to rounding.  The `n6_symmetric`
+family carries its documented blocks instead, which DROP the hopping
+couplings internal to the symmetrized patterns (a 14ξ diagonal on the
+six-member photon pattern and 2ξ diagonals on two others), so away from
+t = 0 it deviates from the true propagator by O(1).  It is kept in that form
+deliberately — `solves_hopping` is False, and the verification suite
+quantifies the mismatch instead of hiding it.  The paper's typed
+coefficient tables and surd forms for the other five families are
+reference data in `trimodal.verification`, checked there against the
+exact evolution.
 """
 
 from __future__ import annotations
@@ -33,17 +38,13 @@ from .basis import (
     parse_level,
     product_state,
 )
-from .dynamics import Block, Generator
+from .dynamics import Block, Generator, build_large_xi_generator
 from .evolve import _merge_modes
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 SQ6 = math.sqrt(6.0)
-SQ24 = math.sqrt(24.0)
 SQ30 = math.sqrt(30.0)
-SQ66 = math.sqrt(66.0)
-SQ241 = math.sqrt(241.0)
-SQ313 = math.sqrt(313.0)
 
 Pattern = tuple[tuple[BasisState, float], ...]
 
@@ -111,7 +112,12 @@ class _PatternIndex(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """One closed-form amplitude family and its reduced linear system."""
+    """One closed-form amplitude family and its reduced linear system.
+
+    `documented_matrix` is given only for a family whose amplitudes solve a
+    documented reduced matrix rather than the hopping dynamics; every other
+    family derives its matrix from the hopping generator.
+    """
 
     name: str
     n_total: int
@@ -119,12 +125,10 @@ class Family:
     patterns: Mapping[str, Pattern]
     parameters: tuple[str, ...]
     defaults: Mapping[str, complex]
-    system_matrix: np.ndarray
-    solves_hopping: bool
     conserved: tuple[ConservedSum, ...]
     modulus_period: float | None
-    _representation: Callable[[Mapping[str, complex]], tuple[np.ndarray, np.ndarray]]
     _factors: Callable[[Mapping[str, complex]], list[list[tuple]]]
+    documented_matrix: np.ndarray | None = None
 
     @cached_property
     def _index(self) -> _PatternIndex:
@@ -149,6 +153,29 @@ class Family:
     def manifold(self) -> Manifold:
         return enumerate_manifold(self.n_total)
 
+    @property
+    def solves_hopping(self) -> bool:
+        """True when the amplitudes solve the exact hopping dynamics."""
+        return self.documented_matrix is None
+
+    @cached_property
+    def system_matrix(self) -> np.ndarray:
+        """Reduced matrix in label coordinates, i dX/dt = xi * M @ X: the
+        documented one if given, else the hopping generator compressed onto
+        the patterns (`pattern_compression`)."""
+        mat = self.documented_matrix
+        if mat is None:
+            mat = pattern_compression(self, build_large_xi_generator(self.manifold))
+        mat.flags.writeable = False
+        return mat
+
+    @cached_property
+    def pattern_norms(self) -> np.ndarray:
+        """sqrt(sum w^2) over each label's pattern; D = diag(pattern_norms)
+        makes D @ system_matrix @ D^-1 symmetric."""
+        idx = self._index
+        return np.sqrt(np.bincount(idx.cols, weights=idx.weights ** 2))
+
     def _params(self, overrides: Mapping[str, complex]) -> dict[str, complex]:
         unknown = set(overrides) - set(self.parameters)
         if unknown:
@@ -160,9 +187,11 @@ class Family:
     def representation(self, **overrides) -> tuple[np.ndarray, np.ndarray]:
         """Exponential-sum form: (frequencies f, coefficient matrix c[f, label]).
 
-        Amplitudes are X_l(t) = sum_f c[f, l] exp(-i f xi t).
+        Amplitudes are X_l(t) = sum_f c[f, l] exp(-i f xi t): the solution of
+        `system_matrix` started from the labels of `initial_state`.
         """
-        return self._representation(self._params(overrides))
+        initial = self.read_patterns([self.initial_state(**overrides).amplitudes])[0]
+        return matrix_representation(self.system_matrix, initial, self.pattern_norms)
 
     def evaluate_phases(self, phases, **overrides) -> np.ndarray:
         """Amplitude table over an array of xi*t values, shape (T, labels).
@@ -261,20 +290,12 @@ def _exp_sum(phases, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalized_pair(params: Mapping[str, complex], first: str, second: str) -> None:
-    total = abs(params[first]) ** 2 + abs(params[second]) ** 2
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(
-            f"|{first}|^2 + |{second}|^2 = {total!r}, expected 1"
-        )
-
-
 def pattern_compression(family: Family, generator: Generator) -> np.ndarray:
     """Exact reduced matrix of a generator in the family's label coordinates.
 
     Row l reads off i dX_l/dt for a state carrying the family's patterns:
     M[l, m] = (1/w_l) * sum over pattern m terms (s, w) of <rep_l|G|s> * w / xi,
-    with rep_l the first basis state of pattern l.  Equal to
+    with rep_l the first basis state of pattern l.  It is
     `family.system_matrix` exactly when `solves_hopping` is true.
     """
     if isinstance(generator, Block):
@@ -282,18 +303,10 @@ def pattern_compression(family: Family, generator: Generator) -> np.ndarray:
     man = generator.manifold
     if man.n_total != family.n_total:
         raise ValueError("generator manifold does not match the family")
-    dim = len(family.labels)
-    out = np.zeros((dim, dim))
-    mat = generator.matrix.real
-    for i, lab_i in enumerate(family.labels):
-        rep, w_rep = family.patterns[lab_i][0]
-        row = man.index_of(rep)
-        for j, lab_j in enumerate(family.labels):
-            acc = 0.0
-            for bstate, w in family.patterns[lab_j]:
-                acc += w * mat[row, man.index_of(bstate)]
-            out[i, j] = acc / (w_rep * generator.xi)
-    return out
+    idx = family._index
+    terms = generator.matrix.real[np.ix_(idx.rows[idx.firsts], idx.rows)] * idx.weights
+    sums = np.add.reduceat(terms, idx.firsts, axis=1)
+    return sums / (idx.weights[idx.firsts, np.newaxis] * generator.xi)
 
 
 def matrix_representation(matrix: np.ndarray, initial: np.ndarray,
@@ -314,261 +327,47 @@ def matrix_representation(matrix: np.ndarray, initial: np.ndarray,
     return _merge_modes(vals, coeffs)
 
 
-# --- total 2: general six-amplitude family --------------------------------
+# --- labels and documented blocks ------------------------------------------
 
 N2_LABELS = ("A", "B", "C", "D", "E", "F")
 _N2_STATES = (("g0", "g0", "g2"), ("g0", "g2", "g0"), ("g2", "g0", "g0"),
               ("g0", "g0", "e0"), ("g0", "e0", "g0"), ("e0", "g0", "g0"))
-
-
-def n2_amplitudes(initials, xi: float, t) -> AmplitudeSet | np.ndarray:
-    """Six-amplitude solution for total 2: photon labels mix through the
-    uniform mode (frequency 4xi) and its complement (frequency -2xi); the
-    excited-cavity labels D, E, F are frozen.
-
-    Scalar `t` returns an AmplitudeSet; an array returns shape (T, 6).
-    """
-    initials = np.asarray(initials, dtype=complex)
-    if initials.shape != (6,):
-        raise ValueError("need six initial amplitudes")
-    total = float(np.sum(np.abs(initials) ** 2))
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"initial amplitudes have squared norm {total!r}")
-    freqs, coeffs = _n2_representation_from(initials)
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    table = _exp_sum(np.asarray(t, dtype=float) * xi, freqs, coeffs)
-    if scalar:
-        return AmplitudeSet("n2_general", N2_LABELS, table[0], float(xi), float(t))
-    return table
-
-
-def _n2_representation_from(initials: np.ndarray):
-    a0, b0, c0, d0, e0, f0 = initials
-    u = (a0 + b0 + c0) / 3.0
-    coeffs = np.array([
-        [u, u, u, 0, 0, 0],
-        [a0 - u, b0 - u, c0 - u, 0, 0, 0],
-        [0, 0, 0, d0, e0, f0],
-    ], dtype=complex)
-    return np.array([4.0, -2.0, 0.0]), coeffs
-
-
-def _n2_representation(params: Mapping[str, complex]):
-    _normalized_pair(params, "a", "b")
-    initials = np.array([params["a"], 0, 0, params["b"], 0, 0], dtype=complex)
-    return _n2_representation_from(initials)
-
-
-def n2_exchange_symmetric(ampset: AmplitudeSet) -> dict[str, complex]:
-    """Fold a cavity-3-seeded amplitude set onto its 1<->2-symmetric labels.
-
-    Returns A (photons in cavity 3), B (the sqrt(2)-weighted shared-photon
-    combination), and C (cavity 3 excited).  Requires the B/C and E/F basis
-    amplitudes to agree, i.e. an initial state of the seeded form.
-    """
-    if ampset.family != "n2_general":
-        raise ValueError("expected a n2_general amplitude set")
-    if abs(ampset["B"] - ampset["C"]) > 1e-9 or abs(ampset["E"] - ampset["F"]) > 1e-9:
-        raise ValueError("amplitudes lack the 1<->2 exchange symmetry")
-    return {"A": ampset["A"], "B": SQ2 * ampset["B"], "C": ampset["D"]}
-
-
-# --- total 4, photons seeded in one cavity --------------------------------
-
 N4_SINGLE_LABELS = ("A", "B", "C", "E", "F", "K")
-
-
-def _n4_single_representation(params: Mapping[str, complex]):
-    _normalized_pair(params, "a", "b")
-    a, b = params["a"], params["b"]
-    freqs = np.array([-8.0, -6.0, 12.0, 4.0, -2.0])
-    s6 = SQ6
-    coeffs = np.array([
-        #   A            B            C           E        F           K
-        [3 * a / 15, -s6 * a / 15, -s6 * a / 15, 0.0, 3 * a / 15, 0.0],
-        [-2 * a / 15, -s6 * a / 15, 2 * s6 * a / 15, 0.0, 4 * a / 15, 0.0],
-        [2 * a / 15, s6 * a / 15, s6 * a / 15, 0.0, 2 * a / 15, 0.0],
-        [-3 * a / 15, s6 * a / 15, -2 * s6 * a / 15, b / 3, 6 * a / 15, b / 3],
-        [0.0, 0.0, 0.0, -b / 3, 0.0, 2 * b / 3],
-    ], dtype=complex)
-    return freqs, coeffs
-
-
-# --- total 4, photons split over two cavities -----------------------------
-
 N4_TWO_LABELS = ("A", "B", "D", "E", "F", "L", "M", "N", "P")
-
-
-def _n4_two_representation(params: Mapping[str, complex]):
-    _normalized_pair(params, "a", "b")
-    _normalized_pair(params, "c", "d")
-    a, b, c, d = (params[k] for k in "abcd")
-    ac, bc, ad, bd = a * c, b * c, a * d, b * d
-    s6 = SQ6
-    freqs = np.array([-8.0, -6.0, 4.0, 12.0, -2.0, 0.0])
-    coeffs = np.array([
-        #   A                B            D         E         F              L    M           N         P
-        [-s6 * ac / 15, 2 * ac / 15, 0.0, 0.0, -s6 * ac / 15, 0.0, 0.0, 0.0, 2 * ac / 15],
-        [2 * s6 * ac / 15, -3 * ac / 15, 0.0, 0.0, -s6 * ac / 15, 0.0, 0.0, 0.0, 6 * ac / 15],
-        [-2 * s6 * ac / 15, -2 * ac / 15, bc / 3, ad / 3, s6 * ac / 15, 0.0, bc / 3, ad / 3, 4 * ac / 15],
-        [s6 * ac / 15, 3 * ac / 15, 0.0, 0.0, s6 * ac / 15, 0.0, 0.0, 0.0, 3 * ac / 15],
-        [0.0, 0.0, -bc / 3, -ad / 3, 0.0, 0.0, 2 * bc / 3, 2 * ad / 3, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, bd, 0.0, 0.0, 0.0],
-    ], dtype=complex)
-    return freqs, coeffs
-
-
-# --- total 6, all photons seeded in cavity 1 ------------------------------
-
 N6_CONCENTRATED_LABELS = ("A", "B", "E", "G", "K", "F")
-
-# Reduced matrix on (A; B, E, G, K mirror pairs; F), derived from the
-# hopping elements.  Pair patterns carry weight 1 per member, so the label
-# matrix is symmetric only after rescaling by the pattern norms.
-_N6_CONC_MATRIX = np.array([
-    [0.0, 2 * math.sqrt(60.0), 0.0, 0.0, 0.0, 0.0],
-    [math.sqrt(60.0), 2.0, 12.0, 0.0, 0.0, SQ24],
-    [0.0, 12.0, 0.0, math.sqrt(60.0), 2.0, SQ24],
-    [0.0, 0.0, math.sqrt(60.0), 0.0, math.sqrt(60.0), 0.0],
-    [0.0, 0.0, 2.0, math.sqrt(60.0), 12.0, SQ24],
-    [0.0, 2 * SQ24, 2 * SQ24, 0.0, 2 * SQ24, 0.0],
-])
-_N6_CONC_SCALE = np.array([1.0, SQ2, SQ2, SQ2, SQ2, 1.0])
-
-
-def _n6_concentrated_representation(params: Mapping[str, complex]):
-    initial = np.zeros(6, dtype=complex)
-    initial[0] = 1.0
-    return matrix_representation(_N6_CONC_MATRIX, initial, _N6_CONC_SCALE)
-
-
-def n6_concentrated_AF(xi: float, t) -> tuple[complex, complex]:
-    """Hand-coded surd forms of the survival amplitude A (all six photons
-    still in cavity 1) and the evenly-spread amplitude F for the
-    concentrated initial state.  Vectorized over t."""
-    ph = np.asarray(t, dtype=float) * xi
-    e = lambda f: np.exp(-1j * f * ph)
-    A = (2 / 11
-         + (10 / 29) * e(2.0)
-         + (5 / 66) * (1 + 7 / SQ313) * e(7 - SQ313)
-         + (5 / 66) * (1 - 7 / SQ313) * e(7 + SQ313)
-         + (14 / 87) * (1 + 8 / (7 * SQ241)) * e(-1 - SQ241)
-         + (14 / 87) * (1 - 8 / (7 * SQ241)) * e(-1 + SQ241))
-    F = (-math.sqrt(10.0) / 11
-         + (math.sqrt(10.0) / 22) * (1 + 7 / SQ313) * e(7 - SQ313)
-         + (math.sqrt(10.0) / 22) * (1 - 7 / SQ313) * e(7 + SQ313))
-    if np.ndim(t) == 0:
-        return complex(A), complex(F)
-    return A, F
-
-
-# --- total 6, fully symmetric seed ----------------------------------------
-
 N6_SYMMETRIC_LABELS = ("A", "B", "C", "D", "E", "F", "G", "H", "K", "J")
+N6_ASYMMETRIC_LABELS = ("A", "B", "C", "D", "E", "F")
 
-# Reference reduced blocks for the symmetrized patterns.  These omit the
-# intra-pattern hopping couplings (diagonal 14 on F, 2 on G, 2 on H of the
-# true compression) and are therefore NOT the generator compression; they
-# are kept verbatim because the family's reference solutions solve them.
-_N6_SYM_BLOCK_AFK = np.array([
-    [0.0, 12.0, 0.0],
-    [12.0, 0.0, 2 * SQ30],
-    [0.0, 2 * SQ30, 0.0],
-])
-_N6_SYM_BLOCK_BEGJ = np.array([
-    [0.0, 4 * SQ3, 2 * SQ2, 0.0],
-    [4 * SQ3, 0.0, 2 * SQ6, 0.0],
-    [2 * SQ2, 2 * SQ6, 0.0, 4 * SQ3],
-    [0.0, 0.0, 4 * SQ3, 0.0],
-])
-_N6_SYM_BLOCK_CH = np.array([
-    [0.0, 2 * SQ2],
-    [2 * SQ2, 0.0],
-])
-
-_N6_SYM_GROUPS = (("A", "F", "K"), ("B", "E", "G", "J"), ("D",), ("C", "H"))
-_N6_SYM_BLOCKS = (_N6_SYM_BLOCK_AFK, _N6_SYM_BLOCK_BEGJ,
-                  np.zeros((1, 1)), _N6_SYM_BLOCK_CH)
+# Documented reduced blocks of the totally symmetric family, by label group
+# (the all-excited label D stays put).  They omit the intra-pattern hopping
+# couplings (diagonal 14 on F, 2 on G, 2 on H of the true compression) and
+# are therefore NOT the generator compression; they are kept verbatim
+# because the family's reference solutions solve them.
+_N6_SYM_BLOCKS = {
+    ("A", "F", "K"): np.array([
+        [0.0, 12.0, 0.0],
+        [12.0, 0.0, 2 * SQ30],
+        [0.0, 2 * SQ30, 0.0],
+    ]),
+    ("B", "E", "G", "J"): np.array([
+        [0.0, 4 * SQ3, 2 * SQ2, 0.0],
+        [4 * SQ3, 0.0, 2 * SQ6, 0.0],
+        [2 * SQ2, 2 * SQ6, 0.0, 4 * SQ3],
+        [0.0, 0.0, 4 * SQ3, 0.0],
+    ]),
+    ("C", "H"): np.array([
+        [0.0, 2 * SQ2],
+        [2 * SQ2, 0.0],
+    ]),
+}
 
 
 def _n6_symmetric_system() -> np.ndarray:
     out = np.zeros((10, 10))
-    for group, block in zip(_N6_SYM_GROUPS, _N6_SYM_BLOCKS):
+    for group, block in _N6_SYM_BLOCKS.items():
         idx = [N6_SYMMETRIC_LABELS.index(lab) for lab in group]
         out[np.ix_(idx, idx)] = block
     return out
-
-
-def _n6_symmetric_initials(params: Mapping[str, complex]) -> np.ndarray:
-    a, b = params["a"], params["b"]
-    init = {"A": a ** 3, "B": SQ3 * a * a * b, "C": SQ3 * a * b * b, "D": b ** 3}
-    return np.array([init.get(lab, 0.0) for lab in N6_SYMMETRIC_LABELS],
-                    dtype=complex)
-
-
-def _n6_symmetric_representation(params: Mapping[str, complex]):
-    _normalized_pair(params, "a", "b")
-    initial = _n6_symmetric_initials(params)
-    freqs_all: list[np.ndarray] = []
-    coeffs_all: list[np.ndarray] = []
-    for group, block in zip(_N6_SYM_GROUPS, _N6_SYM_BLOCKS):
-        idx = [N6_SYMMETRIC_LABELS.index(lab) for lab in group]
-        f, c = matrix_representation(block, initial[idx])
-        full = np.zeros((len(f), 10), dtype=complex)
-        full[:, idx] = c
-        freqs_all.append(f)
-        coeffs_all.append(full)
-    return _merge_modes(np.concatenate(freqs_all), np.concatenate(coeffs_all))
-
-
-# Printed 4-decimal transcription of the oscillatory one-excitation group;
-# regression data only, superseded by the exact block solve above.
-_N6_SYM_PRINTED_FREQS = np.array([11.2644, 3.7306, -8.6745, -6.3205])
-_N6_SYM_PRINTED_COEFFS = np.array([
-    #     B        E        G        J
-    [0.4054, 0.4607, 0.4860, 0.2989],
-    [0.3995, 0.3401, -0.3061, -0.5684],
-    [0.0838, -0.2040, 0.2427, -0.1939],
-    [0.8433, -0.5968, -0.4227, 0.4633],
-])
-
-
-def n6_symmetric_printed(a: complex, b: complex, xi: float, t) -> dict[str, complex]:
-    """Literal 4-decimal coefficients for the B, E, G, J amplitudes, plus
-    the exact closed forms for the other groups."""
-    ph = np.asarray(t, dtype=float) * xi
-    begj = _exp_sum(ph, _N6_SYM_PRINTED_FREQS, _N6_SYM_PRINTED_COEFFS) * (a * a * b)
-    cos66, sin66 = np.cos(2 * SQ66 * ph), np.sin(2 * SQ66 * ph)
-    out = {
-        "A": (a ** 3 / 11) * (6 * cos66 + 5),
-        "F": (-a ** 3 / 11) * SQ66 * 1j * sin66,
-        "K": (a ** 3 / 11) * SQ30 * (cos66 - 1),
-        "B": begj[..., 0], "E": begj[..., 1], "G": begj[..., 2], "J": begj[..., 3],
-        "D": b ** 3 * np.ones_like(ph),
-        "C": SQ3 * a * b * b * np.cos(2 * SQ2 * ph),
-        "H": -SQ3 * a * b * b * 1j * np.sin(2 * SQ2 * ph),
-    }
-    if np.ndim(t) == 0:
-        return {k: complex(np.asarray(v).reshape(-1)[0]) for k, v in out.items()}
-    return out
-
-
-# --- total 6, asymmetric seed (excited cavity 1, pairs split) -------------
-
-N6_ASYMMETRIC_LABELS = ("A", "B", "C", "D", "E", "F")
-
-
-def _n6_asymmetric_representation(params: Mapping[str, complex]):
-    freqs = np.array([4.0, -6.0, -8.0, 12.0])
-    s6 = SQ6
-    coeffs = np.array([
-        #    A         B          C          D         E         F
-        [-2 / 15, s6 / 15, -2 * s6 / 15, 4 / 15, -2 / 15, s6 / 15],
-        [-3 / 15, -s6 / 15, 2 * s6 / 15, 6 / 15, -3 / 15, -s6 / 15],
-        [2 / 15, -s6 / 15, -s6 / 15, 2 / 15, 2 / 15, -s6 / 15],
-        [3 / 15, s6 / 15, s6 / 15, 3 / 15, 3 / 15, s6 / 15],
-    ], dtype=complex)
-    return freqs, coeffs
 
 
 # --- registry ---------------------------------------------------------------
@@ -664,49 +463,6 @@ _N6_ASYM_PATTERNS = {
     "F": _pattern(("e4", "g0", "g0")),
 }
 
-_N2_MATRIX = np.array([
-    [0, 2, 2, 0, 0, 0],
-    [2, 0, 2, 0, 0, 0],
-    [2, 2, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0],
-    [0, 0, 0, 0, 0, 0],
-], dtype=float)
-
-_N4_SINGLE_MATRIX = np.array([
-    #    A     B     C    E     F     K
-    [0.0, SQ24, SQ24, 0.0, 0.0, 0.0],
-    [SQ24, 2.0, 2.0, 0.0, SQ24, 0.0],
-    [2 * SQ24, 4.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 2.0, 0.0, 2.0],
-    [0.0, 2 * SQ24, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 4.0, 0.0, 0.0],
-], dtype=float)
-_N4_SINGLE_SCALE = np.array([SQ2, SQ2, 1.0, SQ2, 1.0, 1.0])
-
-_N4_TWO_MATRIX = np.array([
-    #    A     B    D    E     F    L    M    N    P
-    [0.0, 2 * SQ24, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [SQ24, 2.0, 0.0, 0.0, SQ24, 0.0, 0.0, 0.0, 2.0],
-    [0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 2.0, 0.0],
-    [0.0, SQ24, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, SQ24],
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [0.0, 4.0, 0.0, 0.0, 2 * SQ24, 0.0, 0.0, 0.0, 0.0],
-], dtype=float)
-_N4_TWO_SCALE = np.array([1.0, SQ2, SQ2, SQ2, SQ2, 1.0, 1.0, 1.0, 1.0])
-
-_N6_ASYM_MATRIX = np.array([
-    #    A     B     C    D    E     F
-    [0.0, SQ24, SQ24, 2.0, 2.0, 0.0],
-    [SQ24, 0.0, 0.0, SQ24, 0.0, 0.0],
-    [SQ24, 0.0, 0.0, 0.0, SQ24, 0.0],
-    [2.0, SQ24, 0.0, 0.0, 2.0, SQ24],
-    [2.0, 0.0, SQ24, 2.0, 0.0, SQ24],
-    [0.0, 0.0, 0.0, SQ24, SQ24, 0.0],
-], dtype=float)
 
 def _unit(_params) -> float:
     return 1.0
@@ -727,14 +483,11 @@ N2_GENERAL = _register(Family(
     patterns=_N2_PATTERNS,
     parameters=("a", "b"),
     defaults={"a": 1.0, "b": 0.0},
-    system_matrix=_N2_MATRIX,
-    solves_hopping=True,
     conserved=(
         ConservedSum("photon sector", {"A": 1, "B": 1, "C": 1}, _abs2("a")),
         ConservedSum("excited sector", {"D": 1, "E": 1, "F": 1}, _abs2("b")),
     ),
     modulus_period=math.pi / 3,
-    _representation=_n2_representation,
     _factors=_factors_n2,
 ))
 
@@ -745,14 +498,11 @@ N4_SINGLE_CAVITY = _register(Family(
     patterns=_N4_SINGLE_PATTERNS,
     parameters=("a", "b"),
     defaults={"a": 1.0, "b": 0.0},
-    system_matrix=_N4_SINGLE_MATRIX,
-    solves_hopping=True,
     conserved=(
         ConservedSum("photon sector", {"A": 2, "B": 2, "C": 1, "F": 1}, _abs2("a")),
         ConservedSum("excited sector", {"E": 2, "K": 1}, _abs2("b")),
     ),
     modulus_period=math.pi,
-    _representation=_n4_single_representation,
     _factors=_factors_n4_single,
 ))
 
@@ -763,8 +513,6 @@ N4_TWO_CAVITY = _register(Family(
     patterns=_N4_TWO_PATTERNS,
     parameters=("a", "b", "c", "d"),
     defaults={"a": 1.0, "b": 0.0, "c": 1.0, "d": 0.0},
-    system_matrix=_N4_TWO_MATRIX,
-    solves_hopping=True,
     conserved=(
         ConservedSum("photon sector", {"A": 1, "B": 2, "F": 2, "P": 1},
                      lambda p: abs(p["a"] * p["c"]) ** 2),
@@ -776,7 +524,6 @@ N4_TWO_CAVITY = _register(Family(
                      lambda p: abs(p["a"] * p["d"]) ** 2),
     ),
     modulus_period=math.pi,
-    _representation=_n4_two_representation,
     _factors=_factors_n4_two,
 ))
 
@@ -787,14 +534,11 @@ N6_CONCENTRATED = _register(Family(
     patterns=_N6_CONC_PATTERNS,
     parameters=(),
     defaults={},
-    system_matrix=_N6_CONC_MATRIX,
-    solves_hopping=True,
     conserved=(
         ConservedSum("norm", {"A": 1, "B": 2, "E": 2, "G": 2, "K": 2, "F": 1},
                      _unit),
     ),
     modulus_period=None,
-    _representation=_n6_concentrated_representation,
     _factors=_factors_n6_concentrated,
 ))
 
@@ -805,8 +549,6 @@ N6_SYMMETRIC = _register(Family(
     patterns=_N6_SYM_PATTERNS,
     parameters=("a", "b"),
     defaults={"a": 1.0, "b": 0.0},
-    system_matrix=_n6_symmetric_system(),
-    solves_hopping=False,
     conserved=(
         ConservedSum("photon sector", {"A": 1, "F": 1, "K": 1},
                      lambda p: abs(p["a"]) ** 6),
@@ -817,8 +559,8 @@ N6_SYMMETRIC = _register(Family(
         ConservedSum("three excited", {"D": 1}, lambda p: abs(p["b"]) ** 6),
     ),
     modulus_period=None,
-    _representation=_n6_symmetric_representation,
     _factors=_factors_n6_symmetric,
+    documented_matrix=_n6_symmetric_system(),
 ))
 
 N6_ASYMMETRIC = _register(Family(
@@ -828,13 +570,10 @@ N6_ASYMMETRIC = _register(Family(
     patterns=_N6_ASYM_PATTERNS,
     parameters=(),
     defaults={},
-    system_matrix=_N6_ASYM_MATRIX,
-    solves_hopping=True,
     conserved=(
         ConservedSum("norm", {lab: 1 for lab in N6_ASYMMETRIC_LABELS}, _unit),
     ),
     modulus_period=math.pi,
-    _representation=_n6_asymmetric_representation,
     _factors=_factors_n6_asymmetric,
 ))
 
@@ -848,3 +587,41 @@ def evaluate(family: str, xi: float, t: float, **params) -> AmplitudeSet:
             f"unknown family {family!r}; registered: {sorted(FAMILIES)}"
         ) from None
     return fam.evaluate(xi, t, **params)
+
+
+def n2_amplitudes(initials, xi: float, t) -> AmplitudeSet | np.ndarray:
+    """Six-amplitude solution for total 2 from any normalized start: photon
+    labels mix through the uniform mode (frequency 4xi) and its complement
+    (frequency -2xi); the excited-cavity labels D, E, F are frozen.
+
+    Scalar `t` returns an AmplitudeSet; an array returns shape (T, 6).
+    """
+    initials = np.asarray(initials, dtype=complex)
+    if initials.shape != (6,):
+        raise ValueError("need six initial amplitudes")
+    total = float(np.sum(np.abs(initials) ** 2))
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"initial amplitudes have squared norm {total!r}")
+    fam = N2_GENERAL
+    freqs, coeffs = matrix_representation(fam.system_matrix, initials,
+                                          fam.pattern_norms)
+    table = _exp_sum(np.asarray(t, dtype=float) * xi, freqs, coeffs)
+    if np.isscalar(t) or np.ndim(t) == 0:
+        return AmplitudeSet(fam.name, fam.labels, table[0], float(xi), float(t))
+    return table
+
+
+def n2_exchange_symmetric(ampset: AmplitudeSet) -> dict[str, complex]:
+    """Fold a cavity-3-seeded amplitude set onto its 1<->2-symmetric labels.
+
+    Returns A (photons in cavity 3), B (the sqrt(2)-weighted shared-photon
+    combination), and C (cavity 3 excited).  Requires the B/C and E/F basis
+    amplitudes to agree, i.e. an initial state of the seeded form; NaN
+    amplitudes break that agreement.
+    """
+    if ampset.family != "n2_general":
+        raise ValueError("expected a n2_general amplitude set")
+    if not (abs(ampset["B"] - ampset["C"]) <= 1e-9
+            and abs(ampset["E"] - ampset["F"]) <= 1e-9):
+        raise ValueError("amplitudes lack the 1<->2 exchange symmetry")
+    return {"A": ampset["A"], "B": SQ2 * ampset["B"], "C": ampset["D"]}

@@ -184,16 +184,16 @@ def project_onto(generator: Generator | Block, states: list[StateVector] | np.nd
                  label: str = "") -> Block:
     """Compress a generator onto an orthonormal list of states.
 
-    The states must be orthonormal within 1e-9; they need not span an
-    invariant subspace (the compression is then only the top-left corner of
-    the dynamics in an adapted basis).
+    The states must be orthonormal within 1e-9 (NaN entries are not); they
+    need not span an invariant subspace (the compression is then only the
+    top-left corner of the dynamics in an adapted basis).
     """
     if isinstance(states, np.ndarray):
         emb = np.ascontiguousarray(states, dtype=complex)
     else:
         emb = np.column_stack([s.amplitudes for s in states]).astype(complex)
     gram = emb.conj().T @ emb
-    if np.max(np.abs(gram - np.eye(emb.shape[1]))) > 1e-9:
+    if not np.max(np.abs(gram - np.eye(emb.shape[1]))) <= 1e-9:
         raise ValueError("projection states must be orthonormal")
     mat = emb.conj().T @ generator.matrix @ emb
     parent_emb = getattr(generator, "embedding", None)
@@ -248,7 +248,7 @@ def symmetry_blocks(generator: Generator | Block, exchange: tuple[int, int],
 
     pmat = permutation_matrix(manifold, perm)
     swap = parent.conj().T @ pmat @ parent
-    if np.max(np.abs(swap @ mat - mat @ swap)) > 1e-9 * max(1.0, np.max(np.abs(mat))):
+    if not np.max(np.abs(swap @ mat - mat @ swap)) <= 1e-9 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"exchange {exchange} does not commute with this generator")
 
     rt = 1.0 / math.sqrt(2.0)
@@ -317,10 +317,11 @@ def permutation_symmetric_block(generator: Generator | Block,
     full = np.column_stack(sym_states)
     # Keep only the part lying inside the parent block's span.
     coords = parent.conj().T @ full
-    keep = np.linalg.norm(coords, axis=0) > 1e-12
+    # NaN coordinates are kept, so the containment check sees them
+    keep = ~(np.linalg.norm(coords, axis=0) <= 1e-12)
     coords = coords[:, keep]
     lost = np.linalg.norm(full[:, keep] - parent @ coords, axis=0)
-    if np.any(lost > 1e-9):
+    if not np.all(lost <= 1e-9):
         raise ValueError("symmetric states are not contained in the parent block")
     matb = coords.conj().T @ mat @ coords
     return Block(matrix=matb, embedding=parent @ coords, label="fully-symmetric")

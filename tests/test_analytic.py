@@ -9,16 +9,18 @@ from scipy.linalg import expm
 
 from trimodal.analytic import (
     FAMILIES,
+    AmplitudeSet,
+    _exp_sum,
     evaluate,
     matrix_representation,
     n2_amplitudes,
     n2_exchange_symmetric,
-    n6_concentrated_AF,
     pattern_compression,
 )
 from trimodal.basis import StateVector, enumerate_manifold
 from trimodal.dynamics import build_large_xi_generator
 from trimodal.evolve import propagate
+from trimodal.verification import PAPER_FORMS, n6_concentrated_AF
 
 SOLVING = [name for name, fam in FAMILIES.items() if fam.solves_hopping]
 
@@ -65,10 +67,48 @@ def test_conserved_sums_hold_along_the_orbit(name):
 
 
 @pytest.mark.parametrize("name", SOLVING)
-def test_pattern_compression_recovers_the_documented_system(name):
+def test_derived_representation_equals_the_paper_forms(name):
+    # the solve of the derived compression against the typed reference
+    # tables the acceptance suite checks against exact evolution
+    assert set(PAPER_FORMS) == set(SOLVING)
     fam = FAMILIES[name]
-    comp = pattern_compression(fam, build_large_xi_generator(fam.manifold))
-    assert np.allclose(comp, fam.system_matrix, atol=1e-12)
+    phases = np.linspace(0.0, 2.0 * math.pi, 1000)
+    for params in ({}, dict(a=0.6, b=0.8)) if fam.parameters else ({},):
+        derived = fam.evaluate_phases(phases, **params)
+        typed = _exp_sum(phases, *PAPER_FORMS[name](**params))
+        assert np.max(np.abs(derived - typed)) <= 1e-12
+
+
+def _compression_reference(fam, gen):
+    """The per-entry loop the batched compression replaces."""
+    man = gen.manifold
+    out = np.zeros((len(fam.labels), len(fam.labels)))
+    for i, lab_i in enumerate(fam.labels):
+        rep, w_rep = fam.patterns[lab_i][0]
+        row = man.index_of(rep)
+        for j, lab_j in enumerate(fam.labels):
+            acc = 0.0
+            for bstate, w in fam.patterns[lab_j]:
+                acc += w * gen.matrix.real[row, man.index_of(bstate)]
+            out[i, j] = acc / (w_rep * gen.xi)
+    return out
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_pattern_compression_equals_the_per_entry_loop(name):
+    fam = FAMILIES[name]
+    for xi in (1.0, 0.7):
+        gen = build_large_xi_generator(fam.manifold, xi=xi)
+        assert np.array_equal(pattern_compression(fam, gen),
+                              _compression_reference(fam, gen))
+
+
+@pytest.mark.parametrize("name", SOLVING)
+def test_pattern_norms_symmetrize_the_derived_matrix(name):
+    fam = FAMILIES[name]
+    d = np.diag(fam.pattern_norms)
+    sym = d @ fam.system_matrix @ np.linalg.inv(d)
+    assert np.max(np.abs(sym - sym.T)) <= 1e-12
 
 
 def test_symmetric_family_compression_gap_is_diagonal():
@@ -284,6 +324,15 @@ def test_n2_amplitudes_validation():
         n2_amplitudes(np.zeros(5, dtype=complex), 1.0, 0.0)
     with pytest.raises(ValueError):
         n2_amplitudes(0.5 * np.eye(6)[0].astype(complex), 1.0, 0.0)
+
+
+def test_exchange_fold_fails_closed_on_nan():
+    aset = evaluate("n2_general", 1.0, 0.2)
+    values = aset.values.copy()
+    values[1] = math.nan
+    broken = AmplitudeSet(aset.family, aset.labels, values, aset.xi, aset.t)
+    with pytest.raises(ValueError, match="exchange symmetry"):
+        n2_exchange_symmetric(broken)
 
 
 def test_exchange_fold_requires_the_symmetry():

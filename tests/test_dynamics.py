@@ -8,6 +8,7 @@ import pytest
 from trimodal.basis import BasisState, StateVector, enumerate_manifold, parse_level
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import (
+    Block,
     Generator,
     build_full_generator,
     build_large_xi_generator,
@@ -150,6 +151,13 @@ def test_project_onto_requires_orthonormal_states():
         project_onto(gen, [v0, v0])
 
 
+def test_project_onto_gram_check_fails_closed_on_nan():
+    emb = np.eye(6)[:, :2].astype(complex)
+    emb[0, 0] = math.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        project_onto(build_large_xi_generator(MAN2), emb)
+
+
 def test_project_onto_exchange_symmetric_corner():
     gen = build_large_xi_generator(MAN2)
     e = np.eye(6)
@@ -189,6 +197,22 @@ def test_symmetry_blocks_reject_bad_exchange():
     gen = build_large_xi_generator(MAN2)
     with pytest.raises(ValueError):
         symmetry_blocks(gen, (1, 1))
+
+
+def test_symmetry_blocks_commute_check_fails_closed_on_nan():
+    mat = np.array(build_large_xi_generator(MAN2).matrix)
+    mat[0, 1] = math.nan
+    block = Block(matrix=mat, embedding=np.eye(6, dtype=complex))
+    with pytest.raises(ValueError, match="commute"):
+        symmetry_blocks(block, (2, 3), MAN2)
+
+
+def test_permutation_symmetric_block_containment_fails_closed_on_nan():
+    gen = build_large_xi_generator(MAN2)
+    parent = np.eye(6, dtype=complex)
+    parent[0, 0] = math.nan
+    with pytest.raises(ValueError, match="contained"):
+        permutation_symmetric_block(Block(matrix=gen.matrix, embedding=parent), MAN2)
 
 
 def test_permutation_symmetric_block_reproduces_symmetric_dynamics():

@@ -153,9 +153,11 @@ def test_dwell_span_controls_the_average():
 
 
 def test_dwell_quadrature_equals_the_all_mode_sum():
-    # modes with an exact zero coefficient are skipped; they only add +-0
+    # modes with an exact zero coefficient are skipped; they only add +-0.
+    # With an excited admixture the photon labels carry an exact zero on
+    # the frozen excited-sector mode.
     fam = FAMILIES["n2_general"]
-    freqs, coeffs = fam.representation(a=1.0, b=0.0)
+    freqs, coeffs = fam.representation(a=0.6, b=0.8)
     for k, label in enumerate(fam.labels[:3]):
         col = coeffs[:, k]
         assert (col == 0).any()
@@ -164,7 +166,7 @@ def test_dwell_quadrature_equals_the_all_mode_sum():
         for c, f in zip(col, freqs):
             acc += c * np.exp(-1j * f * phases)
         ref = float(_simpson(np.abs(acc) ** 2, phases) / math.pi)
-        got = dwell_time(fam, label, quadrature_points=4096, a=1.0, b=0.0)
+        got = dwell_time(fam, label, quadrature_points=4096, a=0.6, b=0.8)
         assert got.quadrature == ref
 
 
