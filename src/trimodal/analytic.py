@@ -39,7 +39,7 @@ from .basis import (
     product_state,
 )
 from .dynamics import Block, Generator, build_large_xi_generator
-from .evolve import _merge_modes
+from .evolve import _merge_modes, _modes
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -303,6 +303,8 @@ def pattern_compression(family: Family, generator: Generator) -> np.ndarray:
     man = generator.manifold
     if man.n_total != family.n_total:
         raise ValueError("generator manifold does not match the family")
+    if generator.xi == 0:
+        raise ValueError("pattern compression divides by xi, which is 0")
     idx = family._index
     terms = generator.matrix.real[np.ix_(idx.rows[idx.firsts], idx.rows)] * idx.weights
     sums = np.add.reduceat(terms, idx.firsts, axis=1)
@@ -315,16 +317,15 @@ def matrix_representation(matrix: np.ndarray, initial: np.ndarray,
 
     `scale` symmetrizes a label-coordinate matrix built on unnormalized
     patterns: D @ matrix @ D^-1 must be symmetric with D = diag(scale).
+    Returns merged (frequencies, coefficients[mode, label]); a non-finite
+    `initial` raises ValueError.
     """
-    d = np.eye(matrix.shape[0]) if scale is None else np.diag(scale)
-    d_inv = np.linalg.inv(d)
-    sym = d @ matrix @ d_inv
+    s = np.ones(matrix.shape[0]) if scale is None else np.asarray(scale, dtype=float)
+    sym = s[:, np.newaxis] * matrix * (1.0 / s)[np.newaxis, :]
     if not np.allclose(sym, sym.T, atol=1e-12):
         raise ValueError("matrix is not symmetrizable by the given scale")
-    vals, vecs = np.linalg.eigh(sym)
-    weights = vecs * (vecs.T @ (d @ initial))[np.newaxis, :]  # (label, mode)
-    coeffs = (d_inv @ weights).T  # (mode, label)
-    return _merge_modes(vals, coeffs)
+    freqs, weights = _modes(sym, s * initial)
+    return _merge_modes(freqs, weights * (1.0 / s)[np.newaxis, :])
 
 
 # --- labels and documented blocks ------------------------------------------

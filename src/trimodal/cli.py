@@ -8,6 +8,7 @@ or input-file problem, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -23,7 +24,7 @@ from .basis import StateVector, enumerate_manifold, parse_level, product_state
 from .dressed import DressedParams
 from .dynamics import build_full_generator, build_large_xi_generator
 from .entanglement import max_product_overlap
-from .evolve import propagate
+from .evolve import eigenfrequencies, propagate
 from .scan import family_objective, scan_extrema
 from .verification import run_suite, render_table
 
@@ -205,11 +206,6 @@ def parse_state_file(path: str) -> StateVector:
 # ---------------------------------------------------------------------------
 # run configuration
 
-CONFIG_FIELDS = ("command", "N", "mode", "r", "delta", "xi", "init",
-                 "times", "times_in", "objective", "family", "window",
-                 "grid", "restarts", "suite", "seed", "output", "spectrum")
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Everything one subcommand invocation needs, in normalized form."""
@@ -243,6 +239,9 @@ class RunConfig:
             raise CliError(f"xi must be positive and finite, got {self.xi}")
         if self.N not in (2, 4, 6):
             raise CliError(f"N must be 2, 4, or 6, got {self.N}")
+
+
+CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(RunConfig))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -315,19 +314,34 @@ def _generator(config: RunConfig):
 # subcommand bodies (each returns the process exit status)
 
 
-def _open_output(config: RunConfig):
+@contextlib.contextmanager
+def _output(config: RunConfig):
+    """stdout, or the -o file, closed again on the way out."""
     if config.output is None:
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(config.output, "w", newline="", encoding="utf-8"), True
+        out = open(config.output, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise CliError(f"{config.output}: {exc.strerror or exc}") from None
+    with out:
+        yield out
+
+
+def _initial_state(config: RunConfig, initial: StateVector | None,
+                   missing: str) -> StateVector:
+    """The --state-file state if one was loaded, else the --init product
+    state; `missing` names what is absent when neither was given."""
+    if initial is not None:
+        return initial
+    if config.init is None:
+        raise CliError(f"{missing}: pass --init or --state-file")
+    return build_init_state(config.init, config.N)
 
 
 def _cmd_basis(config: RunConfig, initial=None) -> int:
     man = enumerate_manifold(config.N)
-    out, close = _open_output(config)
-    try:
+    with _output(config) as out:
         writer = csv.writer(out)
         writer.writerow(["index", "cavity1", "cavity2", "cavity3",
                          "excited_atoms", "photons1", "photons2", "photons3"])
@@ -335,18 +349,14 @@ def _cmd_basis(config: RunConfig, initial=None) -> int:
             writer.writerow(
                 [i, *map(str, state.levels), state.excited_count,
                  *(lv.photons for lv in state.levels)])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_dynamics(config: RunConfig, initial=None) -> int:
     gen = _generator(config)
-    out, close = _open_output(config)
-    try:
+    with _output(config) as out:
         if config.spectrum:
-            for v in np.linalg.eigvalsh(gen.matrix):
+            for v in eigenfrequencies(gen):
                 out.write(_fmt(v) + "\n")
         else:
             writer = csv.writer(out)
@@ -357,19 +367,13 @@ def _cmd_dynamics(config: RunConfig, initial=None) -> int:
                     z = mat[i, j]
                     if z != 0:
                         writer.writerow([i, j, _fmt(z.real), _fmt(z.imag)])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_evolve(config: RunConfig, initial: StateVector | None = None) -> int:
     if config.times is None:
         raise CliError("evolve needs --times start:stop:count")
-    if initial is None:
-        if config.init is None:
-            raise CliError("no initial state: pass --init or --state-file")
-        initial = build_init_state(config.init, config.N)
+    initial = _initial_state(config, initial, "no initial state")
     if initial.manifold.n_total != config.N:
         raise CliError(
             f"state is for N={initial.manifold.n_total}, run asks N={config.N}")
@@ -378,8 +382,7 @@ def _cmd_evolve(config: RunConfig, initial: StateVector | None = None) -> int:
     times = np.linspace(lo, hi, count)
     traj = propagate(gen, initial, times,
                      times_are_phase=(config.times_in == "xi_t"))
-    out, close = _open_output(config)
-    try:
+    with _output(config) as out:
         writer = csv.writer(out)
         header = [config.times_in]
         for state in initial.manifold.basis:
@@ -392,9 +395,6 @@ def _cmd_evolve(config: RunConfig, initial: StateVector | None = None) -> int:
                 row.append(_fmt(z.real))
                 row.append(_fmt(z.imag))
             writer.writerow(row)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -413,22 +413,15 @@ def read_trajectory(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_entangle(config: RunConfig, initial: StateVector | None = None) -> int:
-    if initial is None:
-        if config.init is None:
-            raise CliError("no state: pass --init or --state-file")
-        initial = build_init_state(config.init, config.N)
+    initial = _initial_state(config, initial, "no state")
     res = max_product_overlap(initial, restarts=config.restarts,
                               seed=config.seed)
-    out, close = _open_output(config)
-    try:
+    with _output(config) as out:
         out.write(f"overlap={_fmt(res.overlap)}\n")
         out.write(f"entanglement_log2={_fmt(res.entanglement)}\n")
         out.write(f"converged={str(res.converged).lower()}\n")
         out.write(f"sweeps={res.sweeps}\n")
         out.write(f"starts={res.n_starts}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -452,16 +445,12 @@ def _cmd_scan(config: RunConfig, initial=None) -> int:
     if grid is None:
         grid = max(16, int(round(GRID_PER_PI * (hi - lo) / math.pi)))
     extrema = scan_extrema(objective, lo, hi, grid=grid)
-    out, close = _open_output(config)
-    try:
+    with _output(config) as out:
         writer = csv.writer(out)
         writer.writerow(["kind", "xi_t", "value", "at_endpoint"])
         for e in extrema:
             writer.writerow([e.kind, _fmt(e.phase), _fmt(e.value),
                              str(e.at_endpoint).lower()])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -470,12 +459,8 @@ def _cmd_verify(config: RunConfig, initial=None) -> int:
         results = run_suite(suite=config.suite, seed=config.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    out, close = _open_output(config)
-    try:
+    with _output(config) as out:
         out.write(render_table(results))
-    finally:
-        if close:
-            out.close()
     return 2 if any(r.gate for r in results) else 0
 
 
@@ -647,14 +632,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "emit_config", False):
             # -o names the config file itself here, so the emitted document
             # must not carry it as the replay's data destination
-            out, close = _open_output(config)
-            try:
+            with _output(config) as out:
                 json.dump(emit_config(dataclasses.replace(config, output=None)),
                           out, indent=2)
                 out.write("\n")
-            finally:
-                if close:
-                    out.close()
             return 0
         return run(config, initial)
     except CliError as exc:

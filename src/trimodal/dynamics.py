@@ -10,7 +10,7 @@ dynamics in units of the manifold's energy scale.
 
 Symmetry reductions (two-cavity exchange blocks, the fully symmetric block,
 sector restrictions) are provided as Block objects that remember how their
-rows embed into the parent basis.
+rows embed into the manifold basis; `project_onto` builds every one of them.
 """
 
 from __future__ import annotations
@@ -96,15 +96,18 @@ class Generator:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """A generator compressed onto an orthonormal family of parent vectors.
+    """A generator compressed onto an orthonormal family of vectors.
 
-    columns of `embedding` are the orthonormal vectors (parent_dim x dim);
-    `matrix` is the compressed Hermitian matrix.  When the family spans an
-    invariant subspace the block evolves autonomously.
+    `matrix` is the compressed Hermitian matrix and the columns of
+    `embedding` (manifold.dim x dim) are the orthonormal vectors written in
+    the basis of `manifold`.  When the family spans an invariant subspace the
+    block evolves autonomously.  A Block handed back to `project_onto` takes
+    its states in the block's own coordinates (length `dim`).
     """
 
     matrix: np.ndarray
     embedding: np.ndarray
+    manifold: Manifold
     label: str = ""
 
     @property
@@ -182,24 +185,28 @@ def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 
 
 def project_onto(generator: Generator | Block, states: list[StateVector] | np.ndarray,
                  label: str = "") -> Block:
-    """Compress a generator onto an orthonormal list of states.
+    """Compress a generator or block onto an orthonormal list of states.
 
-    The states must be orthonormal within 1e-9 (NaN entries are not); they
-    need not span an invariant subspace (the compression is then only the
-    top-left corner of the dynamics in an adapted basis).
+    States are given in the generator's own coordinates: manifold basis
+    amplitudes for a Generator, block coordinates for a Block (whose
+    embedding is then composed into the result's).  They must be
+    orthonormal within 1e-9 (NaN entries are not); they need not span an
+    invariant subspace (the compression is then only the top-left corner of
+    the dynamics in an adapted basis).  An empty (dim x 0) array gives a
+    0 x 0 block.
     """
     if isinstance(states, np.ndarray):
         emb = np.ascontiguousarray(states, dtype=complex)
     else:
         emb = np.column_stack([s.amplitudes for s in states]).astype(complex)
     gram = emb.conj().T @ emb
-    if not np.max(np.abs(gram - np.eye(emb.shape[1]))) <= 1e-9:
+    if not np.abs(gram - np.eye(emb.shape[1])).max(initial=0.0) <= 1e-9:
         raise ValueError("projection states must be orthonormal")
     mat = emb.conj().T @ generator.matrix @ emb
     parent_emb = getattr(generator, "embedding", None)
     if parent_emb is not None:
         emb = parent_emb @ emb
-    return Block(matrix=mat, embedding=emb, label=label)
+    return Block(matrix=mat, embedding=emb, manifold=generator.manifold, label=label)
 
 
 def sector_block(generator: Generator, excited_count: int) -> Block:
@@ -212,15 +219,12 @@ def sector_block(generator: Generator, excited_count: int) -> Block:
     idx = manifold.sectors[excited_count]
     if not idx:
         raise ValueError(f"sector {excited_count} is empty for total {manifold.n_total}")
-    emb = np.zeros((manifold.dim, len(idx)), dtype=complex)
-    for col, i in enumerate(idx):
-        emb[i, col] = 1.0
-    mat = emb.conj().T @ generator.matrix @ emb
-    return Block(matrix=mat, embedding=emb, label=f"sector{excited_count}")
+    return project_onto(generator, np.eye(manifold.dim)[:, list(idx)],
+                        label=f"sector{excited_count}")
 
 
-def symmetry_blocks(generator: Generator | Block, exchange: tuple[int, int],
-                    manifold: Manifold | None = None) -> tuple[Block, Block]:
+def symmetry_blocks(generator: Generator | Block,
+                    exchange: tuple[int, int]) -> tuple[Block, Block]:
     """Split a generator by a two-cavity exchange into (symmetric, antisymmetric).
 
     The exchange must commute with the generator (checked to 1e-9 relative);
@@ -232,77 +236,48 @@ def symmetry_blocks(generator: Generator | Block, exchange: tuple[int, int],
         raise ValueError(f"exchange must name two distinct cavities, got {exchange}")
     perm = [1, 2, 3]
     perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    perm = tuple(perm)
-
-    if isinstance(generator, Generator):
-        manifold = generator.manifold
-        parent = np.eye(manifold.dim, dtype=complex)
-        mat = generator.matrix
-        cols = list(range(manifold.dim))
-    else:
-        if manifold is None:
-            raise ValueError("a Block input needs the parent manifold")
-        parent = generator.embedding
-        mat = generator.matrix
-        cols = list(range(parent.shape[1]))
-
-    pmat = permutation_matrix(manifold, perm)
-    swap = parent.conj().T @ pmat @ parent
+    swap = permutation_matrix(generator.manifold, tuple(perm))
+    parent = getattr(generator, "embedding", None)
+    if parent is not None:
+        swap = parent.conj().T @ swap @ parent
+    mat = generator.matrix
     if not np.max(np.abs(swap @ mat - mat @ swap)) <= 1e-9 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"exchange {exchange} does not commute with this generator")
 
+    # coordinate vectors of the generator, paired up by the exchange
+    unit = np.eye(mat.shape[0], dtype=complex)
     rt = 1.0 / math.sqrt(2.0)
     sym_cols, asym_cols = [], []
     seen = set()
-    for c in cols:
+    for c in range(mat.shape[0]):
         if c in seen:
             continue
-        image = swap[:, c]
-        targets = np.nonzero(np.abs(image) > 1e-12)[0]
+        targets = np.nonzero(np.abs(swap[:, c]) > 1e-12)[0]
         if len(targets) == 1 and targets[0] == c:
-            e = np.zeros(len(cols), dtype=complex)
-            e[c] = 1.0
-            sym_cols.append(e)
+            sym_cols.append(unit[c])
             seen.add(c)
         else:
             (d,) = [t for t in targets if t != c]
-            e_plus = np.zeros(len(cols), dtype=complex)
-            e_plus[c] = rt
-            e_plus[d] = rt
-            e_minus = np.zeros(len(cols), dtype=complex)
-            e_minus[c] = rt
-            e_minus[d] = -rt
-            sym_cols.append(e_plus)
-            asym_cols.append(e_minus)
+            sym_cols.append((unit[c] + unit[d]) * rt)
+            asym_cols.append((unit[c] - unit[d]) * rt)
             seen.update((c, int(d)))
 
-    def _make(cols_list, tag):
-        if not cols_list:
-            return Block(matrix=np.zeros((0, 0), dtype=complex),
-                         embedding=np.zeros((parent.shape[0], 0), dtype=complex), label=tag)
-        b = np.column_stack(cols_list)
-        return Block(matrix=b.conj().T @ mat @ b, embedding=parent @ b, label=tag)
+    def _make(cols, tag):
+        states = np.column_stack(cols) if cols else unit[:, :0]
+        return project_onto(generator, states, label=tag)
 
     return _make(sym_cols, f"sym{i}{j}"), _make(asym_cols, f"asym{i}{j}")
 
 
-def permutation_symmetric_block(generator: Generator | Block,
-                                manifold: Manifold | None = None) -> Block:
+def permutation_symmetric_block(generator: Generator | Block) -> Block:
     """Compression onto the subspace symmetric under all cavity relabelings.
 
     Spanned by the normalized permutation sums of basis states; invariant for
     both modes because relabeling cavities is a symmetry of the dynamics.
+    For a Block input only the sums inside its span are kept, and each must
+    lie in it entirely.
     """
-    if isinstance(generator, Generator):
-        manifold = generator.manifold
-        parent = np.eye(manifold.dim, dtype=complex)
-        mat = generator.matrix
-    else:
-        if manifold is None:
-            raise ValueError("a Block input needs the parent manifold")
-        parent = generator.embedding
-        mat = generator.matrix
-
+    manifold = generator.manifold
     sym_states: list[np.ndarray] = []
     seen = set()
     for b in manifold.basis:
@@ -314,14 +289,15 @@ def permutation_symmetric_block(generator: Generator | Block,
         for s in orbit:
             vec[manifold.index_of(s)] = 1.0
         sym_states.append(vec / np.linalg.norm(vec))
-    full = np.column_stack(sym_states)
-    # Keep only the part lying inside the parent block's span.
-    coords = parent.conj().T @ full
-    # NaN coordinates are kept, so the containment check sees them
-    keep = ~(np.linalg.norm(coords, axis=0) <= 1e-12)
-    coords = coords[:, keep]
-    lost = np.linalg.norm(full[:, keep] - parent @ coords, axis=0)
-    if not np.all(lost <= 1e-9):
-        raise ValueError("symmetric states are not contained in the parent block")
-    matb = coords.conj().T @ mat @ coords
-    return Block(matrix=matb, embedding=parent @ coords, label="fully-symmetric")
+    states = np.column_stack(sym_states)
+    parent = getattr(generator, "embedding", None)
+    if parent is not None:
+        coords = parent.conj().T @ states
+        # NaN coordinates are kept, so the containment check sees them
+        keep = ~(np.linalg.norm(coords, axis=0) <= 1e-12)
+        coords = coords[:, keep]
+        lost = np.linalg.norm(states[:, keep] - parent @ coords, axis=0)
+        if not np.all(lost <= 1e-9):
+            raise ValueError("symmetric states are not contained in the parent block")
+        states = coords
+    return project_onto(generator, states, label="fully-symmetric")

@@ -61,13 +61,25 @@ def _evolve(generator: Generator | Block, initial: np.ndarray,
     return osc @ spec.modes.T
 
 
+def _modes(generator: Generator | Block | np.ndarray,
+           initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and (mode, row) weights of the solution x(t) of
+    i dx/dt = M x with x(0) = initial: x(t) = sum_f weights[f] exp(-i f t)."""
+    spec = spectrum(generator)
+    weights = spec.modes * (spec.modes.conj().T @ initial)[None, :]
+    return spec.frequencies, weights.T
+
+
 def _merge_modes(freqs: np.ndarray, coeffs: np.ndarray,
                  tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Sum the coefficient rows of modes whose frequencies agree within tol.
 
     Returns ascending frequencies (each group keeps its lowest) and the
     summed (mode, label) coefficients, without modes that vanish to 1e-14.
+    A non-finite frequency or coefficient raises ValueError.
     """
+    if not (np.isfinite(freqs).all() and np.isfinite(coeffs).all()):
+        raise ValueError("mode frequencies and coefficients must be finite")
     order = np.argsort(freqs)
     freqs, coeffs = freqs[order], coeffs[order]
     out_f: list[float] = []
@@ -183,11 +195,10 @@ def mode_expansion(generator: Generator | Block | np.ndarray,
     that amplitude_i(phase) = sum coef * exp(1i * mu * phase).  mu = -freq,
     matching the sign convention of the closed-form families.  Modes with
     negligible coefficient are dropped; degenerate frequencies are merged.
+    A non-finite initial state raises ValueError.
     """
-    spec = spectrum(generator)
-    coeffs = spec.modes.conj().T @ np.asarray(initial, dtype=complex)
-    weights = spec.modes * coeffs[None, :]
+    freqs, weights = _modes(generator, np.asarray(initial, dtype=complex))
     weights[np.abs(weights) < 1e-14] = 0.0
-    freqs, weights = _merge_modes(spec.frequencies, weights.T)
+    freqs, weights = _merge_modes(freqs, weights)
     return [[(complex(c), -float(f)) for f, c in zip(freqs, row) if abs(c) > 1e-14]
             for row in weights.T]

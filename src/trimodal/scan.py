@@ -263,7 +263,8 @@ def detect_period(source: Family | Representation, *, xi: float = 1.0,
     tolerance `tol`.  The state period uses every gap between contributing
     modes; the modulus period only gaps within each label's support (a
     label fed by a single mode has constant modulus).  Periods are returned
-    in time units (phase / xi).
+    in time units (phase / xi).  A non-finite frequency or coefficient
+    raises ValueError.
     """
     if not (math.isfinite(xi) and xi != 0):
         raise ValueError(f"xi must be finite and nonzero, got {xi!r}")
@@ -279,6 +280,8 @@ def detect_period(source: Family | Representation, *, xi: float = 1.0,
         coeffs = np.asarray(coeffs, dtype=complex)
         if params:
             raise ValueError("family parameters require a Family source")
+    if not (np.isfinite(freqs).all() and np.isfinite(coeffs).all()):
+        raise ValueError("frequencies and coefficients must be finite")
     active = np.abs(coeffs).max(axis=1) > support_tol
     freqs, coeffs = freqs[active], coeffs[active]
     state_gaps = [f - freqs[0] for f in freqs[1:]] if freqs.size else []

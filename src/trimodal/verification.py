@@ -447,15 +447,9 @@ def _spectrum_checks() -> list[CheckResult]:
 
 def _pattern_embedding(family, groups) -> np.ndarray:
     """Orthonormal columns spanning label-combination patterns of a family."""
-    man = family.manifold
-    cols = []
-    for group in groups:
-        v = np.zeros(man.dim, dtype=complex)
-        for label in group:
-            for state, w in family.patterns[label]:
-                v[man.index_of(state)] += w
-        cols.append(v / np.linalg.norm(v))
-    return np.column_stack(cols)
+    indicators = [[label in group for label in family.labels] for group in groups]
+    cols = family.fill_patterns(indicators).T
+    return cols / np.linalg.norm(cols, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +602,23 @@ def _nearest(extrema, phase: float):
     return min(extrema, key=lambda e: abs(e.phase - phase))
 
 
-def _extremum_checks() -> list[CheckResult]:
+def _landmark_extrema() -> dict[str, list]:
+    """The scans that criteria 5 and 7 both read, run once per suite: the
+    stay-put minima of the four-quanta starts and every extremum of the
+    concentrated six-photon start over [0, 2*pi]."""
+    single = family_objective(FAMILIES["n4_single_cavity"], "|C|^2+|F|^2",
+                              a=1.0, b=0.0)
+    two = family_objective(FAMILIES["n4_two_cavity"], "|A|^2+|P|^2",
+                           a=1.0, b=0.0)
+    concentrated = family_objective(FAMILIES["n6_concentrated"], "|A|^2+|F|^2")
+    window = 2 * math.pi
+    return {"single_cavity": _minima(single, math.pi, below=0.3),
+            "two_cavity": _minima(two, math.pi, below=0.25),
+            "concentrated": scan_extrema(concentrated, 0.0, window,
+                                         grid=_grid(window))}
+
+
+def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
     rows = []
     vtol, ttol = 5e-5, 1e-3
 
@@ -625,8 +635,7 @@ def _extremum_checks() -> list[CheckResult]:
                      f"{_fmt(e.value)} at {_fmt(e.phase)}, spread {_fmt(two_e)}",
                      "5e-5 / 1e-3", "excited-pair exchange scan"))
 
-    obj = family_objective(fam, "|C|^2+|F|^2", a=1.0, b=0.0)
-    ext = _minima(obj, math.pi, below=0.3)
+    ext = landmarks["single_cavity"]
     got = []
     for stated in (0.2094, 0.8378):
         e = _nearest(ext, stated)
@@ -647,8 +656,7 @@ def _extremum_checks() -> list[CheckResult]:
                      "concentrated and moved-pair probabilities at the minimum"))
 
     fam = FAMILIES["n4_two_cavity"]
-    obj = family_objective(fam, "|A|^2+|P|^2", a=1.0, b=0.0)
-    ext = _minima(obj, math.pi, below=0.25)
+    ext = landmarks["two_cavity"]
     got = []
     for stated in (0.1930, 0.8542, 1.2402):
         e = _nearest(ext, stated)
@@ -676,10 +684,7 @@ def _extremum_checks() -> list[CheckResult]:
                        "set sums to 1 and rounds to 0.2111"))
 
     fam = FAMILIES["n6_concentrated"]
-    obj = family_objective(fam, "|A|^2+|F|^2")
-    window = 2 * math.pi
-    ext = scan_extrema(obj, 0.0, window, grid=_grid(window))
-    interior = [e for e in ext if not e.at_endpoint]
+    interior = [e for e in landmarks["concentrated"] if not e.at_endpoint]
     emin = _nearest([e for e in interior if e.kind == "min"], 1.7500)
     emax = _nearest([e for e in interior if e.kind == "max"], 3.0318)
     ok = (abs(emin.phase - 1.7500) <= ttol
@@ -774,7 +779,7 @@ def _special_time_checks() -> list[CheckResult]:
 # criterion 7: geometric entanglement
 
 
-def _entanglement_cases(seed: int):
+def _entanglement_cases(landmarks: dict[str, list]):
     """(id, state, documented overlap, stated E, tol, companion detail)."""
     out = []
     fam = FAMILIES["n2_general"]
@@ -783,24 +788,20 @@ def _entanglement_cases(seed: int):
                 "stay-put probability 1/9 at the antinode"))
 
     fam = FAMILIES["n4_single_cavity"]
-    obj = family_objective(fam, "|C|^2+|F|^2", a=1.0, b=0.0)
-    e = _nearest(_minima(obj, math.pi, below=0.3), 0.2094)
+    e = _nearest(landmarks["single_cavity"], 0.2094)
     amps = fam.evaluate(1.0, e.phase, a=1.0, b=0.0)
     out.append(("single_cavity_min", fam.state_vector(amps), e.value, 2.351,
                 1e-3, "shared+stay probability at the deepest minimum"))
 
     fam = FAMILIES["n4_two_cavity"]
-    obj = family_objective(fam, "|A|^2+|P|^2", a=1.0, b=0.0)
-    e = _nearest(_minima(obj, math.pi, below=0.25), 0.1930)
+    e = _nearest(landmarks["two_cavity"], 0.1930)
     amps = fam.evaluate(1.0, e.phase, a=1.0, b=0.0)
     out.append(("two_cavity_min", fam.state_vector(amps), e.value, 2.450,
                 1e-3, "start+shared probability at the minimum"))
 
     fam = FAMILIES["n6_concentrated"]
-    obj = family_objective(fam, "|A|^2+|F|^2")
-    ext = scan_extrema(obj, 0.0, 2 * math.pi, grid=_grid(2 * math.pi))
-    e = _nearest([x for x in ext if x.kind == "min" and not x.at_endpoint],
-                 1.7500)
+    e = _nearest([x for x in landmarks["concentrated"]
+                  if x.kind == "min" and not x.at_endpoint], 1.7500)
     amps = fam.evaluate(1.0, e.phase)
     out.append(("concentrated_min", fam.state_vector(amps), e.value, 9.09,
                 0.05, "unentangled-component probability ~ 1/546"))
@@ -816,9 +817,9 @@ def _entanglement_cases(seed: int):
     return out
 
 
-def _entanglement_checks(seed: int) -> list[CheckResult]:
+def _entanglement_checks(seed: int, landmarks: dict[str, list]) -> list[CheckResult]:
     rows = []
-    for cid, state, overlap, stated, tol, note in _entanglement_cases(seed):
+    for cid, state, overlap, stated, tol, note in _entanglement_cases(landmarks):
         res = max_product_overlap(state, restarts=64, seed=seed)
         holds = abs(res.entanglement - stated) <= tol
         rows.append(_claim(f"c7.{cid}", 7, holds, _fmt(stated),
@@ -1030,14 +1031,15 @@ def run_suite(suite: str = "paper", seed: int = 0) -> list[CheckResult]:
     """Run every acceptance check; deterministic for a fixed seed."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    landmarks = _landmark_extrema()
     rows: list[CheckResult] = []
     rows += _dimension_checks()
     rows += _generator_checks()
     rows += _spectrum_checks()
     rows += _oracle_checks()
-    rows += _extremum_checks()
+    rows += _extremum_checks(landmarks)
     rows += _special_time_checks()
-    rows += _entanglement_checks(seed)
+    rows += _entanglement_checks(seed, landmarks)
     rows += _dwell_checks(seed)
     rows += _invariant_checks(seed)
     return rows

@@ -19,8 +19,13 @@ from trimodal.analytic import (
 )
 from trimodal.basis import StateVector, enumerate_manifold
 from trimodal.dynamics import build_large_xi_generator
-from trimodal.evolve import propagate
-from trimodal.verification import PAPER_FORMS, n6_concentrated_AF
+from trimodal.evolve import _merge_modes, propagate
+from trimodal.verification import (
+    _N6_CONC_MATRIX,
+    _N6_CONC_SCALE,
+    PAPER_FORMS,
+    n6_concentrated_AF,
+)
 
 SOLVING = [name for name, fam in FAMILIES.items() if fam.solves_hopping]
 
@@ -109,6 +114,12 @@ def test_pattern_norms_symmetrize_the_derived_matrix(name):
     d = np.diag(fam.pattern_norms)
     sym = d @ fam.system_matrix @ np.linalg.inv(d)
     assert np.max(np.abs(sym - sym.T)) <= 1e-12
+
+
+def test_pattern_compression_rejects_zero_xi():
+    fam = FAMILIES["n4_single_cavity"]
+    with pytest.raises(ValueError, match="xi"):
+        pattern_compression(fam, build_large_xi_generator(fam.manifold, xi=0.0))
 
 
 def test_symmetric_family_compression_gap_is_diagonal():
@@ -390,6 +401,43 @@ def test_asymmetric_family_half_window_reflection():
 
 
 # --------------------------------------------------------------- rebuilders
+
+def _dense_representation(matrix, initial, scale):
+    """The dense route: D M D^-1 through an inverted diagonal, its own eigh."""
+    d = np.diag(scale)
+    d_inv = np.linalg.inv(d)
+    vals, vecs = np.linalg.eigh(d @ matrix @ d_inv)
+    weights = vecs * (vecs.T @ (d @ initial))[np.newaxis, :]
+    return _merge_modes(vals, (d_inv @ weights).T)
+
+
+def _family_solves():
+    for name, fam in FAMILIES.items():
+        params = [{}] + ([dict(a=0.6, b=0.8)] if "b" in fam.parameters else [])
+        for p in params:
+            initial = fam.read_patterns([fam.initial_state(**p).amplitudes])[0]
+            yield fam.system_matrix, initial, fam.pattern_norms
+    initial = np.zeros(6, dtype=complex)
+    initial[0] = 1.0
+    yield _N6_CONC_MATRIX, initial, _N6_CONC_SCALE
+
+
+def test_matrix_representation_equals_the_dense_route():
+    solves = list(_family_solves())
+    assert len(solves) == 11
+    for matrix, initial, scale in solves:
+        freqs, coeffs = matrix_representation(matrix, initial, scale)
+        ref_freqs, ref_coeffs = _dense_representation(matrix, initial, scale)
+        assert np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(coeffs, ref_coeffs)
+
+
+def test_matrix_representation_fails_closed_on_nan():
+    fam = FAMILIES["n2_general"]
+    initial = np.array([math.nan, 0, 0, 0, 0, 0], dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        matrix_representation(fam.system_matrix, initial, fam.pattern_norms)
+
 
 def test_matrix_representation_matches_matrix_exponential():
     rng = np.random.default_rng(9)

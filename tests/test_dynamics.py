@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from trimodal.basis import BasisState, StateVector, enumerate_manifold, parse_level
+from trimodal.basis import (
+    ALL_PERMUTATIONS,
+    BasisState,
+    StateVector,
+    enumerate_manifold,
+    parse_level,
+    permutation_matrix,
+)
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import (
     Block,
@@ -202,9 +209,9 @@ def test_symmetry_blocks_reject_bad_exchange():
 def test_symmetry_blocks_commute_check_fails_closed_on_nan():
     mat = np.array(build_large_xi_generator(MAN2).matrix)
     mat[0, 1] = math.nan
-    block = Block(matrix=mat, embedding=np.eye(6, dtype=complex))
+    block = Block(matrix=mat, embedding=np.eye(6, dtype=complex), manifold=MAN2)
     with pytest.raises(ValueError, match="commute"):
-        symmetry_blocks(block, (2, 3), MAN2)
+        symmetry_blocks(block, (2, 3))
 
 
 def test_permutation_symmetric_block_containment_fails_closed_on_nan():
@@ -212,7 +219,8 @@ def test_permutation_symmetric_block_containment_fails_closed_on_nan():
     parent = np.eye(6, dtype=complex)
     parent[0, 0] = math.nan
     with pytest.raises(ValueError, match="contained"):
-        permutation_symmetric_block(Block(matrix=gen.matrix, embedding=parent), MAN2)
+        permutation_symmetric_block(Block(matrix=gen.matrix, embedding=parent,
+                                          manifold=MAN2))
 
 
 def test_permutation_symmetric_block_reproduces_symmetric_dynamics():
@@ -223,3 +231,122 @@ def test_permutation_symmetric_block_reproduces_symmetric_dynamics():
     assert np.linalg.eigvalsh(block.matrix) == pytest.approx([0.0, 4.0])
     gram = block.embedding.conj().T @ block.embedding
     assert np.allclose(gram, np.eye(block.dim))
+
+
+# One compression route: every builder must give the blocks of the dedicated
+# builders it replaced, entry for entry.  The reference copies below are those
+# builders: each compresses with its own emb^H M emb and embeds through an
+# explicit parent (the identity for a Generator).
+
+def _reference_sector(generator, k):
+    man = generator.manifold
+    idx = man.sectors[k]
+    emb = np.zeros((man.dim, len(idx)), dtype=complex)
+    for col, i in enumerate(idx):
+        emb[i, col] = 1.0
+    return emb.conj().T @ generator.matrix @ emb, emb
+
+
+def _reference_parent(generator):
+    if isinstance(generator, Generator):
+        return np.eye(generator.manifold.dim, dtype=complex)
+    return generator.embedding
+
+
+def _reference_exchange(generator, exchange):
+    manifold, mat = generator.manifold, generator.matrix
+    parent = _reference_parent(generator)
+    i, j = exchange
+    perm = [1, 2, 3]
+    perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
+    swap = parent.conj().T @ permutation_matrix(manifold, tuple(perm)) @ parent
+    n = parent.shape[1]
+    rt = 1.0 / math.sqrt(2.0)
+    sym_cols, asym_cols, seen = [], [], set()
+    for c in range(n):
+        if c in seen:
+            continue
+        targets = np.nonzero(np.abs(swap[:, c]) > 1e-12)[0]
+        if len(targets) == 1 and targets[0] == c:
+            e = np.zeros(n, dtype=complex)
+            e[c] = 1.0
+            sym_cols.append(e)
+            seen.add(c)
+        else:
+            (d,) = [t for t in targets if t != c]
+            e_plus = np.zeros(n, dtype=complex)
+            e_plus[c], e_plus[d] = rt, rt
+            e_minus = np.zeros(n, dtype=complex)
+            e_minus[c], e_minus[d] = rt, -rt
+            sym_cols.append(e_plus)
+            asym_cols.append(e_minus)
+            seen.update((c, int(d)))
+
+    def make(cols):
+        if not cols:
+            return (np.zeros((0, 0), dtype=complex),
+                    np.zeros((parent.shape[0], 0), dtype=complex))
+        b = np.column_stack(cols)
+        return b.conj().T @ mat @ b, parent @ b
+
+    return make(sym_cols), make(asym_cols)
+
+
+def _reference_fully_symmetric(generator):
+    manifold = generator.manifold
+    parent = _reference_parent(generator)
+    sym_states, seen = [], set()
+    for b in manifold.basis:
+        if b in seen:
+            continue
+        orbit = {b.permuted(p) for p in ALL_PERMUTATIONS}
+        seen.update(orbit)
+        vec = np.zeros(manifold.dim, dtype=complex)
+        for s in orbit:
+            vec[manifold.index_of(s)] = 1.0
+        sym_states.append(vec / np.linalg.norm(vec))
+    coords = parent.conj().T @ np.column_stack(sym_states)
+    coords = coords[:, ~(np.linalg.norm(coords, axis=0) <= 1e-12)]
+    return coords.conj().T @ generator.matrix @ coords, parent @ coords
+
+
+def _same_block(block, reference):
+    mat, emb = reference
+    assert block.matrix.shape == mat.shape and block.embedding.shape == emb.shape
+    assert np.array_equal(block.matrix, mat)
+    assert np.array_equal(block.embedding, emb)
+
+
+def _generators(n_total):
+    man = enumerate_manifold(n_total)
+    gens = [build_large_xi_generator(man, xi=0.37)]
+    if n_total:
+        gens.append(build_full_generator(man, DressedParams(r=0.7, delta=0.3), xi=1.3))
+    return gens
+
+
+@pytest.mark.parametrize("n_total", [0, 2, 4, 6, 8])
+def test_block_builders_equal_the_dedicated_compressions(n_total):
+    for gen in _generators(n_total):
+        assert sector_block(gen, 0).manifold is gen.manifold
+        sectors = [k for k, idx in enumerate(gen.manifold.sectors) if idx]
+        for k in sectors:
+            _same_block(sector_block(gen, k), _reference_sector(gen, k))
+        _same_block(permutation_symmetric_block(gen), _reference_fully_symmetric(gen))
+        for exchange in ((1, 2), (1, 3), (2, 3)):
+            for block, ref in zip(symmetry_blocks(gen, exchange),
+                                  _reference_exchange(gen, exchange)):
+                _same_block(block, ref)
+        if gen.mode != "large_hopping":
+            continue
+        # Block inputs: the (invariant) sectors and the 2<->3 symmetric block
+        parents = [sector_block(gen, k) for k in sectors]
+        parents.append(symmetry_blocks(gen, (2, 3))[0])
+        for parent in parents:
+            _same_block(permutation_symmetric_block(parent),
+                        _reference_fully_symmetric(parent))
+        for parent in parents[:-1]:
+            for exchange in ((1, 2), (1, 3), (2, 3)):
+                for block, ref in zip(symmetry_blocks(parent, exchange),
+                                      _reference_exchange(parent, exchange)):
+                    _same_block(block, ref)

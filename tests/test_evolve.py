@@ -194,6 +194,13 @@ def test_mode_expansion_reconstructs_propagation():
     assert np.max(np.abs(rebuilt - traj.amplitudes)) < 1e-12
 
 
+def test_mode_expansion_fails_closed_on_nan():
+    init = np.zeros(6, dtype=complex)
+    init[0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        mode_expansion(build_large_xi_generator(MAN2), init)
+
+
 def _per_row_expansion(generator, initial):
     """Per-row loop: drop terms below 1e-14, merge frequencies within 1e-9."""
     spec = spectrum(generator)

@@ -247,6 +247,15 @@ def test_raw_representation_periods():
     assert not irrational.commensurate
 
 
+@pytest.mark.parametrize("freqs, coeffs", [
+    ([0.0, 4.0], [[math.nan], [0.5]]),
+    ([math.nan, 4.0], [[0.5], [0.5]]),
+])
+def test_detect_period_fails_closed_on_non_finite_modes(freqs, coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        detect_period((np.array(freqs), np.array(coeffs, dtype=complex)))
+
+
 def test_period_units_scale_with_the_rate():
     half = detect_period(FAMILIES["n2_general"], xi=2.0)
     assert half.modulus_period == pytest.approx(math.pi / 6.0)
