@@ -59,15 +59,14 @@ def _pattern(*level_groups: tuple[str, str, str]) -> Pattern:
 
 
 def _orbit_pattern(levels: tuple[str, str, str], perms) -> Pattern:
-    """Normalized permutation-orbit pattern (weight 1/sqrt(#distinct))."""
+    """Normalized permutation-orbit pattern (weight 1/sqrt(#distinct)),
+    members in order of first appearance over `perms`."""
     seed = _state(*levels)
-    seen: list[BasisState] = []
-    for perm in perms:
-        image = seed.permuted(perm)
-        if image not in seen:
-            seen.append(image)
-    w = 1.0 / math.sqrt(len(seen))
-    return tuple((s, w) for s in seen)
+    man = enumerate_manifold(seed.total)
+    i = man.index_of(seed)
+    members = dict.fromkeys(int(man.images(perm)[i]) for perm in perms)
+    w = 1.0 / math.sqrt(len(members))
+    return tuple((man.basis[j], w) for j in members)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -145,6 +145,22 @@ class Manifold:
     def qudit_dim(self) -> int:
         return len(self.levels)
 
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Read-only (dim, 3) positions in `levels` of each state's levels."""
+        pos = {lv: k for k, lv in enumerate(self.levels)}
+        out = np.array([[pos[lv] for lv in b.levels] for b in self.basis])
+        out.flags.writeable = False
+        return out
+
+    def images(self, perm: tuple[int, int, int]) -> np.ndarray:
+        """Entry i is the basis index of `basis[i].permuted(perm)`."""
+        if sorted(perm) != [1, 2, 3]:
+            raise ValueError(f"not a permutation of (1, 2, 3): {perm}")
+        index = np.empty((self.qudit_dim,) * N_CAVITIES, dtype=np.intp)
+        index[tuple(self.coords.T)] = np.arange(self.dim)
+        return index[tuple(self.coords[:, np.argsort(perm)].T)]
+
     def index_of(self, state: BasisState) -> int:
         try:
             return self.index[state]
@@ -251,22 +267,15 @@ def product_state(
 
 def permute_cavities(state: StateVector, perm: tuple[int, int, int]) -> StateVector:
     """Relabel cavities: amplitude of b moves to the image state b.permuted(perm)."""
-    if sorted(perm) != [1, 2, 3]:
-        raise ValueError(f"not a permutation of (1, 2, 3): {perm}")
-    man = state.manifold
-    out = np.zeros(man.dim, dtype=complex)
-    for i, b in enumerate(man.basis):
-        out[man.index_of(b.permuted(perm))] = state.amplitudes[i]
-    return StateVector(man, out)
+    out = np.zeros(state.manifold.dim, dtype=complex)
+    out[state.manifold.images(perm)] = state.amplitudes
+    return StateVector(state.manifold, out)
 
 
 def permutation_matrix(manifold: Manifold, perm: tuple[int, int, int]) -> np.ndarray:
     """Matrix of the cavity-relabeling operator in the canonical basis."""
-    if sorted(perm) != [1, 2, 3]:
-        raise ValueError(f"not a permutation of (1, 2, 3): {perm}")
     mat = np.zeros((manifold.dim, manifold.dim))
-    for i, b in enumerate(manifold.basis):
-        mat[manifold.index_of(b.permuted(perm)), i] = 1.0
+    mat[manifold.images(perm), np.arange(manifold.dim)] = 1.0
     return mat
 
 
@@ -284,7 +293,7 @@ def symmetrize(state: BasisState, kind: str = "all") -> StateVector:
     else:
         raise ValueError(f"kind must be 'all' or 'even', got {kind!r}")
     manifold = enumerate_manifold(state.total)
-    amplitudes = np.zeros(manifold.dim, dtype=complex)
-    for perm in perms:
-        amplitudes[manifold.index_of(state.permuted(perm))] += 1.0
+    i = manifold.index_of(state)
+    hits = [manifold.images(perm)[i] for perm in perms]
+    amplitudes = np.bincount(hits, minlength=manifold.dim).astype(complex)
     return StateVector(manifold, amplitudes / np.linalg.norm(amplitudes))

@@ -333,6 +333,9 @@ def _initial_state(config: RunConfig, initial: StateVector | None,
     """The --state-file state if one was loaded, else the --init product
     state; `missing` names what is absent when neither was given."""
     if initial is not None:
+        if initial.manifold.n_total != config.N:
+            raise CliError(
+                f"state is for N={initial.manifold.n_total}, run asks N={config.N}")
         return initial
     if config.init is None:
         raise CliError(f"{missing}: pass --init or --state-file")
@@ -374,9 +377,6 @@ def _cmd_evolve(config: RunConfig, initial: StateVector | None = None) -> int:
     if config.times is None:
         raise CliError("evolve needs --times start:stop:count")
     initial = _initial_state(config, initial, "no initial state")
-    if initial.manifold.n_total != config.N:
-        raise CliError(
-            f"state is for N={initial.manifold.n_total}, run asks N={config.N}")
     gen = _generator(config)
     lo, hi, count = config.times
     times = np.linspace(lo, hi, count)

@@ -29,7 +29,6 @@ from .basis import (
     StateVector,
     ALL_PERMUTATIONS,
     enumerate_manifold,
-    permutation_matrix,
 )
 from .dressed import DressedParams, energy_scale, mixing_angle, splitting
 
@@ -227,40 +226,45 @@ def symmetry_blocks(generator: Generator | Block,
                     exchange: tuple[int, int]) -> tuple[Block, Block]:
     """Split a generator by a two-cavity exchange into (symmetric, antisymmetric).
 
-    The exchange must commute with the generator (checked to 1e-9 relative);
-    for a Block input the rows must themselves be spanned by basis states
-    closed under the exchange.
+    The exchange, read from the manifold's relabeling table and written in
+    the input's own coordinates, must map each row c onto s_c times one row
+    t_c with |s_c| = 1 (to 1e-9; always so for a Generator, where s_c = +1),
+    or a ValueError names the exchange.  A fixed row goes to the block of its
+    sign, a pair to (e_c + s_c e_d)/sqrt(2) and (e_c - s_c e_d)/sqrt(2).  The
+    exchange must commute with the generator (checked to 1e-9 relative).
     """
     i, j = exchange
     if sorted((i, j)) not in ([1, 2], [1, 3], [2, 3]):
         raise ValueError(f"exchange must name two distinct cavities, got {exchange}")
     perm = [1, 2, 3]
     perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    swap = permutation_matrix(generator.manifold, tuple(perm))
-    parent = getattr(generator, "embedding", None)
-    if parent is not None:
-        swap = parent.conj().T @ swap @ parent
+    rows = generator.manifold.images(tuple(perm))
     mat = generator.matrix
-    if not np.max(np.abs(swap @ mat - mat @ swap)) <= 1e-9 * max(1.0, np.max(np.abs(mat))):
+    n = mat.shape[0]
+    # the swap in the input's own coordinates; the exchange is an
+    # involution, so P is eye[rows] and P @ parent is parent[rows]
+    parent = getattr(generator, "embedding", None)
+    swap = np.eye(n)[rows] if parent is None else parent.conj().T @ parent[rows]
+    rows = np.argmax(np.abs(swap), axis=0)
+    signs = swap[rows, np.arange(n)]
+    swap[rows, np.arange(n)] = 0.0
+    if not (np.abs(swap).max() <= 1e-9 and np.abs(np.abs(signs) - 1.0).max() <= 1e-9):
+        raise ValueError(f"block rows are not closed under exchange {exchange}")
+    signs = signs / np.abs(signs)
+    # S M S^H == M for S e_c = s_c e_(t_c)
+    moved = mat[np.ix_(rows, rows)] - np.outer(signs, signs.conj()) * mat
+    if not np.max(np.abs(moved)) <= 1e-9 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"exchange {exchange} does not commute with this generator")
 
-    # coordinate vectors of the generator, paired up by the exchange
-    unit = np.eye(mat.shape[0], dtype=complex)
+    unit = np.eye(n, dtype=complex)
     rt = 1.0 / math.sqrt(2.0)
     sym_cols, asym_cols = [], []
-    seen = set()
-    for c in range(mat.shape[0]):
-        if c in seen:
-            continue
-        targets = np.nonzero(np.abs(swap[:, c]) > 1e-12)[0]
-        if len(targets) == 1 and targets[0] == c:
-            sym_cols.append(unit[c])
-            seen.add(c)
-        else:
-            (d,) = [t for t in targets if t != c]
-            sym_cols.append((unit[c] + unit[d]) * rt)
-            asym_cols.append((unit[c] - unit[d]) * rt)
-            seen.update((c, int(d)))
+    for c, (d, s) in enumerate(zip(rows, signs)):
+        if d == c:
+            (sym_cols if s.real > 0 else asym_cols).append(unit[c])
+        elif d > c:
+            sym_cols.append((unit[c] + s * unit[d]) * rt)
+            asym_cols.append((unit[c] - s * unit[d]) * rt)
 
     def _make(cols, tag):
         states = np.column_stack(cols) if cols else unit[:, :0]
@@ -278,18 +282,13 @@ def permutation_symmetric_block(generator: Generator | Block) -> Block:
     lie in it entirely.
     """
     manifold = generator.manifold
-    sym_states: list[np.ndarray] = []
-    seen = set()
-    for b in manifold.basis:
-        if b in seen:
-            continue
-        orbit = {b.permuted(p) for p in ALL_PERMUTATIONS}
-        seen.update(orbit)
-        vec = np.zeros(manifold.dim, dtype=complex)
-        for s in orbit:
-            vec[manifold.index_of(s)] = 1.0
-        sym_states.append(vec / np.linalg.norm(vec))
-    states = np.column_stack(sym_states)
+    # each state's orbit is labelled by its lowest member; columns follow
+    # the basis order of those representatives
+    orbit_rep = np.min([manifold.images(p) for p in ALL_PERMUTATIONS], axis=0)
+    _, column = np.unique(orbit_rep, return_inverse=True)
+    states = np.zeros((manifold.dim, column.max() + 1), dtype=complex)
+    states[np.arange(manifold.dim), column] = 1.0
+    states /= np.linalg.norm(states, axis=0)
     parent = getattr(generator, "embedding", None)
     if parent is not None:
         coords = parent.conj().T @ states

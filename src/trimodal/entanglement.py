@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisState, CavityLevel, Manifold, StateVector
+from .basis import CavityLevel, Manifold, StateVector
 
 MAX_SWEEPS = 10_000
 
@@ -78,12 +78,8 @@ class OverlapResult:
 def embed(state: StateVector) -> np.ndarray:
     """Dense (d, d, d) qudit tensor carrying the manifold amplitudes."""
     man = state.manifold
-    d = man.qudit_dim
-    pos = {lv: i for i, lv in enumerate(man.levels)}
-    out = np.zeros((d, d, d), dtype=complex)
-    for amp, bstate in zip(state.amplitudes, man.basis):
-        i, j, k = (pos[lv] for lv in bstate.levels)
-        out[i, j, k] = amp
+    out = np.zeros((man.qudit_dim,) * 3, dtype=complex)
+    out[tuple(man.coords.T)] = state.amplitudes
     return out
 
 

@@ -109,13 +109,18 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     those two samples, and none when it is a shoulder on a slope.  Endpoint
     runs that locally dominate their neighbor are reported with
     `at_endpoint` set and no refinement.  Results are sorted by phase.
+    A non-finite grid sample raises ValueError rather than hiding extrema.
     """
-    if grid < 16:
-        raise ValueError(f"grid must be at least 16 points, got {grid}")
+    if not isinstance(grid, (int, np.integer)) or grid < 16:
+        raise ValueError(f"grid must be an integer of at least 16 points, got {grid!r}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid)
     ys = np.asarray(objective(xs), dtype=float)
+    if not np.isfinite(ys).all():
+        raise ValueError(f"objective is not finite at phase {xs[~np.isfinite(ys)][0]!r}")
     found: list[Extremum] = []
 
     def scalar(x: float) -> float:

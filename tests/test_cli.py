@@ -296,6 +296,16 @@ def test_entangle_product_state(capsys):
     assert int(out["starts"]) == 27 + 4
 
 
+def test_entangle_rejects_a_state_file_for_another_n(tmp_path, capsys):
+    amps = [[0.0, 0.0]] * 18
+    amps[0] = [1.0, 0.0]
+    path = write_state(tmp_path / "s4.json", 4, amps)
+    assert main(["entangle", "--N", "2", "--state-file", path]) == 1
+    assert "state is for N=4, run asks N=2" in capsys.readouterr().err
+    assert main(["entangle", "--state-file", path, "--restarts", "1"]) == 0
+    assert "overlap=1" in capsys.readouterr().out
+
+
 def test_entangle_product_start_prints_exact_unit_overlap(capsys):
     assert main(["entangle", "--N", "2", "--init", "g0|g0|g2", "--seed", "0"]) == 0
     out = dict(line.split("=") for line in capsys.readouterr().out.splitlines())

@@ -214,6 +214,30 @@ def test_symmetry_blocks_commute_check_fails_closed_on_nan():
         symmetry_blocks(block, (2, 3))
 
 
+# Block inputs at N=4: each row's image under the exchange is read as a
+# target row and a sign, one rule for every input.
+
+def test_symmetry_blocks_resplit_the_antisymmetric_block_as_antisymmetric():
+    gen = build_large_xi_generator(MAN4)
+    asym = symmetry_blocks(gen, (1, 2))[1]
+    assert asym.dim == 7
+    sym, again = symmetry_blocks(asym, (1, 2))
+    assert (sym.dim, again.dim) == (0, 7)
+    assert np.allclose(again.embedding, asym.embedding)
+
+
+def test_symmetry_blocks_keep_the_fully_symmetric_block_symmetric():
+    full = permutation_symmetric_block(build_large_xi_generator(MAN4))
+    sym, asym = symmetry_blocks(full, (1, 2))
+    assert (sym.dim, asym.dim) == (5, 0)
+
+
+def test_symmetry_blocks_reject_a_block_not_closed_under_the_exchange():
+    sym23 = symmetry_blocks(build_large_xi_generator(MAN4), (2, 3))[0]
+    with pytest.raises(ValueError, match=r"not closed under exchange \(1, 2\)"):
+        symmetry_blocks(sym23, (1, 2))
+
+
 def test_permutation_symmetric_block_containment_fails_closed_on_nan():
     gen = build_large_xi_generator(MAN2)
     parent = np.eye(6, dtype=complex)

@@ -127,8 +127,31 @@ def test_scan_reports_a_flat_endpoint_run_at_the_endpoint():
 def test_scan_window_validation():
     with pytest.raises(ValueError):
         scan_extrema(lambda p: np.asarray(p), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        scan_extrema(lambda p: np.asarray(p), 0.0, 1.0, grid=8)
+
+
+@pytest.mark.parametrize("grid", [8, 15, 16.0, 256.5, "256", None])
+def test_scan_rejects_a_grid_that_is_not_an_integer_of_at_least_16(grid):
+    with pytest.raises(ValueError, match="grid must be an integer"):
+        scan_extrema(lambda p: np.asarray(p), 0.0, 1.0, grid=grid)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_scan_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # tol=0 used to loop forever in the golden-section refinement, and NaN
+    # returned the unrefined brackets
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        scan_extrema(lambda p: np.cos(np.asarray(p)), 0.0, 2.0 * math.pi, tol=tol)
+
+
+def test_scan_rejects_non_finite_samples():
+    # NaN samples used to pass silently: this came back as two endpoint
+    # rows, the one at 2.0 with value NaN
+    def objective(p):
+        p = np.asarray(p)
+        return np.where(p > 1.0, np.nan, np.cos(3.0 * p))
+
+    with pytest.raises(ValueError, match="not finite"):
+        scan_extrema(objective, 0.0, 2.0, grid=64)
 
 
 # ------------------------------------------------------------------- dwell
