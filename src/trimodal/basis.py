@@ -10,7 +10,7 @@ a total of 2, 18 for 4, 38 for 6.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -129,14 +129,13 @@ class Manifold:
 
     n_total: int
     basis: tuple[BasisState, ...]
-    index: dict = field(repr=False, hash=False, compare=False)
     sectors: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def levels(self) -> tuple[CavityLevel, ...]:
         """Per-cavity alphabet, shared by all three cavities."""
         return _local_levels(self.n_total)
@@ -146,29 +145,39 @@ class Manifold:
         return len(self.levels)
 
     @cached_property
+    def _position(self) -> dict[CavityLevel, int]:
+        return {lv: k for k, lv in enumerate(self.levels)}
+
+    @cached_property
     def coords(self) -> np.ndarray:
         """Read-only (dim, 3) positions in `levels` of each state's levels."""
-        pos = {lv: k for k, lv in enumerate(self.levels)}
-        out = np.array([[pos[lv] for lv in b.levels] for b in self.basis])
+        out = np.array([[self._position[lv] for lv in b.levels] for b in self.basis])
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def _lookup(self) -> np.ndarray:
+        """Read-only (d, d, d) basis index of every position triple, or -1."""
+        table = np.full((self.qudit_dim,) * N_CAVITIES, -1, dtype=np.intp)
+        table[tuple(self.coords.T)] = np.arange(self.dim)
+        table.flags.writeable = False
+        return table
+
+    def index_at(self, positions) -> np.ndarray:
+        """Basis indices of an (..., 3) array of level-position triples."""
+        return self._lookup[tuple(np.moveaxis(np.asarray(positions), -1, 0))]
 
     def images(self, perm: tuple[int, int, int]) -> np.ndarray:
         """Entry i is the basis index of `basis[i].permuted(perm)`."""
         if sorted(perm) != [1, 2, 3]:
             raise ValueError(f"not a permutation of (1, 2, 3): {perm}")
-        index = np.empty((self.qudit_dim,) * N_CAVITIES, dtype=np.intp)
-        index[tuple(self.coords.T)] = np.arange(self.dim)
-        return index[tuple(self.coords[:, np.argsort(perm)].T)]
+        return self.index_at(self.coords[:, np.argsort(perm)])
 
     def index_of(self, state: BasisState) -> int:
-        try:
-            return self.index[state]
-        except KeyError:
-            raise KeyError(f"{state} is not in the total={self.n_total} manifold") from None
-
-    def state_of(self, levels: tuple[str, str, str]) -> BasisState:
-        return BasisState(tuple(parse_level(t) for t in levels))
+        # every triple of levels with this total is a basis state
+        if state.total != self.n_total:
+            raise KeyError(f"{state} is not in the total={self.n_total} manifold")
+        return int(self.index_at([self._position[lv] for lv in state.levels]))
 
 
 @lru_cache(maxsize=None)
@@ -193,12 +202,11 @@ def enumerate_manifold(n_total: int) -> Manifold:
         if sum(lv.local_total for lv in triple) == n_total
     ]
     states.sort(key=BasisState.sort_key)
-    index = {s: i for i, s in enumerate(states)}
     sectors = tuple(
         tuple(i for i, s in enumerate(states) if s.excited_count == k)
         for k in range(N_CAVITIES + 1)
     )
-    return Manifold(n_total=n_total, basis=tuple(states), index=index, sectors=sectors)
+    return Manifold(n_total=n_total, basis=tuple(states), sectors=sectors)
 
 
 @dataclass(frozen=True, eq=False)

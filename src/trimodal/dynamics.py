@@ -8,6 +8,10 @@ two-by-two [[tan^2, tan], [tan, 1]] acting on (|e,n>, |g,n+2>), weighted so
 the reference pair n_total - 2 has weight one; this is the complete slow
 dynamics in units of the manifold's energy scale.
 
+Both are filled by index arithmetic on the manifold's coordinate table: a
+pair hop or an atom flip shifts a state's level positions, and
+`Manifold.index_at` looks the shifted triples up.
+
 Symmetry reductions (two-cavity exchange blocks, the fully symmetric block,
 sector restrictions) are provided as Block objects that remember how their
 rows embed into the manifold basis; `project_onto` builds every one of them.
@@ -21,18 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    BasisState,
-    Excitation,
-    CavityLevel,
-    Manifold,
-    StateVector,
-    ALL_PERMUTATIONS,
-    enumerate_manifold,
-)
+from .basis import ALL_PERMUTATIONS, BasisState, Manifold, StateVector
 from .dressed import DressedParams, energy_scale, mixing_angle, splitting
 
 HERMITICITY_TOL = 1e-12
+# row c shifts cavity c's level position by one, leaving the others
+_CAVITY_STEP = np.eye(3, dtype=np.intp)
 
 
 def hopping_element(bra: BasisState, ket: BasisState, xi: float = 1.0) -> float:
@@ -114,37 +112,25 @@ class Block:
         return self.matrix.shape[0]
 
 
-def _dressed_pairs(manifold: Manifold, params: DressedParams):
-    """Weights and angles for every dressed pair present in the manifold."""
-    scale = energy_scale(manifold.n_total, params)
-    table = {}
-    for n in range(0, manifold.n_total - 1, 2):
-        cos, sin = mixing_angle(n, params)
-        weight = splitting(n, params) * cos * cos / scale
-        table[n] = (weight, sin / cos)
-    return table
-
-
 def _hopping_matrix(manifold: Manifold, xi: float) -> np.ndarray:
-    """Pair-exchange matrix, built from each state's at most six pair moves.
+    """Pair-exchange matrix, filled by index arithmetic on `manifold.coords`.
 
-    Each coupled pair is filled once, from its lower-indexed state, with
-    that state as the bra of `hopping_element`.
+    A pair moving from cavity src to dst takes src's level one position down
+    and dst's one up its ladder in `levels`.  Each coupled pair (i, j), i < j,
+    is filled once with `hopping_element`'s value for bra i and ket j.
     """
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
-    basis = manifold.basis
+    photons = np.array([lv.photons for lv in manifold.levels])
     mat = np.zeros((manifold.dim, manifold.dim))
-    for i, state in enumerate(basis):
-        for src, dst in itertools.permutations(range(3), 2):
-            if not state.levels[src].pairs:
-                continue
-            levels = list(state.levels)
-            levels[src] = CavityLevel(levels[src].excitation, levels[src].pairs - 1)
-            levels[dst] = CavityLevel(levels[dst].excitation, levels[dst].pairs + 1)
-            j = manifold.index_of(BasisState(tuple(levels)))
-            if j > i:
-                mat[i, j] = mat[j, i] = hopping_element(state, basis[j], xi)
+    for src, dst in itertools.permutations(range(3), 2):
+        i = np.flatnonzero(photons[manifold.coords[:, src]] > 0)
+        moved = manifold.coords[i] - _CAVITY_STEP[src] + _CAVITY_STEP[dst]
+        j = manifold.index_at(moved)
+        up = j > i
+        n, m = photons[moved[up][:, [src, dst]]].T
+        mat[i[up], j[up]] = mat[j[up], i[up]] = \
+            xi * np.sqrt((n + 1) * (n + 2)) * np.sqrt(m * (m - 1))
     return mat
 
 
@@ -163,22 +149,23 @@ def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 
     to the reference pair n_total - 2; |g,0> contributes nothing.
     """
     mat = _hopping_matrix(manifold, xi)
-    pairs = _dressed_pairs(manifold, params)
-    for i, state in enumerate(manifold.basis):
-        for cav, level in enumerate(state.levels):
-            if level.excited:
-                n = level.photons
-                weight, tan = pairs[n]
-                mat[i, i] += weight * tan * tan
-                partner = list(state.levels)
-                partner[cav] = CavityLevel(Excitation.GROUND, level.pairs + 1)
-                j = manifold.index_of(BasisState(tuple(partner)))
-                mat[i, j] += weight * tan
-                mat[j, i] += weight * tan
-            elif level.pairs > 0:
-                n = level.photons - 2
-                weight, _ = pairs[n]
-                mat[i, i] += weight
+    scale = energy_scale(manifold.n_total, params)
+    # entry k belongs to the pair n = 2k, k < n_total / 2
+    split, cos, sin = np.array([(splitting(n, params), *mixing_angle(n, params))
+                                for n in range(0, manifold.n_total - 1, 2)]).T
+    weight = split * cos * cos / scale
+    tan = sin / cos
+    # diagonal term of each level, in `levels` order |g,0>..|g,N>, |e,0>..|e,N-2>
+    level_diag = np.concatenate(([0.0], weight, weight * tan * tan))
+    # |e,n> sits n_total / 2 positions after its partner |g,n+2>
+    shift = manifold.n_total // 2
+    for cav in range(3):
+        level = manifold.coords[:, cav]
+        mat[np.diag_indices(manifold.dim)] += level_diag[level]
+        i = np.flatnonzero(level > shift)
+        j = manifold.index_at(manifold.coords[i] - shift * _CAVITY_STEP[cav])
+        # the hopping never links a state to its atom-flipped partner
+        mat[i, j] = mat[j, i] = (weight * tan)[level[i] - shift - 1]
     return Generator(manifold=manifold, matrix=mat, mode="full", xi=xi, params=params)
 
 
@@ -241,6 +228,9 @@ def symmetry_blocks(generator: Generator | Block,
     rows = generator.manifold.images(tuple(perm))
     mat = generator.matrix
     n = mat.shape[0]
+    if not n:  # an empty block splits into two empty blocks
+        return (project_onto(generator, np.zeros((0, 0)), label=f"sym{i}{j}"),
+                project_onto(generator, np.zeros((0, 0)), label=f"asym{i}{j}"))
     # the swap in the input's own coordinates; the exchange is an
     # involution, so P is eye[rows] and P @ parent is parent[rows]
     parent = getattr(generator, "embedding", None)

@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trimodal.basis import (
     ALL_PERMUTATIONS,
     BasisState,
+    CavityLevel,
+    Excitation,
     StateVector,
     enumerate_manifold,
     parse_level,
     permutation_matrix,
 )
-from trimodal.dressed import DressedParams
+from trimodal.dressed import DressedParams, energy_scale, mixing_angle, splitting
 from trimodal.dynamics import (
     Block,
     Generator,
@@ -29,6 +32,7 @@ from trimodal.dynamics import (
 MAN2 = enumerate_manifold(2)
 MAN4 = enumerate_manifold(4)
 MAN6 = enumerate_manifold(6)
+EVEN_TOTALS = (0, 2, 4, 6, 8)
 
 
 def state(*levels):
@@ -141,6 +145,45 @@ def test_builders_equal_the_all_pairs_element_loop(n_total, xi):
     assert np.array_equal(build_full_generator(man, params, xi).matrix, ref + dressed)
 
 
+def _per_state_dressed_terms(manifold, params):
+    """The dressed terms state by state: each state's per-cavity diagonal
+    terms summed in cavity order, weight * tan on each (|e,n>, |g,n+2>)."""
+    scale = energy_scale(manifold.n_total, params)
+    mat = np.zeros((manifold.dim, manifold.dim))
+    for i, state in enumerate(manifold.basis):
+        for cav, level in enumerate(state.levels):
+            n = level.photons if level.excited else level.photons - 2
+            if n < 0:  # |g,0> is no member of a dressed pair
+                continue
+            cos, sin = mixing_angle(n, params)
+            weight = splitting(n, params) * cos * cos / scale
+            tan = sin / cos
+            if not level.excited:
+                mat[i, i] += weight
+                continue
+            mat[i, i] += weight * tan * tan
+            partner = list(state.levels)
+            partner[cav] = CavityLevel(Excitation.GROUND, level.pairs + 1)
+            j = manifold.index_of(BasisState(tuple(partner)))
+            mat[i, j] = mat[j, i] = weight * tan
+    return mat
+
+
+@pytest.mark.parametrize("n_total", EVEN_TOTALS)
+@settings(max_examples=20)
+@given(r=st.floats(0.05, 20.0), delta=st.floats(-10.0, 10.0))
+def test_dressed_terms_equal_the_per_state_loop(n_total, r, delta):
+    man = enumerate_manifold(n_total)
+    params = DressedParams(r=r, delta=delta)
+    if not n_total:
+        # no dressed pair: the reference pair n_total - 2 does not exist
+        with pytest.raises(ValueError, match="pair label"):
+            build_full_generator(man, params, 0.0)
+        return
+    assert np.array_equal(build_full_generator(man, params, 0.0).matrix,
+                          _per_state_dressed_terms(man, params))
+
+
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
 def test_builders_reject_non_finite_xi(xi):
     with pytest.raises(ValueError, match="finite"):
@@ -230,6 +273,16 @@ def test_symmetry_blocks_keep_the_fully_symmetric_block_symmetric():
     full = permutation_symmetric_block(build_large_xi_generator(MAN4))
     sym, asym = symmetry_blocks(full, (1, 2))
     assert (sym.dim, asym.dim) == (5, 0)
+
+
+def test_symmetry_blocks_split_an_empty_block_into_two_empty_blocks():
+    full = permutation_symmetric_block(build_large_xi_generator(MAN4))
+    empty = symmetry_blocks(full, (1, 3))[1]
+    assert empty.dim == 0
+    sym, asym = symmetry_blocks(empty, (1, 2))
+    assert (sym.dim, asym.dim) == (0, 0)
+    assert (sym.label, asym.label) == ("sym12", "asym12")
+    assert sym.embedding.shape == asym.embedding.shape == (MAN4.dim, 0)
 
 
 def test_symmetry_blocks_reject_a_block_not_closed_under_the_exchange():
