@@ -1,5 +1,6 @@
 """Restricted-basis enumeration, product states, and cavity relabeling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,44 @@ def state(*levels):
 
 
 # ---------------------------------------------------------------- enumeration
+
+def _reference_manifold(n_total):
+    """Alphabet and canonically ordered level triples, built object by object.
+
+    Every triple of levels whose local totals add up to n_total, sorted by
+    excited-atom count, then by (excited, photons) cavity by cavity with
+    cavity 1 most significant.
+    """
+    levels = sorted(
+        [CavityLevel.from_photons("g", n) for n in range(0, n_total + 1, 2)]
+        + [CavityLevel.from_photons("e", n) for n in range(0, n_total - 1, 2)],
+        key=lambda lv: (lv.excited, lv.photons))
+    local = {lv: lv.local_total for lv in levels}
+    triples = [t for t in itertools.product(levels, repeat=3)
+               if local[t[0]] + local[t[1]] + local[t[2]] == n_total]
+    triples.sort(key=lambda t: (sum(lv.excited for lv in t),)
+                 + tuple((lv.excited, lv.photons) for lv in t))
+    return levels, triples
+
+
+@pytest.mark.parametrize("n_total", range(0, 31, 2))
+def test_enumeration_matches_an_object_level_reference(n_total):
+    levels, triples = _reference_manifold(n_total)
+    man = enumerate_manifold(n_total)
+    assert man.levels == tuple(levels)
+    assert man.dim == len(triples)
+    assert man.basis == tuple(BasisState(t) for t in triples)
+    position = {lv: k for k, lv in enumerate(levels)}
+    assert np.array_equal(man.coords,
+                          [[position[lv] for lv in t] for t in triples])
+    excited = [sum(lv.excited for lv in t) for t in triples]
+    assert man.sectors == tuple(
+        tuple(i for i, k in enumerate(excited) if k == count) for count in range(4))
+    assert all(type(i) is int for sector in man.sectors for i in sector)
+    assert not man.coords.flags.writeable
+    with pytest.raises(ValueError):
+        man.coords[0, 0] = 0
+
 
 @pytest.mark.parametrize("n_total, dim", [(0, 1), (2, 6), (4, 18), (6, 38)])
 def test_manifold_dimensions(n_total, dim):
