@@ -279,9 +279,11 @@ def _exp_sum(phases, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
     Each row is its own vector-matrix product, so its bits do not depend on
     how many phases share the call; one (T, m) @ (m, labels) product can
-    differ from them in the last bit.
+    differ from them in the last bit.  A non-finite phase raises ValueError.
     """
     ph = np.atleast_1d(np.asarray(phases, dtype=float))
+    if not np.all(np.isfinite(ph)):
+        raise ValueError("phases must be finite")
     osc = np.exp(-1j * np.multiply.outer(ph, freqs))
     out = np.empty((osc.shape[0], coeffs.shape[1]), dtype=complex)
     for k, row in enumerate(osc):

@@ -4,7 +4,9 @@ Each cavity holds a two-level atom whose ground/excited transition absorbs or
 emits a photon pair, so the local excitation-counting operator assigns n to
 |g,n> and n+2 to |e,n>.  Only even photon numbers occur.  The total count is
 conserved, which restricts the dynamics to finite manifolds: dimension 6 for
-a total of 2, 18 for 4, 38 for 6.
+a total of 2, 18 for 4, 38 for 6.  A manifold is stored as its coordinate
+table, built by array arithmetic; its `BasisState` objects and excited-count
+sectors are derived from that table.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class CavityLevel:
 
     Photon numbers are stored as pair counts, so odd occupations are not
     representable.  The canonical order (ground before excited, then photon
-    number) is what `sort_key` encodes; it is used throughout.
+    number) is the order of a manifold's `levels`; it is used throughout.
     """
 
     excitation: Excitation
@@ -66,9 +68,6 @@ class CavityLevel:
         """Eigenvalue of the local conserved counter: n for |g,n>, n+2 for |e,n>."""
         return self.photons + (2 if self.excited else 0)
 
-    def sort_key(self) -> tuple[int, int]:
-        return (int(self.excited), self.photons)
-
     def __str__(self) -> str:
         return f"{self.excitation.value}{self.photons}"
 
@@ -95,13 +94,6 @@ class BasisState:
     def excited_count(self) -> int:
         return sum(lv.excited for lv in self.levels)
 
-    def sort_key(self):
-        """Canonical order: excited-atom count, then lexicographic on the
-        (excitation, photons) triple with cavity 1 most significant."""
-        return (self.excited_count,) + tuple(
-            (int(lv.excited), lv.photons) for lv in self.levels
-        )
-
     def permuted(self, perm: tuple[int, int, int]) -> "BasisState":
         """Image under a cavity relabeling: cavity i's content moves to perm[i]."""
         new = [None, None, None]
@@ -114,26 +106,24 @@ class BasisState:
 
 
 def _local_levels(n_total: int) -> tuple[CavityLevel, ...]:
-    """All single-cavity levels with local count <= n_total, canonically sorted."""
-    out = [
-        CavityLevel(Excitation.GROUND, k) for k in range(n_total // 2 + 1)
-    ] + [
-        CavityLevel(Excitation.EXCITED, k) for k in range((n_total - 2) // 2 + 1)
-    ]
-    return tuple(sorted(out, key=CavityLevel.sort_key))
+    """All single-cavity levels with local count <= n_total, in canonical order."""
+    ground = [CavityLevel(Excitation.GROUND, k) for k in range(n_total // 2 + 1)]
+    excited = [CavityLevel(Excitation.EXCITED, k) for k in range(n_total // 2)]
+    return tuple(ground + excited)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Manifold:
-    """Fixed-total subspace spanned by the basis states with that total."""
+    """Fixed-total subspace, stored as its canonically ordered coordinate table
+    `coords`: the read-only (dim, 3) positions in `levels` of each basis state's
+    levels.  `basis` and `sectors` are derived from it."""
 
     n_total: int
-    basis: tuple[BasisState, ...]
-    sectors: tuple[tuple[int, ...], ...]
+    coords: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.coords)
 
     @cached_property
     def levels(self) -> tuple[CavityLevel, ...]:
@@ -145,15 +135,17 @@ class Manifold:
         return len(self.levels)
 
     @cached_property
-    def _position(self) -> dict[CavityLevel, int]:
-        return {lv: k for k, lv in enumerate(self.levels)}
+    def basis(self) -> tuple[BasisState, ...]:
+        """The basis states, one per row of `coords`."""
+        return tuple(BasisState(tuple(self.levels[k] for k in row))
+                     for row in self.coords.tolist())
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """Read-only (dim, 3) positions in `levels` of each state's levels."""
-        out = np.array([[self._position[lv] for lv in b.levels] for b in self.basis])
-        out.flags.writeable = False
-        return out
+    def sectors(self) -> tuple[tuple[int, ...], ...]:
+        """Basis indices by excited-atom count, 0 to 3."""
+        count = np.array([lv.excited for lv in self.levels])[self.coords].sum(axis=1)
+        return tuple(tuple(np.flatnonzero(count == k).tolist())
+                     for k in range(N_CAVITIES + 1))
 
     @cached_property
     def _lookup(self) -> np.ndarray:
@@ -177,7 +169,7 @@ class Manifold:
         # every triple of levels with this total is a basis state
         if state.total != self.n_total:
             raise KeyError(f"{state} is not in the total={self.n_total} manifold")
-        return int(self.index_at([self._position[lv] for lv in state.levels]))
+        return int(self.index_at([self.levels.index(lv) for lv in state.levels]))
 
 
 @lru_cache(maxsize=None)
@@ -190,23 +182,24 @@ def enumerate_manifold(n_total: int) -> Manifold:
 
     Returns
     -------
-    Manifold with basis sorted by (excited-atom count, lexicographic levels)
-    and index positions partitioned into sectors by excited-atom count.
+    Manifold whose `coords` rows are in canonical order: by excited-atom
+    count, then lexicographic on the levels with cavity 1 most significant.
     """
     if n_total < 0 or n_total % 2:
         raise ValueError(f"total count must be even and nonnegative, got {n_total}")
-    alphabet = _local_levels(n_total)
-    states = [
-        BasisState(triple)
-        for triple in itertools.product(alphabet, repeat=N_CAVITIES)
-        if sum(lv.local_total for lv in triple) == n_total
-    ]
-    states.sort(key=BasisState.sort_key)
-    sectors = tuple(
-        tuple(i for i, s in enumerate(states) if s.excited_count == k)
-        for k in range(N_CAVITIES + 1)
-    )
-    return Manifold(n_total=n_total, basis=tuple(states), sectors=sectors)
+    levels = _local_levels(n_total)
+    local, excited = np.array([(lv.local_total, lv.excited) for lv in levels]).T
+    # every position triple, cavity 1 most significant; `levels` is ordered
+    # by (excitation, photons), so this order is lexicographic on the levels
+    grid = np.indices((len(levels),) * N_CAVITIES).reshape(N_CAVITIES, -1).T
+    coords = grid[local[grid].sum(axis=1) == n_total]
+    coords = coords[np.argsort(excited[coords].sum(axis=1), kind="stable")]
+    coords.flags.writeable = False
+    manifold = Manifold(n_total=n_total, coords=coords)
+    # derived now: built on a first read among a computation's large
+    # temporaries, their small long-lived allocations fragment the heap
+    manifold.basis, manifold.sectors
+    return manifold
 
 
 @dataclass(frozen=True, eq=False)

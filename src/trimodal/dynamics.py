@@ -78,11 +78,13 @@ class Generator:
     params: DressedParams | None = None
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        # checked as given: a real matrix needs no complex temporaries
+        mat = np.asarray(self.matrix)
         if mat.shape != (self.manifold.dim, self.manifold.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {self.manifold.dim}")
         if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
             raise ValueError("generator must be Hermitian")
+        mat = np.ascontiguousarray(mat, dtype=complex)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

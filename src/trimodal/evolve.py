@@ -50,7 +50,9 @@ def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
 
 def _evolve(generator: Generator | Block, initial: np.ndarray,
             times: np.ndarray) -> np.ndarray:
-    """Rows exp(-i M t) @ initial, one per entry of times."""
+    """Rows exp(-i M t) @ initial, one per entry of times, which must be finite."""
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     spec = spectrum(generator)
     coeffs = spec.modes.conj().T @ initial
     # one (times, modes) buffer, updated in place: same values as
@@ -140,8 +142,6 @@ def propagate(generator: Generator, initial: StateVector, times,
     if not abs(initial.norm - 1.0) <= 1e-9:
         raise ValueError(f"initial state is not normalized: |psi| = {initial.norm!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
     if times_are_phase and generator.xi == 0:
         raise ValueError("phase times xi*t cannot be read back as times when xi == 0")
     # The generator matrix carries the factor of xi itself, so exp(-i M t)
@@ -158,7 +158,7 @@ def propagate(generator: Generator, initial: StateVector, times,
 
 
 def evolve_block(block: Block, initial: np.ndarray, phases) -> np.ndarray:
-    """Evolve block coordinates through exp(-i M_block * phase)."""
+    """Evolve block coordinates through exp(-i M_block * phase); phases must be finite."""
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
     return _evolve(block, np.asarray(initial, dtype=complex), phases)
 
@@ -179,11 +179,12 @@ def sector_probabilities(trajectory: Trajectory, by: str = "count") -> dict:
             if idx
         }
     if by == "pattern":
-        groups: dict = {}
-        for i, b in enumerate(man.basis):
-            pattern = tuple(c + 1 for c, lv in enumerate(b.levels) if lv.excited)
-            groups.setdefault(pattern, []).append(i)
-        return {pat: probs[:, idx].sum(axis=1) for pat, idx in sorted(groups.items())}
+        flags = np.array([lv.excited for lv in man.levels])[man.coords]
+        patterns, group = np.unique(flags, axis=0, return_inverse=True)
+        groups = {tuple((np.flatnonzero(pat) + 1).tolist()):
+                  probs[:, np.flatnonzero(group == g)].sum(axis=1)
+                  for g, pat in enumerate(patterns)}
+        return dict(sorted(groups.items()))
     raise ValueError(f"by must be 'count' or 'pattern', got {by!r}")
 
 

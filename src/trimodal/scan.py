@@ -192,8 +192,8 @@ def dwell_time(family: Family, label: str, span: float = math.pi, *,
     """
     if label not in family.labels:
         raise ValueError(f"{family.name} has no label {label!r}")
-    if span <= 0:
-        raise ValueError(f"span must be positive, got {span}")
+    if not (span > 0 and math.isfinite(span)):
+        raise ValueError(f"span must be positive and finite, got {span}")
     if not (isinstance(quadrature_points, (int, np.integer))
             and quadrature_points >= 2 and quadrature_points % 2 == 0):
         raise ValueError("quadrature_points must be an even integer >= 2, "

@@ -294,6 +294,17 @@ def test_normalization_checks_fail_closed_on_nan():
         n2_amplitudes(initials, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exponential_sums_reject_non_finite_phases(bad):
+    fam = FAMILIES["n2_general"]
+    with pytest.raises(ValueError, match="phases must be finite"):
+        fam.evaluate(bad, 1.0)
+    with pytest.raises(ValueError, match="phases must be finite"):
+        fam.evaluate_phases([0.1, bad])
+    with pytest.raises(ValueError, match="phases must be finite"):
+        n2_amplitudes(np.eye(6)[0].astype(complex), 1.0, [0.0, bad])
+
+
 def test_parameter_validation():
     fam = FAMILIES["n2_general"]
     with pytest.raises(ValueError):

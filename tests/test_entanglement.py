@@ -1,9 +1,14 @@
-"""Geometric entanglement via the closest-product-state sweep."""
+"""Geometric entanglement via the closest-product-state sweep.
+
+Properties run under the derandomized hypothesis profile loaded in
+conftest.py, so every run draws the same examples.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trimodal.analytic import FAMILIES, evaluate
 from trimodal.basis import StateVector, enumerate_manifold, parse_level, product_state
@@ -144,6 +149,19 @@ def test_product_start_has_overlap_one_and_zero_entanglement():
     assert result.entanglement == 0.0
     assert math.copysign(1.0, result.entanglement) == 1.0
     assert result.converged
+
+
+@pytest.mark.parametrize("n_total", [2, 4])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 8))
+def test_overlap_lies_between_the_largest_basis_weight_and_one(n_total, seed,
+                                                               restarts):
+    man = enumerate_manifold(n_total)
+    draw = np.random.default_rng(seed).standard_normal((man.dim, 2))
+    amps = draw[:, 0] + 1j * draw[:, 1]
+    state = StateVector(man, amps / np.linalg.norm(amps))
+    result = max_product_overlap(state, restarts=restarts, seed=seed)
+    assert np.max(np.abs(state.amplitudes)) ** 2 <= result.overlap <= 1.0
 
 
 def _all_start_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):

@@ -1,9 +1,14 @@
-"""Exact evolution: spectra, trajectories, block evolution, mode expansions."""
+"""Exact evolution: spectra, trajectories, block evolution, mode expansions.
+
+Properties run under the derandomized hypothesis profile loaded in
+conftest.py, so every run draws the same examples.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trimodal.basis import StateVector, enumerate_manifold
 from trimodal.dressed import DressedParams
@@ -122,6 +127,35 @@ def test_norm_contract_fails_closed_on_nan():
         propagate(build_large_xi_generator(MAN2), corner_state(MAN2), [1e308])
 
 
+def _drawn_generators(man, xi, r, delta):
+    return (build_large_xi_generator(man, xi),
+            build_full_generator(man, DressedParams(r=r, delta=delta), xi))
+
+
+def _drawn_state(man, seed):
+    draw = np.random.default_rng(seed).standard_normal((man.dim, 2))
+    amps = draw[:, 0] + 1j * draw[:, 1]
+    return StateVector(man, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n_total", [2, 4, 6])
+@settings(max_examples=15)
+@given(xi=st.floats(-10.0, 10.0), r=st.floats(0.05, 20.0),
+       delta=st.floats(-10.0, 10.0), seed=st.integers(0, 2**32 - 1),
+       t1=st.floats(-10.0, 10.0), t2=st.floats(-10.0, 10.0))
+def test_propagation_keeps_the_norm_and_the_group_law(n_total, xi, r, delta,
+                                                      seed, t1, t2):
+    man = enumerate_manifold(n_total)
+    x = _drawn_state(man, seed)
+    for gen in _drawn_generators(man, xi, r, delta):
+        traj = propagate(gen, x, [t1, t1 + t2])
+        assert np.all(np.abs(np.linalg.norm(traj.amplitudes, axis=1) - 1.0)
+                      <= 1e-10)
+        # U(t2) U(t1) x == U(t1 + t2) x
+        again = propagate(gen, traj.state(0), [t2]).amplitudes[0]
+        assert np.max(np.abs(again - traj.amplitudes[1])) <= 1e-10
+
+
 def test_trajectory_state_accessor():
     gen = build_large_xi_generator(MAN2)
     traj = propagate(gen, corner_state(MAN2), np.linspace(0.0, 1.0, 5))
@@ -141,6 +175,14 @@ def test_evolve_block_matches_full_propagation():
     full = propagate(gen, StateVector(MAN6, block.embedding @ x0), phases,
                      times_are_phase=True)
     assert np.max(np.abs(inside @ block.embedding.T - full.amplitudes)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolve_block_rejects_non_finite_phases(bad):
+    block = sector_block(build_large_xi_generator(MAN6), 0)
+    x0 = np.eye(block.dim, dtype=complex)[0]
+    with pytest.raises(ValueError, match="finite"):
+        evolve_block(block, x0, [0.1, bad])
 
 
 def test_sector_probabilities_are_conserved_without_sidebands():
@@ -165,6 +207,26 @@ def test_sector_probabilities_pattern_refinement():
     assert np.allclose(by_pattern[()], 1.0)  # started in the photon sector
     with pytest.raises(ValueError):
         sector_probabilities(traj, by="sector")
+
+
+@pytest.mark.parametrize("n_total", [0, 2, 6, 8])
+def test_sector_probabilities_pattern_matches_the_per_state_grouping(n_total):
+    man = enumerate_manifold(n_total)
+    gen = build_full_generator(man, DressedParams(r=0.7, delta=0.2)) if n_total \
+        else build_large_xi_generator(man)
+    traj = propagate(gen, _drawn_state(man, n_total), [0.0, 0.4, 1.3])
+    groups = {}
+    for i, b in enumerate(man.basis):
+        pattern = tuple(c + 1 for c, lv in enumerate(b.levels) if lv.excited)
+        groups.setdefault(pattern, []).append(i)
+    probs = np.abs(traj.amplitudes) ** 2
+    expected = {pat: probs[:, idx].sum(axis=1)
+                for pat, idx in sorted(groups.items())}
+    got = sector_probabilities(traj, by="pattern")
+    assert list(got) == list(expected)
+    assert all(type(c) is int for pat in got for c in pat)
+    for pat, series in expected.items():
+        assert np.array_equal(got[pat], series)
 
 
 def test_mode_expansion_exchange_example():

@@ -201,6 +201,12 @@ def test_dwell_validation():
         dwell_time(fam, "A", span=0.0)
 
 
+@pytest.mark.parametrize("span", [math.nan, math.inf, -math.inf, 0.0])
+def test_dwell_rejects_a_non_finite_or_empty_span(span):
+    with pytest.raises(ValueError, match="span must be positive and finite"):
+        dwell_time(FAMILIES["n2_general"], "A", span=span)
+
+
 @pytest.mark.parametrize("points", [0, 1, 3, 4097, 4096.0, True])
 def test_dwell_rejects_a_non_even_interval_count(points):
     with pytest.raises(ValueError, match="even integer"):
