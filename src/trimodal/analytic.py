@@ -1,7 +1,10 @@
 """Closed-form amplitude families for the large-hopping dynamics.
 
-A family is data: the basis patterns each label rides on, its parameters,
-its initial product state and its per-sector conservation sums.  Every
+A family is one literal record: the basis patterns each label rides on
+(their keys are the labels), the parameter defaults (their keys are the
+parameters), the initial product state as a per-cavity table from level to
+coefficient (a number or a parameter name), and the label weights of each
+conserved sum, whose value is read off that initial state at t = 0.  Every
 amplitude is an exponential sum, and one solve produces all of them: the
 family's reduced matrix is diagonalized in label coordinates
 (`matrix_representation`), symmetrized by the pattern norms and started
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -91,11 +94,10 @@ class AmplitudeSet:
 
 @dataclass(frozen=True, eq=False)
 class ConservedSum:
-    """sum_l weight_l |X_l(t)|^2 stays at `value(params)` for all t."""
+    """sum_l weight_l |X_l(t)|^2 stays at its t = 0 value for all t."""
 
     name: str
     weights: Mapping[str, float]
-    value: Callable[[Mapping[str, complex]], float]
 
 
 class _PatternIndex(NamedTuple):
@@ -115,19 +117,27 @@ class Family:
 
     `documented_matrix` is given only for a family whose amplitudes solve a
     documented reduced matrix rather than the hopping dynamics; every other
-    family derives its matrix from the hopping generator.
+    family derives its matrix from the hopping generator.  `initial` holds
+    one mapping per cavity from level to coefficient, a number or the name
+    of a parameter.
     """
 
     name: str
     n_total: int
-    labels: tuple[str, ...]
     patterns: Mapping[str, Pattern]
-    parameters: tuple[str, ...]
     defaults: Mapping[str, complex]
+    initial: tuple[Mapping[str, complex | str], ...]
     conserved: tuple[ConservedSum, ...]
     modulus_period: float | None
-    _factors: Callable[[Mapping[str, complex]], list[list[tuple]]]
     documented_matrix: np.ndarray | None = None
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.patterns)
+
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        return tuple(self.defaults)
 
     @cached_property
     def _index(self) -> _PatternIndex:
@@ -206,7 +216,11 @@ class Family:
 
     def initial_state(self, **overrides) -> StateVector:
         """The family's unentangled initial state on its manifold."""
-        return product_state(self.manifold, self._factors(self._params(overrides)))
+        params = self._params(overrides)
+        return product_state(self.manifold, [
+            [(parse_level(lv), params[c] if isinstance(c, str) else c)
+             for lv, c in cavity.items()]
+            for cavity in self.initial])
 
     def fill_patterns(self, values) -> np.ndarray:
         """Manifold amplitudes, shape (T, dim), carrying a (T, labels) table."""
@@ -264,13 +278,15 @@ class Family:
         return AmplitudeSet(self.name, self.labels, values, float(xi), float(t))
 
     def conservation_residual(self, ampset: AmplitudeSet, **overrides) -> float:
-        """Largest deviation of any conserved sum from its initial value."""
-        params = self._params(overrides)
+        """Largest deviation of any conserved sum from its value at t = 0,
+        read off `initial_state`."""
+        start = self.amplitudes_from_state(self.initial_state(**overrides))
         worst = 0.0
         for cons in self.conserved:
-            total = sum(cons.weights[lab] * ampset.probability(lab)
-                        for lab in cons.weights)
-            worst = max(worst, abs(total - cons.value(params)))
+            now, then = (sum(cons.weights[lab] * amps.probability(lab)
+                             for lab in cons.weights)
+                         for amps in (ampset, start))
+            worst = max(worst, abs(now - then))
         return worst
 
 
@@ -329,16 +345,7 @@ def matrix_representation(matrix: np.ndarray, initial: np.ndarray,
     return _merge_modes(freqs, weights * (1.0 / s)[np.newaxis, :])
 
 
-# --- labels and documented blocks ------------------------------------------
-
-N2_LABELS = ("A", "B", "C", "D", "E", "F")
-_N2_STATES = (("g0", "g0", "g2"), ("g0", "g2", "g0"), ("g2", "g0", "g0"),
-              ("g0", "g0", "e0"), ("g0", "e0", "g0"), ("e0", "g0", "g0"))
-N4_SINGLE_LABELS = ("A", "B", "C", "E", "F", "K")
-N4_TWO_LABELS = ("A", "B", "D", "E", "F", "L", "M", "N", "P")
-N6_CONCENTRATED_LABELS = ("A", "B", "E", "G", "K", "F")
-N6_SYMMETRIC_LABELS = ("A", "B", "C", "D", "E", "F", "G", "H", "K", "J")
-N6_ASYMMETRIC_LABELS = ("A", "B", "C", "D", "E", "F")
+# --- documented blocks ------------------------------------------------------
 
 # Documented reduced blocks of the totally symmetric family, by label group
 # (the all-excited label D stays put).  They omit the intra-pattern hopping
@@ -365,53 +372,24 @@ _N6_SYM_BLOCKS = {
 
 
 def _n6_symmetric_system() -> np.ndarray:
-    out = np.zeros((10, 10))
+    labels = tuple(_N6_SYM_PATTERNS)
+    out = np.zeros((len(labels),) * 2)
     for group, block in _N6_SYM_BLOCKS.items():
-        idx = [N6_SYMMETRIC_LABELS.index(lab) for lab in group]
+        idx = [labels.index(lab) for lab in group]
         out[np.ix_(idx, idx)] = block
     return out
 
 
 # --- registry ---------------------------------------------------------------
 
-
-def _factors_n2(params):
-    return [[(parse_level("g0"), 1.0)], [(parse_level("g0"), 1.0)],
-            [(parse_level("g2"), params["a"]), (parse_level("e0"), params["b"])]]
-
-
-def _factors_n4_single(params):
-    return [[(parse_level("g0"), 1.0)], [(parse_level("g0"), 1.0)],
-            [(parse_level("g4"), params["a"]), (parse_level("e2"), params["b"])]]
-
-
-def _factors_n4_two(params):
-    return [[(parse_level("g0"), 1.0)],
-            [(parse_level("g2"), params["a"]), (parse_level("e0"), params["b"])],
-            [(parse_level("g2"), params["c"]), (parse_level("e0"), params["d"])]]
-
-
-def _factors_n6_concentrated(params):
-    return [[(parse_level("g6"), 1.0)], [(parse_level("g0"), 1.0)],
-            [(parse_level("g0"), 1.0)]]
-
-
-def _factors_n6_symmetric(params):
-    cavity = [(parse_level("g2"), params["a"]), (parse_level("e0"), params["b"])]
-    return [list(cavity), list(cavity), list(cavity)]
-
-
-def _factors_n6_asymmetric(params):
-    return [[(parse_level("e2"), 1.0)], [(parse_level("g2"), 1.0)],
-            [(parse_level("g0"), 1.0)]]
-
-
-def _abs2(key):
-    return lambda p: abs(p[key]) ** 2
-
-
-_N2_PATTERNS = {lab: _pattern(levels)
-                for lab, levels in zip(N2_LABELS, _N2_STATES)}
+_N2_PATTERNS = {
+    "A": _pattern(("g0", "g0", "g2")),
+    "B": _pattern(("g0", "g2", "g0")),
+    "C": _pattern(("g2", "g0", "g0")),
+    "D": _pattern(("g0", "g0", "e0")),
+    "E": _pattern(("g0", "e0", "g0")),
+    "F": _pattern(("e0", "g0", "g0")),
+}
 
 _N4_SINGLE_PATTERNS = {
     "A": _pattern(("g4", "g0", "g0"), ("g0", "g4", "g0")),
@@ -465,11 +443,6 @@ _N6_ASYM_PATTERNS = {
     "F": _pattern(("e4", "g0", "g0")),
 }
 
-
-def _unit(_params) -> float:
-    return 1.0
-
-
 FAMILIES: dict[str, Family] = {}
 
 
@@ -481,102 +454,82 @@ def _register(family: Family) -> Family:
 N2_GENERAL = _register(Family(
     name="n2_general",
     n_total=2,
-    labels=N2_LABELS,
     patterns=_N2_PATTERNS,
-    parameters=("a", "b"),
     defaults={"a": 1.0, "b": 0.0},
+    initial=({"g0": 1.0}, {"g0": 1.0}, {"g2": "a", "e0": "b"}),
     conserved=(
-        ConservedSum("photon sector", {"A": 1, "B": 1, "C": 1}, _abs2("a")),
-        ConservedSum("excited sector", {"D": 1, "E": 1, "F": 1}, _abs2("b")),
+        ConservedSum("photon sector", {"A": 1, "B": 1, "C": 1}),
+        ConservedSum("excited sector", {"D": 1, "E": 1, "F": 1}),
     ),
     modulus_period=math.pi / 3,
-    _factors=_factors_n2,
 ))
 
 N4_SINGLE_CAVITY = _register(Family(
     name="n4_single_cavity",
     n_total=4,
-    labels=N4_SINGLE_LABELS,
     patterns=_N4_SINGLE_PATTERNS,
-    parameters=("a", "b"),
     defaults={"a": 1.0, "b": 0.0},
+    initial=({"g0": 1.0}, {"g0": 1.0}, {"g4": "a", "e2": "b"}),
     conserved=(
-        ConservedSum("photon sector", {"A": 2, "B": 2, "C": 1, "F": 1}, _abs2("a")),
-        ConservedSum("excited sector", {"E": 2, "K": 1}, _abs2("b")),
+        ConservedSum("photon sector", {"A": 2, "B": 2, "C": 1, "F": 1}),
+        ConservedSum("excited sector", {"E": 2, "K": 1}),
     ),
     modulus_period=math.pi,
-    _factors=_factors_n4_single,
 ))
 
 N4_TWO_CAVITY = _register(Family(
     name="n4_two_cavity",
     n_total=4,
-    labels=N4_TWO_LABELS,
     patterns=_N4_TWO_PATTERNS,
-    parameters=("a", "b", "c", "d"),
     defaults={"a": 1.0, "b": 0.0, "c": 1.0, "d": 0.0},
+    initial=({"g0": 1.0}, {"g2": "a", "e0": "b"}, {"g2": "c", "e0": "d"}),
     conserved=(
-        ConservedSum("photon sector", {"A": 1, "B": 2, "F": 2, "P": 1},
-                     lambda p: abs(p["a"] * p["c"]) ** 2),
-        ConservedSum("both excited", {"L": 1},
-                     lambda p: abs(p["b"] * p["d"]) ** 2),
-        ConservedSum("cavity 2 excited", {"D": 2, "M": 1},
-                     lambda p: abs(p["b"] * p["c"]) ** 2),
-        ConservedSum("cavity 3 excited", {"E": 2, "N": 1},
-                     lambda p: abs(p["a"] * p["d"]) ** 2),
+        ConservedSum("photon sector", {"A": 1, "B": 2, "F": 2, "P": 1}),
+        ConservedSum("both excited", {"L": 1}),
+        ConservedSum("cavity 2 excited", {"D": 2, "M": 1}),
+        ConservedSum("cavity 3 excited", {"E": 2, "N": 1}),
     ),
     modulus_period=math.pi,
-    _factors=_factors_n4_two,
 ))
 
 N6_CONCENTRATED = _register(Family(
     name="n6_concentrated",
     n_total=6,
-    labels=N6_CONCENTRATED_LABELS,
     patterns=_N6_CONC_PATTERNS,
-    parameters=(),
     defaults={},
+    initial=({"g6": 1.0}, {"g0": 1.0}, {"g0": 1.0}),
     conserved=(
-        ConservedSum("norm", {"A": 1, "B": 2, "E": 2, "G": 2, "K": 2, "F": 1},
-                     _unit),
+        ConservedSum("norm", {"A": 1, "B": 2, "E": 2, "G": 2, "K": 2, "F": 1}),
     ),
     modulus_period=None,
-    _factors=_factors_n6_concentrated,
 ))
 
 N6_SYMMETRIC = _register(Family(
     name="n6_symmetric",
     n_total=6,
-    labels=N6_SYMMETRIC_LABELS,
     patterns=_N6_SYM_PATTERNS,
-    parameters=("a", "b"),
     defaults={"a": 1.0, "b": 0.0},
+    initial=({"g2": "a", "e0": "b"},) * 3,
     conserved=(
-        ConservedSum("photon sector", {"A": 1, "F": 1, "K": 1},
-                     lambda p: abs(p["a"]) ** 6),
-        ConservedSum("one excited", {"B": 1, "E": 1, "G": 1, "J": 1},
-                     lambda p: 3 * abs(p["a"]) ** 4 * abs(p["b"]) ** 2),
-        ConservedSum("two excited", {"C": 1, "H": 1},
-                     lambda p: 3 * abs(p["a"]) ** 2 * abs(p["b"]) ** 4),
-        ConservedSum("three excited", {"D": 1}, lambda p: abs(p["b"]) ** 6),
+        ConservedSum("photon sector", {"A": 1, "F": 1, "K": 1}),
+        ConservedSum("one excited", {"B": 1, "E": 1, "G": 1, "J": 1}),
+        ConservedSum("two excited", {"C": 1, "H": 1}),
+        ConservedSum("three excited", {"D": 1}),
     ),
     modulus_period=None,
-    _factors=_factors_n6_symmetric,
     documented_matrix=_n6_symmetric_system(),
 ))
 
 N6_ASYMMETRIC = _register(Family(
     name="n6_asymmetric",
     n_total=6,
-    labels=N6_ASYMMETRIC_LABELS,
     patterns=_N6_ASYM_PATTERNS,
-    parameters=(),
     defaults={},
+    initial=({"e2": 1.0}, {"g2": 1.0}, {"g0": 1.0}),
     conserved=(
-        ConservedSum("norm", {lab: 1 for lab in N6_ASYMMETRIC_LABELS}, _unit),
+        ConservedSum("norm", {"A": 1, "B": 1, "C": 1, "D": 1, "E": 1, "F": 1}),
     ),
     modulus_period=math.pi,
-    _factors=_factors_n6_asymmetric,
 ))
 
 

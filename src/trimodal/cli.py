@@ -24,7 +24,7 @@ from .basis import StateVector, enumerate_manifold, parse_level, product_state
 from .dressed import DressedParams
 from .dynamics import build_full_generator, build_large_xi_generator
 from .entanglement import max_product_overlap
-from .evolve import eigenfrequencies, propagate
+from .evolve import propagate, spectrum
 from .scan import family_objective, scan_extrema
 from .verification import run_suite, render_table
 
@@ -359,7 +359,7 @@ def _cmd_dynamics(config: RunConfig, initial=None) -> int:
     gen = _generator(config)
     with _output(config) as out:
         if config.spectrum:
-            for v in eigenfrequencies(gen):
+            for v in spectrum(gen).frequencies:
                 out.write(_fmt(v) + "\n")
         else:
             writer = csv.writer(out)

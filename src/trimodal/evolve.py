@@ -50,9 +50,11 @@ def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
 
 def _evolve(generator: Generator | Block, initial: np.ndarray,
             times: np.ndarray) -> np.ndarray:
-    """Rows exp(-i M t) @ initial, one per entry of times, which must be finite."""
+    """Rows exp(-i M t) @ initial, one per entry of times; both must be finite."""
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
+    if not np.all(np.isfinite(initial)):
+        raise ValueError("initial vector must be finite")
     spec = spectrum(generator)
     coeffs = spec.modes.conj().T @ initial
     # one (times, modes) buffer, updated in place: same values as
@@ -96,11 +98,6 @@ def _merge_modes(freqs: np.ndarray, coeffs: np.ndarray,
     if not keep:
         return np.zeros(0), np.zeros((0, coeffs.shape[1]), dtype=complex)
     return np.array([out_f[k] for k in keep]), np.array([out_c[k] for k in keep])
-
-
-def eigenfrequencies(generator: Generator | Block | np.ndarray) -> np.ndarray:
-    """Sorted eigenfrequencies of a generator or block."""
-    return spectrum(generator).frequencies
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +155,8 @@ def propagate(generator: Generator, initial: StateVector, times,
 
 
 def evolve_block(block: Block, initial: np.ndarray, phases) -> np.ndarray:
-    """Evolve block coordinates through exp(-i M_block * phase); phases must be finite."""
+    """Evolve block coordinates through exp(-i M_block * phase); phases and
+    the initial vector must be finite."""
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
     return _evolve(block, np.asarray(initial, dtype=complex), phases)
 
@@ -193,10 +191,10 @@ def mode_expansion(generator: Generator | Block | np.ndarray,
     """Exact exponential-sum form of every amplitude.
 
     Returns, for each row index i, the list of (coefficient, mu) pairs such
-    that amplitude_i(phase) = sum coef * exp(1i * mu * phase).  mu = -freq,
-    matching the sign convention of the closed-form families.  Modes with
-    negligible coefficient are dropped; degenerate frequencies are merged.
-    A non-finite initial state raises ValueError.
+    that amplitude_i(phase) = sum coef * exp(1i * mu * phase), so mu = -freq;
+    the closed-form families report the opposite sign, f in exp(-i f xi t).
+    Modes with negligible coefficient are dropped; degenerate frequencies
+    are merged.  A non-finite initial state raises ValueError.
     """
     freqs, weights = _modes(generator, np.asarray(initial, dtype=complex))
     weights[np.abs(weights) < 1e-14] = 0.0

@@ -17,7 +17,7 @@ from trimodal.analytic import (
     n2_exchange_symmetric,
     pattern_compression,
 )
-from trimodal.basis import StateVector, enumerate_manifold
+from trimodal.basis import StateVector, enumerate_manifold, parse_level, product_state
 from trimodal.dynamics import build_large_xi_generator
 from trimodal.evolve import _merge_modes, propagate
 from trimodal.verification import (
@@ -67,8 +67,105 @@ def test_closed_forms_solve_the_exchange_dynamics(name):
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_conserved_sums_hold_along_the_orbit(name):
     fam = FAMILIES[name]
-    for phi in (0.0, 0.37, 1.91, 3.1):
-        assert fam.conservation_residual(fam.evaluate(1.0, phi)) < 1e-9
+    for params in _parameter_draws(fam, n_draws=3):
+        for phi in (0.0, 0.37, 1.91, 3.1):
+            ampset = fam.evaluate(1.0, phi, **params)
+            assert fam.conservation_residual(ampset, **params) < 1e-9
+
+
+# The paper's typed data per family, kept as a test-side reference for what
+# the registry derives from its records: labels, parameters, the initial
+# per-cavity factors (level, coefficient) and each conserved sum's value.
+_TYPED = {
+    "n2_general": dict(
+        labels=("A", "B", "C", "D", "E", "F"),
+        parameters=("a", "b"),
+        factors=lambda p: [[("g0", 1.0)], [("g0", 1.0)],
+                           [("g2", p["a"]), ("e0", p["b"])]],
+        conserved={"photon sector": lambda p: abs(p["a"]) ** 2,
+                   "excited sector": lambda p: abs(p["b"]) ** 2}),
+    "n4_single_cavity": dict(
+        labels=("A", "B", "C", "E", "F", "K"),
+        parameters=("a", "b"),
+        factors=lambda p: [[("g0", 1.0)], [("g0", 1.0)],
+                           [("g4", p["a"]), ("e2", p["b"])]],
+        conserved={"photon sector": lambda p: abs(p["a"]) ** 2,
+                   "excited sector": lambda p: abs(p["b"]) ** 2}),
+    "n4_two_cavity": dict(
+        labels=("A", "B", "D", "E", "F", "L", "M", "N", "P"),
+        parameters=("a", "b", "c", "d"),
+        factors=lambda p: [[("g0", 1.0)], [("g2", p["a"]), ("e0", p["b"])],
+                           [("g2", p["c"]), ("e0", p["d"])]],
+        conserved={"photon sector": lambda p: abs(p["a"] * p["c"]) ** 2,
+                   "both excited": lambda p: abs(p["b"] * p["d"]) ** 2,
+                   "cavity 2 excited": lambda p: abs(p["b"] * p["c"]) ** 2,
+                   "cavity 3 excited": lambda p: abs(p["a"] * p["d"]) ** 2}),
+    "n6_concentrated": dict(
+        labels=("A", "B", "E", "G", "K", "F"),
+        parameters=(),
+        factors=lambda p: [[("g6", 1.0)], [("g0", 1.0)], [("g0", 1.0)]],
+        conserved={"norm": lambda p: 1.0}),
+    "n6_symmetric": dict(
+        labels=("A", "B", "C", "D", "E", "F", "G", "H", "K", "J"),
+        parameters=("a", "b"),
+        factors=lambda p: [[("g2", p["a"]), ("e0", p["b"])]] * 3,
+        conserved={"photon sector": lambda p: abs(p["a"]) ** 6,
+                   "one excited": lambda p: 3 * abs(p["a"]) ** 4 * abs(p["b"]) ** 2,
+                   "two excited": lambda p: 3 * abs(p["a"]) ** 2 * abs(p["b"]) ** 4,
+                   "three excited": lambda p: abs(p["b"]) ** 6}),
+    "n6_asymmetric": dict(
+        labels=("A", "B", "C", "D", "E", "F"),
+        parameters=(),
+        factors=lambda p: [[("e2", 1.0)], [("g2", 1.0)], [("g0", 1.0)]],
+        conserved={"norm": lambda p: 1.0}),
+}
+
+
+def _parameter_draws(fam, n_draws=20, seed=17):
+    """The defaults, then seeded draws with every (a, b) and (c, d) pair of
+    complex parameters normalized to one."""
+    yield dict(fam.defaults)
+    if not fam.parameters:
+        return
+    rng = np.random.default_rng(seed)
+    for _ in range(n_draws):
+        draw = rng.standard_normal((len(fam.parameters) // 2, 2, 2))
+        pairs = draw[..., 0] + 1j * draw[..., 1]
+        pairs /= np.linalg.norm(pairs, axis=1, keepdims=True)
+        yield dict(zip(fam.parameters, pairs.ravel().tolist()))
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_labels_and_parameters_equal_the_typed_tuples(name):
+    fam = FAMILIES[name]
+    assert fam.labels == _TYPED[name]["labels"]
+    assert fam.parameters == _TYPED[name]["parameters"]
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_initial_state_equals_the_typed_factor_table(name):
+    fam = FAMILIES[name]
+    for params in _parameter_draws(fam):
+        typed = _TYPED[name]["factors"](params)
+        # the factor order fixes the product's cross-term order
+        assert [list(cavity) for cavity in fam.initial] == \
+            [[lv for lv, _ in cavity] for cavity in typed]
+        factors = [[(parse_level(lv), c) for lv, c in cavity] for cavity in typed]
+        assert np.array_equal(fam.initial_state(**params).amplitudes,
+                              product_state(fam.manifold, factors).amplitudes)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_conserved_sums_start_at_the_typed_values(name):
+    fam = FAMILIES[name]
+    typed = _TYPED[name]["conserved"]
+    assert [cons.name for cons in fam.conserved] == list(typed)
+    for params in _parameter_draws(fam):
+        start = fam.read_patterns([fam.initial_state(**params).amplitudes])[0]
+        for cons in fam.conserved:
+            derived = sum(w * abs(start[fam.labels.index(lab)]) ** 2
+                          for lab, w in cons.weights.items())
+            assert abs(derived - typed[cons.name](params)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", SOLVING)

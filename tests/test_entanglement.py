@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trimodal.analytic import FAMILIES, evaluate
-from trimodal.basis import StateVector, enumerate_manifold, parse_level, product_state
+from trimodal.basis import (
+    ALL_PERMUTATIONS,
+    StateVector,
+    enumerate_manifold,
+    parse_level,
+    permute_cavities,
+    product_state,
+)
 from trimodal.cli import parse_init
 from trimodal.dynamics import build_large_xi_generator
 from trimodal.entanglement import (
@@ -162,6 +169,26 @@ def test_overlap_lies_between_the_largest_basis_weight_and_one(n_total, seed,
     state = StateVector(man, amps / np.linalg.norm(amps))
     result = max_product_overlap(state, restarts=restarts, seed=seed)
     assert np.max(np.abs(state.amplitudes)) ** 2 <= result.overlap <= 1.0
+
+
+@pytest.mark.parametrize("n_total", [2, 4])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_overlap_is_invariant_under_relabeling_and_local_phases(n_total, seed):
+    man = enumerate_manifold(n_total)
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_normal((man.dim, 2))
+    amps = draw[:, 0] + 1j * draw[:, 1]
+    state = StateVector(man, amps / np.linalg.norm(amps))
+    overlap = max_product_overlap(state, restarts=8, seed=seed).overlap
+    # one random phase per cavity level: a product of local diagonal unitaries
+    phases = rng.uniform(0.0, 2.0 * math.pi, (3, man.qudit_dim))
+    local = np.exp(1j * phases[np.arange(3), man.coords].sum(axis=1))
+    moved = [permute_cavities(state, perm) for perm in ALL_PERMUTATIONS[1:]]
+    moved.append(StateVector(man, local * state.amplitudes))
+    for other in moved:
+        got = max_product_overlap(other, restarts=8, seed=seed).overlap
+        assert abs(got - overlap) <= 1e-9
 
 
 def _all_start_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):

@@ -16,7 +16,6 @@ from trimodal.dynamics import build_full_generator, build_large_xi_generator, se
 from trimodal.evolve import (
     NumericalContractError,
     Trajectory,
-    eigenfrequencies,
     evolve_block,
     mode_expansion,
     propagate,
@@ -39,7 +38,7 @@ def test_spectrum_is_an_eigendecomposition():
     assert np.allclose(spec.modes @ np.diag(spec.frequencies) @ spec.modes.conj().T,
                        gen.matrix)
     assert np.allclose(spec.modes.conj().T @ spec.modes, np.eye(spec.dim))
-    assert np.allclose(eigenfrequencies(gen), np.linalg.eigvalsh(gen.matrix))
+    assert np.allclose(spec.frequencies, np.linalg.eigvalsh(gen.matrix))
 
 
 def test_propagate_preserves_norm_and_inner_products():
@@ -183,6 +182,21 @@ def test_evolve_block_rejects_non_finite_phases(bad):
     x0 = np.eye(block.dim, dtype=complex)[0]
     with pytest.raises(ValueError, match="finite"):
         evolve_block(block, x0, [0.1, bad])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolution_rejects_a_non_finite_initial_vector(bad):
+    gen = build_large_xi_generator(MAN6)
+    block = sector_block(gen, 0)
+    x0 = np.eye(block.dim, dtype=complex)[0]
+    x0[1] = bad
+    with pytest.raises(ValueError, match="initial vector must be finite"):
+        evolve_block(block, x0, [0.0, 0.1])
+    # propagate's norm check comes first and keeps its message
+    amps = np.eye(MAN6.dim, dtype=complex)[0]
+    amps[1] = bad
+    with pytest.raises(ValueError, match="not normalized"):
+        propagate(gen, StateVector(MAN6, amps), [0.0, 0.1])
 
 
 def test_sector_probabilities_are_conserved_without_sidebands():
