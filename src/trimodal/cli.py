@@ -25,16 +25,16 @@ from .dressed import DressedParams
 from .dynamics import build_full_generator, build_large_xi_generator
 from .entanglement import max_product_overlap
 from .evolve import propagate, spectrum
-from .scan import family_objective, scan_extrema
+from .scan import GRID_PER_PI, default_grid, family_objective, scan_extrema
 from .verification import run_suite, render_table
 
 MODES = ("full", "large_hopping")
 DEFAULT_SEED = 0
-GRID_PER_PI = 4096
 
 
 class CliError(Exception):
-    """Input problem that should exit 1 with a message, not a traceback."""
+    """Input problem that should exit 1 with a message, not a traceback.
+    `main` reports a library ValueError the same way."""
 
 
 def _fmt(x: float) -> str:
@@ -153,12 +153,9 @@ def parse_init(spec: str, n_total: int) -> StateVector:
     return build_init_state(normalize_init(spec), n_total)
 
 
-def parse_state_file(path: str) -> StateVector:
-    """Load {"N": n, "amplitudes": [[re, im], ...]} as a unit StateVector.
-
-    A norm within 1e-6 of unit is silently renormalized; anything further
-    off is rejected with the measured norm.
-    """
+def _read_json_object(path: str) -> dict:
+    """The JSON object stored at `path`; a missing file, broken JSON or any
+    other top-level value is a CliError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -170,6 +167,16 @@ def parse_state_file(path: str) -> StateVector:
             f"{exc.msg}") from None
     if not isinstance(doc, dict):
         raise CliError(f"{path}: expected a JSON object at the top level")
+    return doc
+
+
+def parse_state_file(path: str) -> StateVector:
+    """Load {"N": n, "amplitudes": [[re, im], ...]} as a unit StateVector.
+
+    A norm within 1e-6 of unit is silently renormalized; anything further
+    off is rejected with the measured norm.
+    """
+    doc = _read_json_object(path)
     for field in ("N", "amplitudes"):
         if field not in doc:
             raise CliError(f"{path}: missing field {field!r}")
@@ -244,6 +251,17 @@ class RunConfig:
 CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(RunConfig))
 
 
+def _numbers(values, kinds, rule: str) -> tuple:
+    """`values` converted entry by entry with `kinds`; a wrong length or an
+    unconvertible entry is a CliError stating the config `rule`."""
+    try:
+        if len(values) == len(kinds):
+            return tuple(kind(v) for kind, v in zip(kinds, values))
+    except (TypeError, ValueError):
+        pass
+    raise CliError(f"config field {rule}, got {values!r}")
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Build a RunConfig from a JSON-style dict (strings allowed for times,
     window, and init)."""
@@ -258,17 +276,16 @@ def parse_config(doc: dict) -> RunConfig:
     if isinstance(kw.get("times"), str):
         kw["times"] = parse_times(kw["times"])
     elif isinstance(kw.get("times"), (list, tuple)):
-        if len(kw["times"]) != 3:
-            raise CliError("config field 'times' must be [start, stop, count]")
-        kw["times"] = (float(kw["times"][0]), float(kw["times"][1]),
-                       int(kw["times"][2]))
+        kw["times"] = _numbers(kw["times"], (float, float, int),
+                               "'times' must be [start, stop, count]")
     if isinstance(kw.get("window"), str):
         lo_hi = kw["window"].split(":")
         if len(lo_hi) != 2:
             raise CliError(f"window must be lo:hi, got {kw['window']!r}")
         kw["window"] = (parse_phase(lo_hi[0]), parse_phase(lo_hi[1]))
     elif isinstance(kw.get("window"), (list, tuple)):
-        kw["window"] = (float(kw["window"][0]), float(kw["window"][1]))
+        kw["window"] = _numbers(kw["window"], (float, float),
+                                "'window' must be [lo, hi]")
     if isinstance(kw.get("init"), str):
         kw["init"] = normalize_init(kw["init"])
     elif isinstance(kw.get("init"), (list, tuple)):
@@ -365,11 +382,9 @@ def _cmd_dynamics(config: RunConfig, initial=None) -> int:
             writer = csv.writer(out)
             writer.writerow(["row", "col", "re", "im"])
             mat = gen.matrix
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    z = mat[i, j]
-                    if z != 0:
-                        writer.writerow([i, j, _fmt(z.real), _fmt(z.imag)])
+            for i, j in np.argwhere(mat).tolist():  # row-major order
+                z = mat[i, j]
+                writer.writerow([i, j, _fmt(z.real), _fmt(z.imag)])
     return 0
 
 
@@ -437,13 +452,8 @@ def _cmd_scan(config: RunConfig, initial=None) -> int:
     lo, hi = config.window if config.window is not None else (0.0, math.pi)
     if not hi > lo:
         raise CliError(f"scan window is empty: {lo} .. {hi}")
-    try:
-        objective = family_objective(family, config.objective)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    grid = config.grid
-    if grid is None:
-        grid = max(16, int(round(GRID_PER_PI * (hi - lo) / math.pi)))
+    objective = family_objective(family, config.objective)
+    grid = default_grid(lo, hi) if config.grid is None else config.grid
     extrema = scan_extrema(objective, lo, hi, grid=grid)
     with _output(config) as out:
         writer = csv.writer(out)
@@ -455,10 +465,7 @@ def _cmd_scan(config: RunConfig, initial=None) -> int:
 
 
 def _cmd_verify(config: RunConfig, initial=None) -> int:
-    try:
-        results = run_suite(suite=config.suite, seed=config.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    results = run_suite(suite=config.suite, seed=config.seed)
     with _output(config) as out:
         out.write(render_table(results))
     return 2 if any(r.gate for r in results) else 0
@@ -588,19 +595,7 @@ def _env_seed() -> int | None:
 
 
 def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, StateVector | None]:
-    doc: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"{args.config}: {exc.strerror or exc}") from None
-        except json.JSONDecodeError as exc:
-            raise CliError(
-                f"{args.config}: invalid JSON at line {exc.lineno} "
-                f"column {exc.colno}: {exc.msg}") from None
-        if not isinstance(doc, dict):
-            raise CliError(f"{args.config}: expected a JSON object")
+    doc = _read_json_object(args.config) if getattr(args, "config", None) else {}
     doc.setdefault("command", args.command)
     for field in CONFIG_FIELDS:
         value = getattr(args, field, None)
@@ -638,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
                 out.write("\n")
             return 0
         return run(config, initial)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"trimodal: error: {exc}", file=sys.stderr)
         return 1
 

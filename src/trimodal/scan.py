@@ -21,6 +21,7 @@ import numpy as np
 from .analytic import Family
 
 GOLDEN_TOL = 1e-10
+GRID_PER_PI = 4096
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 Representation = tuple[np.ndarray, np.ndarray]
@@ -96,6 +97,12 @@ def _golden(fn: Callable[[float], float], a: float, b: float,
             d = a + _INVPHI * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+def default_grid(lo: float, hi: float) -> int:
+    """Bracketing grid for a scan of [lo, hi]: GRID_PER_PI points per pi of
+    window, at least 16."""
+    return max(16, int(round(GRID_PER_PI * (hi - lo) / math.pi)))
 
 
 def scan_extrema(objective: Callable, lo: float, hi: float, *,
@@ -248,13 +255,8 @@ def _rational_gcd(gaps: Sequence[float], tol: float,
         if abs(ratio - float(fr)) > tol * max(1.0, ratio):
             return None
         fracs.append(fr)
-    den_lcm = 1
-    for fr in fracs:
-        den_lcm = den_lcm * fr.denominator // math.gcd(den_lcm, fr.denominator)
-    ints = [fr.numerator * (den_lcm // fr.denominator) for fr in fracs]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, n)
+    den_lcm = math.lcm(*(fr.denominator for fr in fracs))
+    g = math.gcd(*(fr.numerator * (den_lcm // fr.denominator) for fr in fracs))
     return ref * g / den_lcm
 
 

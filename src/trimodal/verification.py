@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    ALL_PERMUTATIONS,
-    BasisState,
-    StateVector,
-    enumerate_manifold,
-    parse_level,
-    product_state,
-)
+from .basis import ALL_PERMUTATIONS, StateVector, enumerate_manifold
 from .dressed import DressedParams
 from .dynamics import build_full_generator, build_large_xi_generator, project_onto
 from .evolve import propagate
@@ -38,12 +31,13 @@ from .analytic import (
     SQ6,
     SQ30,
     _exp_sum,
+    _state,
     matrix_representation,
     n2_exchange_symmetric,
     pattern_compression,
 )
 from .entanglement import closed_form_overlap_n2, max_product_overlap
-from .scan import dwell_time, family_objective, scan_extrema
+from .scan import default_grid, dwell_time, family_objective, scan_extrema
 
 PASS = "pass"
 FAIL = "FAIL"
@@ -52,6 +46,7 @@ KNOWN = "known-divergence"
 SUITES = ("paper",)
 
 SQ24 = math.sqrt(24.0)
+SQ60 = math.sqrt(60.0)
 SQ66 = math.sqrt(66.0)
 SQ241 = math.sqrt(241.0)
 SQ313 = math.sqrt(313.0)
@@ -86,6 +81,19 @@ def _claim(check_id, criterion, holds, expected, measured, tolerance, detail):
     """A documented claim we expect to fail; passing would be stale analysis."""
     return CheckResult(check_id, criterion, FAIL if holds else KNOWN,
                        expected, measured, tolerance, detail)
+
+
+def _basis(man, *states: str) -> np.ndarray:
+    """Unit columns of `man` for basis states written like "g0|g2|g0"."""
+    idx = [man.index_of(_state(*s.split("|"))) for s in states]
+    return np.eye(man.dim, dtype=complex)[:, idx]
+
+
+def _unit_pair(rng) -> tuple[complex, complex]:
+    """A random unit-norm start pair (a, b)."""
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v /= np.linalg.norm(v)
+    return complex(v[0]), complex(v[1])
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +152,11 @@ def _n4_two_form(a=1.0, b=0.0, c=1.0, d=0.0):
 # elements.  Pair patterns carry weight 1 per member, so the label matrix is
 # symmetric only after rescaling by the pattern norms.
 _N6_CONC_MATRIX = np.array([
-    [0.0, 2 * math.sqrt(60.0), 0.0, 0.0, 0.0, 0.0],
-    [math.sqrt(60.0), 2.0, 12.0, 0.0, 0.0, SQ24],
-    [0.0, 12.0, 0.0, math.sqrt(60.0), 2.0, SQ24],
-    [0.0, 0.0, math.sqrt(60.0), 0.0, math.sqrt(60.0), 0.0],
-    [0.0, 0.0, 2.0, math.sqrt(60.0), 12.0, SQ24],
+    [0.0, 2 * SQ60, 0.0, 0.0, 0.0, 0.0],
+    [SQ60, 2.0, 12.0, 0.0, 0.0, SQ24],
+    [0.0, 12.0, 0.0, SQ60, 2.0, SQ24],
+    [0.0, 0.0, SQ60, 0.0, SQ60, 0.0],
+    [0.0, 0.0, 2.0, SQ60, 12.0, SQ24],
     [0.0, 2 * SQ24, 2 * SQ24, 0.0, 2 * SQ24, 0.0],
 ])
 _N6_CONC_SCALE = np.array([1.0, SQ2, SQ2, SQ2, SQ2, 1.0])
@@ -216,13 +224,14 @@ _N6_SYM_PRINTED_COEFFS = np.array([
 ])
 
 
-def n6_symmetric_printed(a: complex, b: complex, xi: float, t) -> dict[str, complex]:
+def n6_symmetric_printed(a: complex, b: complex, xi: float, t) -> dict[str, np.ndarray]:
     """Literal 4-decimal coefficients for the B, E, G, J amplitudes, plus
-    the exact closed forms for the other groups."""
+    the exact closed forms for the other groups, at the times `t` (an
+    array)."""
     ph = np.asarray(t, dtype=float) * xi
     begj = _exp_sum(ph, _N6_SYM_PRINTED_FREQS, _N6_SYM_PRINTED_COEFFS) * (a * a * b)
     cos66, sin66 = np.cos(2 * SQ66 * ph), np.sin(2 * SQ66 * ph)
-    out = {
+    return {
         "A": (a ** 3 / 11) * (6 * cos66 + 5),
         "F": (-a ** 3 / 11) * SQ66 * 1j * sin66,
         "K": (a ** 3 / 11) * SQ30 * (cos66 - 1),
@@ -231,9 +240,6 @@ def n6_symmetric_printed(a: complex, b: complex, xi: float, t) -> dict[str, comp
         "C": SQ3 * a * b * b * np.cos(2 * SQ2 * ph),
         "H": -SQ3 * a * b * b * 1j * np.sin(2 * SQ2 * ph),
     }
-    if np.ndim(t) == 0:
-        return {k: complex(np.asarray(v).reshape(-1)[0]) for k, v in out.items()}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +274,7 @@ def _reference_n2_full(r: float, xi: float) -> np.ndarray:
     pair units.  Row order matches the canonical manifold order for N=2:
     (g0,g0,g2), (g0,g2,g0), (g2,g0,g0), (g0,g0,e0), (g0,e0,g0), (e0,g0,g0).
     """
-    t0 = 1.0 / (r * math.sqrt(2.0))
+    t0 = 1.0 / (r * SQ2)
     mat = np.zeros((6, 6))
     # photon block: unit diagonal, pair hopping 2*xi between cavities
     for i in range(3):
@@ -301,17 +307,13 @@ def _generator_checks() -> list[CheckResult]:
     # by the reference -- but the compressed corner matches it exactly.
     r, xi = 1.0, 1.0
     gen = build_full_generator(man2, DressedParams(r=r), xi=xi)
-    g0, g2, e0 = parse_level("g0"), parse_level("g2"), parse_level("e0")
-    a_state = product_state(man2, [[(g0, 1.0)], [(g0, 1.0)], [(g2, 1.0)]])
-    d_state = product_state(man2, [[(g0, 1.0)], [(g0, 1.0)], [(e0, 1.0)]])
-    b1 = product_state(man2, [[(g0, 1.0)], [(g2, 1.0)], [(g0, 1.0)]])
-    b2 = product_state(man2, [[(g2, 1.0)], [(g0, 1.0)], [(g0, 1.0)]])
-    sym = (np.asarray(b1.amplitudes) + np.asarray(b2.amplitudes)) / math.sqrt(2)
-    emb = np.column_stack([a_state.amplitudes, sym, d_state.amplitudes])
+    a, b1, b2, d = _basis(man2, "g0|g0|g2", "g0|g2|g0", "g2|g0|g0",
+                          "g0|g0|e0").T
+    emb = np.column_stack([a, (b1 + b2) / SQ2, d])
     block = project_onto(gen, emb, label="exchange-symmetric corner")
-    t0 = 1.0 / (r * math.sqrt(2.0))
-    ref7 = np.array([[1.0, 2.0 * math.sqrt(2) * xi, t0],
-                     [2.0 * math.sqrt(2) * xi, 1.0 + 2.0 * xi, 0.0],
+    t0 = 1.0 / (r * SQ2)
+    ref7 = np.array([[1.0, 2.0 * SQ2 * xi, t0],
+                     [2.0 * SQ2 * xi, 1.0 + 2.0 * xi, 0.0],
                      [t0, 0.0, t0 * t0]])
     err = float(np.max(np.abs(block.matrix - ref7)))
     rows.append(_row("c2.symmetric_reduction", 2, err <= 1e-12,
@@ -406,22 +408,19 @@ def _spectrum_checks() -> list[CheckResult]:
                               "asymmetric six-photon family"))
 
     # ground-sector antisymmetric quartet: stated with flipped signs
-    sq60 = math.sqrt(60.0)
     c2 = np.array([[-2, 12, 0, 0],
-                   [12, 0, sq60, 2],
-                   [0, sq60, 0, sq60],
-                   [0, 2, sq60, -12]], dtype=float)
-    sq241 = math.sqrt(241.0)
+                   [12, 0, SQ60, 2],
+                   [0, SQ60, 0, SQ60],
+                   [0, 2, SQ60, -12]], dtype=float)
     rows.append(_spectrum_row("c3.ground_antisym_quartet", c2,
-                              [14, -2, 1 + sq241, 1 - sq241], tol,
+                              [14, -2, 1 + SQ241, 1 - SQ241], tol,
                               "antisymmetric ground-sector system (trace -14)",
                               expect_negated=True))
 
     # ground-sector symmetric sextet == the concentrated family system
-    sq313 = math.sqrt(313.0)
     rows.append(_spectrum_row("c3.ground_sym_sextet", _N6_CONC_MATRIX,
-                              [0, 2, -1 + sq241, -1 - sq241,
-                               7 + sq313, 7 - sq313], tol,
+                              [0, 2, -1 + SQ241, -1 - SQ241,
+                               7 + SQ313, 7 - SQ313], tol,
                               "symmetric ground-sector system; aperiodic set"))
 
     # fully symmetric documented blocks, read off the family's matrix
@@ -432,11 +431,11 @@ def _spectrum_checks() -> list[CheckResult]:
         return sym.system_matrix[np.ix_(idx, idx)]
 
     rows.append(_spectrum_row("c3.sym_photon_triplet", block("A", "F", "K"),
-                              [0, 2 * math.sqrt(66), -2 * math.sqrt(66)], tol,
+                              [0, 2 * SQ66, -2 * SQ66], tol,
                               "documented photon-pattern block of the "
                               "totally symmetric family"))
     rows.append(_spectrum_row("c3.sym_pair_doublet", block("C", "H"),
-                              [2 * math.sqrt(2), -2 * math.sqrt(2)], tol,
+                              [2 * SQ2, -2 * SQ2], tol,
                               "documented two-excited block"))
     rows.append(_spectrum_row("c3.sym_single_quartet", block("B", "E", "G", "J"),
                               [-11.2644, -3.7306, 6.3205, 8.6745], 1e-3,
@@ -456,13 +455,11 @@ def _pattern_embedding(family, groups) -> np.ndarray:
 # criterion 4: closed-form families vs the exact restricted evolution
 
 
-def _exact_trajectory(fam, window: float, n_samples: int = 1000, **params):
-    """Phases on [0, window] and the exact large-hopping evolution of the
-    family's start over them."""
+def _exact_trajectory(fam, phases: np.ndarray, **params):
+    """The exact large-hopping evolution of the family's start at `phases`."""
     gen = build_large_xi_generator(fam.manifold, xi=1.0)
-    ts = np.linspace(0.0, window, n_samples)
-    return ts, propagate(gen, fam.initial_state(**params), ts,
-                         times_are_phase=True)
+    return propagate(gen, fam.initial_state(**params), phases,
+                     times_are_phase=True)
 
 
 def _label_error(fam, got: np.ndarray, ref: dict, labels) -> float:
@@ -475,43 +472,39 @@ def _label_error(fam, got: np.ndarray, ref: dict, labels) -> float:
 
 
 def _family_deviation(name: str, window: float, labels=None, form=None,
-                      n_samples=1000, **params) -> float:
-    """Max closed-form amplitude error against the exact evolution; `form`
-    is a (frequencies, coefficients) pair, by default the family's own."""
+                      **params) -> float:
+    """Max closed-form amplitude error against the exact evolution at 1000
+    phases on [0, window].  `form` is a (frequencies, coefficients) pair, by
+    default the family's own, or a callable from phases to {label:
+    amplitudes} compared on `labels`."""
     fam = FAMILIES[name]
-    ts, traj = _exact_trajectory(fam, window, n_samples, **params)
-    amps = _exp_sum(ts, *(form or fam.representation(**params)))
-    if labels is None:
-        return float(np.max(np.abs(traj.amplitudes - fam.fill_patterns(amps))))
+    ts = np.linspace(0.0, window, 1000)
+    traj = _exact_trajectory(fam, ts, **params)
+    if callable(form):
+        ref = form(ts)
+    else:
+        amps = _exp_sum(ts, *(form or fam.representation(**params)))
+        if labels is None:
+            return float(np.max(np.abs(traj.amplitudes - fam.fill_patterns(amps))))
+        ref = dict(zip(fam.labels, amps.T))
     got = fam.read_patterns(traj.amplitudes, tol=1e-6)
-    return _label_error(fam, got, dict(zip(fam.labels, amps.T)), labels)
-
-
-def _printed_sym_deviation(window: float, a: complex, b: complex,
-                           n_samples=1000) -> float:
-    """Rounded-decimal one-excited forms vs the exact evolution."""
-    fam = FAMILIES["n6_symmetric"]
-    ts, traj = _exact_trajectory(fam, window, n_samples, a=a, b=b)
-    got = fam.read_patterns(traj.amplitudes, tol=1e-6)
-    return _label_error(fam, got, n6_symmetric_printed(a, b, 1.0, ts),
-                        ("B", "E", "G", "J"))
+    return _label_error(fam, got, ref, labels)
 
 
 def _oracle_checks() -> list[CheckResult]:
     rows = []
-    period = math.pi
     cases = [
-        ("c4.pair_start", "n2_general", period, dict(a=0.6, b=0.8),
+        ("c4.pair_start", "n2_general", dict(a=0.6, b=0.8),
          "two-cavity start, one photon pair"),
-        ("c4.single_excited_quartet", "n4_single_cavity", period,
-         dict(a=0.6, b=0.8), "one dressed cavity, four quanta"),
-        ("c4.two_pair_lattice", "n4_two_cavity", period, dict(a=0.6, b=0.8),
+        ("c4.single_excited_quartet", "n4_single_cavity", dict(a=0.6, b=0.8),
+         "one dressed cavity, four quanta"),
+        ("c4.two_pair_lattice", "n4_two_cavity", dict(a=0.6, b=0.8),
          "two photon pairs spread over two cavities"),
-        ("c4.asym_six", "n6_asymmetric", period, {},
+        ("c4.asym_six", "n6_asymmetric", {},
          "strictly asymmetric six-quanta family"),
     ]
-    for check_id, name, window, params, note in cases:
-        err = _family_deviation(name, window, form=PAPER_FORMS[name](**params),
+    for check_id, name, params, note in cases:
+        err = _family_deviation(name, math.pi, form=PAPER_FORMS[name](**params),
                                 **params)
         rows.append(_row(check_id, 4, err <= 1e-9, "0", _fmt(err), "1e-9",
                          note + "; 1000 samples"))
@@ -523,40 +516,38 @@ def _oracle_checks() -> list[CheckResult]:
     rows.append(_row("c4.concentrated_family", 4, err <= 1e-9, "0",
                      _fmt(err), "1e-9",
                      "all six patterns, aperiodic window 2*pi"))
-    fam = FAMILIES["n6_concentrated"]
-    ts, traj = _exact_trajectory(fam, 2 * math.pi)
-    a_ref, f_ref = n6_concentrated_AF(1.0, ts)
-    worst = _label_error(fam, fam.read_patterns(traj.amplitudes, tol=1e-6),
-                         {"A": a_ref, "F": f_ref}, ("A", "F"))
-    rows.append(_row("c4.concentrated_surds", 4, worst <= 1e-9, "0",
-                     _fmt(worst), "1e-9",
+    err = _family_deviation("n6_concentrated", 2 * math.pi, labels=("A", "F"),
+                            form=lambda ph: dict(zip("AF", n6_concentrated_AF(1.0, ph))))
+    rows.append(_row("c4.concentrated_surds", 4, err <= 1e-9, "0",
+                     _fmt(err), "1e-9",
                      "explicit surd forms for the stay-put and spread patterns"))
 
     # totally symmetric family: the documented reduced blocks drop the
     # hopping couplings internal to the symmetrized patterns, so the
     # documented forms drift from the exact evolution at order one.
-    sym_window = math.pi / math.sqrt(66.0)
+    sym_window = math.pi / SQ66
     err = _family_deviation("n6_symmetric", 2 * sym_window,
                             labels=("A", "F", "K"), a=1.0, b=0.0)
     rows.append(_claim("c4.sym_photon_triplet", 4, err <= 1e-9, "0",
                        _fmt(err), "1e-9",
                        "documented triplet forms omit the 14*xi diagonal of "
                        "the six-member pattern"))
-    blk = pattern_compression(FAMILIES["n6_symmetric"], traj.generator)
-    doc = np.array(FAMILIES["n6_symmetric"].system_matrix, dtype=float)
-    diff = blk - doc
+    sym = FAMILIES["n6_symmetric"]
+    blk = pattern_compression(sym, build_large_xi_generator(sym.manifold, xi=1.0))
+    diff = blk - np.array(sym.system_matrix, dtype=float)
     expected_diff = np.zeros_like(diff)
     for label, gap in (("F", 14.0), ("G", 2.0), ("H", 2.0)):
-        k = FAMILIES["n6_symmetric"].labels.index(label)
+        k = sym.labels.index(label)
         expected_diff[k, k] = gap
-    ok = bool(np.max(np.abs(diff - expected_diff)) <= 1e-9)
-    rows.append(_row("c4.sym_block_gap", 4, ok,
-                     "diagonal 14/2/2 on the orbit patterns",
-                     _fmt(float(np.max(np.abs(diff - expected_diff)))), "1e-9",
+    err = float(np.max(np.abs(diff - expected_diff)))
+    rows.append(_row("c4.sym_block_gap", 4, err <= 1e-9,
+                     "diagonal 14/2/2 on the orbit patterns", _fmt(err), "1e-9",
                      "exact compression minus documented blocks is purely "
                      "diagonal: intra-pattern hopping"))
 
-    err = _printed_sym_deviation(math.pi, a=0.6, b=0.8)
+    err = _family_deviation("n6_symmetric", math.pi, labels=("B", "E", "G", "J"),
+                            form=lambda ph: n6_symmetric_printed(0.6, 0.8, 1.0, ph),
+                            a=0.6, b=0.8)
     rows.append(_claim("c4.sym_single_quartet", 4, err <= 5e-4, "0",
                        _fmt(err), "5e-4",
                        "rounded-decimal forms solve the documented block, "
@@ -573,9 +564,8 @@ def _oracle_checks() -> list[CheckResult]:
                        "the two-excited pattern"))
 
     # companion: the documented forms do solve their own reduced blocks
-    fam = FAMILIES["n6_symmetric"]
     ts = np.linspace(0.0, math.pi, 250)
-    worst = _label_error(fam, fam.evaluate_phases(ts, a=0.6, b=0.8),
+    worst = _label_error(sym, sym.evaluate_phases(ts, a=0.6, b=0.8),
                          n6_symmetric_printed(0.6, 0.8, 1.0, ts),
                          ("B", "E", "G", "J"))
     rows.append(_row("c4.sym_printed_regression", 4, worst <= 5e-4,
@@ -588,12 +578,8 @@ def _oracle_checks() -> list[CheckResult]:
 # criterion 5: scan extrema
 
 
-def _grid(window: float) -> int:
-    return max(16, int(round(4096 * window / math.pi)))
-
-
 def _minima(objective, window: float, below: float):
-    ext = scan_extrema(objective, 0.0, window, grid=_grid(window))
+    ext = scan_extrema(objective, 0.0, window, grid=default_grid(0.0, window))
     return [e for e in ext if e.kind == "min" and not e.at_endpoint
             and e.value < below]
 
@@ -615,12 +601,25 @@ def _landmark_extrema() -> dict[str, list]:
     return {"single_cavity": _minima(single, math.pi, below=0.3),
             "two_cavity": _minima(two, math.pi, below=0.25),
             "concentrated": scan_extrema(concentrated, 0.0, window,
-                                         grid=_grid(window))}
+                                         grid=default_grid(0.0, window))}
 
 
 def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
     rows = []
     vtol, ttol = 5e-5, 1e-3
+
+    def stated_minima(check_id, ext, value, phases, detail):
+        """Row for the minima nearest the stated phases, all at one stated
+        value, with the expected column formatted from those numbers;
+        returns the match nearest the first stated phase."""
+        got = [_nearest(ext, p) for p in phases]
+        ok = all(abs(e.phase - p) <= ttol and abs(e.value - value) <= vtol
+                 for e, p in zip(got, phases))
+        rows.append(_row(check_id, 5, ok,
+                         f"{value:.4f} at {{{', '.join(f'{p:.4f}' for p in phases)}}}",
+                         "; ".join(f"{_fmt(e.value)} at {_fmt(e.phase)}" for e in got),
+                         "5e-5 / 1e-3", detail))
+        return got[0]
 
     fam = FAMILIES["n4_single_cavity"]
     obj = family_objective(fam, "|K|^2", a=0.0, b=1.0)
@@ -635,18 +634,9 @@ def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
                      f"{_fmt(e.value)} at {_fmt(e.phase)}, spread {_fmt(two_e)}",
                      "5e-5 / 1e-3", "excited-pair exchange scan"))
 
-    ext = landmarks["single_cavity"]
-    got = []
-    for stated in (0.2094, 0.8378):
-        e = _nearest(ext, stated)
-        got.append((e.phase, e.value))
-    ok = all(abs(p - s) <= ttol and abs(v - 0.1960) <= vtol
-             for (p, v), s in zip(got, (0.2094, 0.8378)))
-    rows.append(_row("c5.single_cavity_minima", 5, ok,
-                     "0.1960 at {0.2094, 0.8378}",
-                     "; ".join(f"{_fmt(v)} at {_fmt(p)}" for p, v in got),
-                     "5e-5 / 1e-3", "deepest stay-put minima, four quanta"))
-    e = _nearest(ext, 0.2094)
+    e = stated_minima("c5.single_cavity_minima", landmarks["single_cavity"],
+                      0.1960, (0.2094, 0.8378),
+                      "deepest stay-put minima, four quanta")
     amps = fam.evaluate(1.0, e.phase, a=1.0, b=0.0)
     comp = (2 * abs(amps["A"]) ** 2, 2 * abs(amps["B"]) ** 2)
     ok = abs(comp[0] - 0.2251) <= vtol and abs(comp[1] - 0.5789) <= vtol
@@ -656,18 +646,8 @@ def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
                      "concentrated and moved-pair probabilities at the minimum"))
 
     fam = FAMILIES["n4_two_cavity"]
-    ext = landmarks["two_cavity"]
-    got = []
-    for stated in (0.1930, 0.8542, 1.2402):
-        e = _nearest(ext, stated)
-        got.append((e.phase, e.value))
-    ok = all(abs(p - s) <= ttol and abs(v - 0.1829) <= vtol
-             for (p, v), s in zip(got, (0.1930, 0.8542, 1.2402)))
-    rows.append(_row("c5.two_cavity_minima", 5, ok,
-                     "0.1829 at {0.1930, 0.8542, 1.2402}",
-                     "; ".join(f"{_fmt(v)} at {_fmt(p)}" for p, v in got),
-                     "5e-5 / 1e-3", "two-pair spread minima"))
-    e = _nearest(ext, 0.1930)
+    e = stated_minima("c5.two_cavity_minima", landmarks["two_cavity"],
+                      0.1829, (0.1930, 0.8542, 1.2402), "two-pair spread minima")
     amps = fam.evaluate(1.0, e.phase, a=1.0, b=0.0)
     comp = {"rest": abs(amps["A"]) ** 2, "one_moved": 2 * abs(amps["B"]) ** 2,
             "both_moved": 2 * abs(amps["F"]) ** 2, "shared": abs(amps["P"]) ** 2}
@@ -807,7 +787,7 @@ def _entanglement_cases(landmarks: dict[str, list]):
                 0.05, "unentangled-component probability ~ 1/546"))
 
     fam = FAMILIES["n6_symmetric"]
-    half = math.pi / (2 * math.sqrt(66.0))
+    half = math.pi / (2 * SQ66)
     amps = fam.evaluate(1.0, half, a=1.0, b=0.0)
     out.append(("sym_half_turn", fam.state_vector(amps), 1 / 121, 6.92, 5e-3,
                 "product component amplitude -1/11"))
@@ -839,9 +819,7 @@ def _entanglement_checks(seed: int, landmarks: dict[str, list]) -> list[CheckRes
     onesided = 0.0
     in_window = []
     for _ in range(100):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v /= np.linalg.norm(v)
-        a, b = complex(v[0]), complex(v[1])
+        a, b = _unit_pair(rng)
         t = float(rng.uniform(0.0, math.pi))
         amps = fam.evaluate(1.0, t, a=a, b=b)
         res = max_product_overlap(fam.state_vector(amps), restarts=64,
@@ -896,9 +874,7 @@ def _dwell_checks(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     worst_margin = -math.inf
     for _ in range(100):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v /= np.linalg.norm(v)
-        a, b = complex(v[0]), complex(v[1])
+        a, b = _unit_pair(rng)
         d = dwell_time(fam, "A", quadrature_points=4096, a=a, b=b)
         bound = 2 / 9 + abs(a) ** 2 / 3
         worst_margin = max(worst_margin, d.value - bound)
@@ -909,15 +885,11 @@ def _dwell_checks(seed: int) -> list[CheckResult]:
     # the bound needs a product start: an entangled symmetric start breaks it
     man2 = enumerate_manifold(2)
     gen = build_large_xi_generator(man2, xi=1.0)
-    g0, g2 = parse_level("g0"), parse_level("g2")
-    b1 = product_state(man2, [[(g0, 1.0)], [(g2, 1.0)], [(g0, 1.0)]])
-    b2 = product_state(man2, [[(g2, 1.0)], [(g0, 1.0)], [(g0, 1.0)]])
-    x0 = StateVector(man2, (np.asarray(b1.amplitudes)
-                            + np.asarray(b2.amplitudes)) / math.sqrt(2))
+    stay, b1, b2 = _basis(man2, "g0|g0|g2", "g0|g2|g0", "g2|g0|g0").T
+    x0 = StateVector(man2, (b1 + b2) / SQ2)
     ts = np.linspace(0.0, math.pi, 20001)
     traj = propagate(gen, x0, ts, times_are_phase=True)
-    a_idx = man2.index_of(BasisState((g0, g0, g2)))
-    avg = float(np.trapezoid(np.abs(traj.amplitudes[:, a_idx]) ** 2, ts)
+    avg = float(np.trapezoid(np.abs(traj.amplitudes @ stay) ** 2, ts)
                 / math.pi)
     rows.append(_row("c8.dwell_bound_needs_product", 8, avg > 2 / 9 + 0.2,
                      "> 2/9 (bound with |start|^2 = 0)", _fmt(avg), "exceeds "
@@ -941,10 +913,8 @@ def _invariant_checks(seed: int) -> list[CheckResult]:
     traj = propagate(full, x0, ts, times_are_phase=True)
     worst = max(worst, float(np.max(np.abs(
         np.linalg.norm(traj.amplitudes, axis=1) - 1.0))))
-    for name in FAMILIES:
-        fam = FAMILIES[name]
-        gen = build_large_xi_generator(fam.manifold, xi=1.0)
-        traj = propagate(gen, fam.initial_state(), ts, times_are_phase=True)
+    for fam in FAMILIES.values():
+        traj = _exact_trajectory(fam, ts)
         worst = max(worst, float(np.max(np.abs(
             np.linalg.norm(traj.amplitudes, axis=1) - 1.0))))
     rows.append(_row("c9.norm", 9, worst <= 1e-10, "0", _fmt(worst), "1e-10",
@@ -952,37 +922,25 @@ def _invariant_checks(seed: int) -> list[CheckResult]:
 
     # sector sums stay constant in the large-hopping mode
     worst = 0.0
-    details = []
-    for name, params in (("n2_general", dict(a=0.6, b=0.8)),
-                         ("n4_single_cavity", dict(a=0.6, b=0.8)),
-                         ("n4_two_cavity", dict(a=0.6, b=0.8)),
-                         ("n6_symmetric", dict(a=0.6, b=0.8))):
+    names = ("n2_general", "n4_single_cavity", "n4_two_cavity", "n6_symmetric")
+    for name in names:
         fam = FAMILIES[name]
-        gen = build_large_xi_generator(fam.manifold, xi=1.0)
-        x0 = fam.initial_state(**params)
-        traj = propagate(gen, x0, np.linspace(0.0, math.pi, 400),
-                         times_are_phase=True)
-        probs = np.abs(traj.amplitudes) ** 2
+        probs = np.abs(_exact_trajectory(fam, ts, a=0.6, b=0.8).amplitudes) ** 2
         for sector in fam.manifold.sectors:
             if not sector:
                 continue
             sums = probs[:, list(sector)].sum(axis=1)
-            drift = float(np.max(np.abs(sums - sums[0])))
-            worst = max(worst, drift)
-        details.append(name)
+            worst = max(worst, float(np.max(np.abs(sums - sums[0]))))
     rows.append(_row("c9.sector_norms", 9, worst <= 1e-10, "0", _fmt(worst),
                      "1e-10", "excited-count sector probabilities, "
-                     + ", ".join(details)))
+                     + ", ".join(names)))
 
     # permutation symmetry of the start is preserved exactly
     worst = 0.0
     fam = FAMILIES["n6_symmetric"]
-    man6 = fam.manifold
-    gen = build_large_xi_generator(man6, xi=1.0)
-    x0 = fam.initial_state(a=0.6, b=0.8)
-    traj = propagate(gen, x0, np.linspace(0.0, 2.0, 200), times_are_phase=True)
+    traj = _exact_trajectory(fam, np.linspace(0.0, 2.0, 200), a=0.6, b=0.8)
     for perm in ALL_PERMUTATIONS[1:]:
-        moved = traj.amplitudes[:, man6.images(perm)]
+        moved = traj.amplitudes[:, fam.manifold.images(perm)]
         worst = max(worst, float(np.max(np.abs(moved - traj.amplitudes))))
     rows.append(_row("c9.permutation_symmetry", 9, worst <= 1e-9, "0",
                      _fmt(worst), "1e-9",
@@ -991,11 +949,10 @@ def _invariant_checks(seed: int) -> list[CheckResult]:
 
     # the concentrated six-photon dynamics never returns
     fam = FAMILIES["n6_concentrated"]
-    gen = build_large_xi_generator(fam.manifold, xi=1.0)
-    x0 = fam.initial_state()
     ts = np.arange(1, 50_001) * (math.pi / 1000.0)
-    traj = propagate(gen, x0, ts, times_are_phase=True)
-    dist = np.linalg.norm(traj.amplitudes - np.asarray(x0.amplitudes), axis=1)
+    traj = _exact_trajectory(fam, ts)
+    dist = np.linalg.norm(traj.amplitudes - fam.initial_state().amplitudes,
+                          axis=1)
     dmin = float(dist.min())
     after = dist[ts >= 1.0].min()
     rows.append(_row("c9.aperiodic_no_return", 9, dmin > 1e-3,

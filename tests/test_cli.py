@@ -171,6 +171,15 @@ def test_run_config_validation():
             parse_config({"command": "evolve", "xi": xi})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("times", [0.0, 1.0]), ("times", [0.0, 1.0, None]), ("times", [0.0, "a", 3]),
+    ("window", [1.0]), ("window", [None, 1.0]),
+])
+def test_config_number_lists_are_input_errors(field, value):
+    with pytest.raises(CliError, match=f"config field '{field}' must be"):
+        parse_config({"command": "scan", field: value})
+
+
 def test_emit_parse_fixed_point():
     doc = {"command": "evolve", "N": 4, "xi": 2.0, "times": "0:pi:9",
            "init": "g0|g0|0.6:g4+0.8:e2"}
@@ -206,6 +215,16 @@ def test_dynamics_matrix_dump(capsys):
         row, col, re_, im = line.split(",")
         assert float(re_) == pytest.approx(2.0)
         assert float(im) == 0.0
+    # every nonzero entry of the N=6 full generator, row-major, exact digits
+    assert main(["dynamics", "--N", "6", "--mode", "full"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    mat = build_full_generator(enumerate_manifold(6), DressedParams(r=1.0),
+                               xi=1.0).matrix
+    expected = [f"{i},{j},{mat[i, j].real:.17g},{mat[i, j].imag:.17g}"
+                for i in range(mat.shape[0]) for j in range(mat.shape[1])
+                if mat[i, j] != 0]
+    assert len(expected) > mat.shape[0]
+    assert lines[1:] == expected
 
 
 def test_dynamics_spectrum(capsys):
@@ -339,6 +358,20 @@ def test_scan_errors(capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["entangle", "--N", "2", "--init", "g0|g0|g2", "--restarts", "0"],
+    ["scan", "--family", "n2_general", "--objective", "|A|^2", "--grid", "8"],
+    ["dynamics", "--N", "2", "--mode", "full", "--r", "0"],
+    ["evolve", "--N", "2", "--mode", "full", "--delta", "inf",
+     "--init", "g0|g0|g2", "--times", "0:1:3"],
+], ids=lambda argv: argv[0])
+def test_library_value_errors_exit_one_with_a_message(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trimodal: error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_runs_clean_and_deterministically(capsys, monkeypatch):
     monkeypatch.delenv("TRIMODAL_SEED", raising=False)
     assert main(["verify"]) == 0
@@ -406,6 +439,17 @@ def test_config_file_merges_under_flags(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["xi"] == 3.0
     assert doc["times"] == [0.0, 1.0, 3]
+
+
+def test_config_file_errors_read_like_state_file_errors(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    for text, message in (('{"N": 2,\n  "xi": }', "line 2"),
+                          ("[1, 2]", "expected a JSON object")):
+        conf.write_text(text)
+        assert main(["evolve", "--config", str(conf)]) == 1
+        assert message in capsys.readouterr().err
+    assert main(["evolve", "--config", str(tmp_path / "missing.json")]) == 1
+    assert "No such file" in capsys.readouterr().err
 
 
 def test_emit_config_honors_output_and_replays(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from trimodal.analytic import FAMILIES
 from trimodal.scan import (
     _simpson,
+    default_grid,
     detect_period,
     dwell_time,
     family_objective,
@@ -133,6 +134,13 @@ def test_scan_window_validation():
 def test_scan_rejects_a_grid_that_is_not_an_integer_of_at_least_16(grid):
     with pytest.raises(ValueError, match="grid must be an integer"):
         scan_extrema(lambda p: np.asarray(p), 0.0, 1.0, grid=grid)
+
+
+def test_default_grid_is_4096_points_per_pi_and_at_least_16():
+    assert default_grid(0.0, math.pi) == 4096
+    assert default_grid(0.0, 2 * math.pi) == 8192
+    assert default_grid(math.pi, 1.5 * math.pi) == 2048
+    assert default_grid(0.0, 1e-3) == 16
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
