@@ -39,6 +39,7 @@ from .entanglement import (
     closed_form_overlap_n2,
     geometric_entanglement,
     max_product_overlap,
+    max_product_overlaps,
 )
 from .scan import (
     DwellTime,
@@ -46,6 +47,7 @@ from .scan import (
     PeriodInfo,
     detect_period,
     dwell_time,
+    dwell_times,
     family_objective,
     parse_objective,
     scan_extrema,
@@ -77,12 +79,14 @@ __all__ = [
     "detect_period",
     "dressed_vectors",
     "dwell_time",
+    "dwell_times",
     "enumerate_manifold",
     "evaluate",
     "family_objective",
     "geometric_entanglement",
     "matrix_representation",
     "max_product_overlap",
+    "max_product_overlaps",
     "mixing_angle",
     "parse_level",
     "parse_objective",

@@ -6,9 +6,10 @@ parameters), the initial product state as a per-cavity table from level to
 coefficient (a number or a parameter name), and the label weights of each
 conserved sum, whose value is read off that initial state at t = 0.  Every
 amplitude is an exponential sum, and one solve produces all of them: the
-family's reduced matrix is diagonalized in label coordinates
-(`matrix_representation`), symmetrized by the pattern norms and started
-from the labels read off the initial state.  Five families derive that
+family's reduced matrix is symmetrized by the pattern norms and
+diagonalized in label coordinates once per family (the solve
+`matrix_representation` also runs), then started from the labels read off
+the initial state.  Five families derive that
 matrix as the exact compression of the hopping generator onto their
 patterns, so they solve the dynamics to rounding.  The `n6_symmetric`
 family carries its documented blocks instead, which DROP the hopping
@@ -42,7 +43,7 @@ from .basis import (
     product_state,
 )
 from .dynamics import Block, Generator, build_large_xi_generator
-from .evolve import _merge_modes, _modes
+from .evolve import Spectrum, _merge_modes, _modes, spectrum
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -179,6 +180,12 @@ class Family:
         return mat
 
     @cached_property
+    def _spectrum(self) -> Spectrum:
+        """Eigendecomposition of the symmetrized `system_matrix`, built on
+        first use and kept."""
+        return _symmetrized_spectrum(self.system_matrix, self.pattern_norms)
+
+    @cached_property
     def pattern_norms(self) -> np.ndarray:
         """sqrt(sum w^2) over each label's pattern; D = diag(pattern_norms)
         makes D @ system_matrix @ D^-1 symmetric."""
@@ -200,7 +207,7 @@ class Family:
         `system_matrix` started from the labels of `initial_state`.
         """
         initial = self.read_patterns([self.initial_state(**overrides).amplitudes])[0]
-        return matrix_representation(self.system_matrix, initial, self.pattern_norms)
+        return _solve(self._spectrum, self.pattern_norms, initial)
 
     def evaluate_phases(self, phases, **overrides) -> np.ndarray:
         """Amplitude table over an array of xi*t values, shape (T, labels).
@@ -338,11 +345,25 @@ def matrix_representation(matrix: np.ndarray, initial: np.ndarray,
     `initial` raises ValueError.
     """
     s = np.ones(matrix.shape[0]) if scale is None else np.asarray(scale, dtype=float)
-    sym = s[:, np.newaxis] * matrix * (1.0 / s)[np.newaxis, :]
+    return _solve(_symmetrized_spectrum(matrix, s), s, initial)
+
+
+def _symmetrized_spectrum(matrix: np.ndarray, scale: np.ndarray) -> Spectrum:
+    """Spectrum of D @ matrix @ D^-1, D = diag(scale), which must be symmetric."""
+    sym = scale[:, np.newaxis] * matrix * (1.0 / scale)[np.newaxis, :]
     if not np.allclose(sym, sym.T, atol=1e-12):
         raise ValueError("matrix is not symmetrizable by the given scale")
-    freqs, weights = _modes(sym, s * initial)
-    return _merge_modes(freqs, weights * (1.0 / s)[np.newaxis, :])
+    spec = spectrum(sym)
+    spec.frequencies.flags.writeable = False
+    spec.modes.flags.writeable = False
+    return spec
+
+
+def _solve(spec: Spectrum, scale: np.ndarray, initial: np.ndarray):
+    """Merged (frequencies, coefficients[mode, label]) of the label-coordinate
+    solution started from `initial`, given `_symmetrized_spectrum`."""
+    freqs, weights = _modes(spec, scale * initial)
+    return _merge_modes(freqs, weights * (1.0 / scale)[np.newaxis, :])
 
 
 # --- documented blocks ------------------------------------------------------
@@ -558,8 +579,7 @@ def n2_amplitudes(initials, xi: float, t) -> AmplitudeSet | np.ndarray:
     if not abs(total - 1.0) <= 1e-9:
         raise ValueError(f"initial amplitudes have squared norm {total!r}")
     fam = N2_GENERAL
-    freqs, coeffs = matrix_representation(fam.system_matrix, initials,
-                                          fam.pattern_norms)
+    freqs, coeffs = _solve(fam._spectrum, fam.pattern_norms, initials)
     table = _exp_sum(np.asarray(t, dtype=float) * xi, freqs, coeffs)
     if np.isscalar(t) or np.ndim(t) == 0:
         return AmplitudeSet(fam.name, fam.labels, table[0], float(xi), float(t))

@@ -15,6 +15,14 @@ the lowest start index.  A sweep's first step overwrites u, so basis starts
 starts are collapsed to one swept row each, while every start keeps its
 own initial overlap for the stop test and the tie rule.  The geometric
 entanglement is -log2(P_max).
+
+`max_product_overlaps` sweeps the rows of many states on one manifold in
+one loop; `max_product_overlap` is its one-state call.  Each row is
+contracted against its own state's tensor, so its bits do not depend on
+which rows share the call.  A state stops when all its starts settle; a
+row stops earlier only at an exact fixed point, a sweep that returns its
+(u, v, w) unchanged bit for bit.  Every result therefore equals the one
+the state would get alone.
 """
 
 from __future__ import annotations
@@ -73,6 +81,8 @@ class OverlapResult:
     sweeps: int
     start_index: int
     n_starts: int
+    row_sweeps: int           # (row, sweep) pairs actually computed
+    unconverged_starts: int   # starts not settled when the sweep stopped
 
 
 def embed(state: StateVector) -> np.ndarray:
@@ -106,18 +116,24 @@ def _starts(d: int, restarts: int, seed) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _overlaps(t: np.ndarray, u: np.ndarray, v: np.ndarray,
               w: np.ndarray) -> np.ndarray:
-    return np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+    """|<u (x) v (x) w|t>| per row, each row against its own tensor t[s]."""
+    return np.abs(np.einsum("sijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
 
 
-def max_product_overlap(state: StateVector, restarts: int = 64,
-                        tol: float = 1e-12, *, seed,
-                        max_sweeps: int = MAX_SWEEPS) -> OverlapResult:
-    """Best squared overlap of `state` with any product state.
+def max_product_overlaps(states, restarts: int = 64, tol: float = 1e-12, *,
+                         seed, max_sweeps: int = MAX_SWEEPS) -> list[OverlapResult]:
+    """Best squared overlap with any product state, one result per state.
 
-    Runs alternating power sweeps from every product-basis start plus
-    `restarts` seeded random starts.  The result is never below the largest
-    squared basis amplitude, never above 1, and is monotone in `restarts`
-    at fixed seed.  `seed` is required so repeated calls are reproducible.
+    Every state must lie on one manifold.  All (state, row) pairs are swept
+    in one loop, each row against its own state's tensor, so a row's bits do
+    not depend on which other rows share the call.  A state stops sweeping
+    once all its starts settle (or at `max_sweeps`) and keeps its own
+    `sweeps` count.  A row stops earlier only when a sweep returns its
+    (u, v, w) unchanged bit for bit: the next sweep is a function of (v, w)
+    alone, so the row could only repeat itself, and its starts keep their
+    overlaps.  Each result is never below the state's largest squared basis
+    amplitude, never above 1, and is monotone in `restarts` at fixed seed.
+    `seed` is required so repeated calls are reproducible.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
@@ -125,39 +141,89 @@ def max_product_overlap(state: StateVector, restarts: int = 64,
         raise ValueError(f"max_sweeps must be positive, got {max_sweeps}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    norm = state.norm
-    if not abs(norm - 1.0) <= 1e-6:
-        raise ValueError(f"state norm is {norm!r}, expected 1")
-    t = embed(state)
-    d = state.manifold.qudit_dim
+    states = list(states)
+    if not states:
+        raise ValueError("need at least one state")
+    man = states[0].manifold
+    for state in states:
+        if state.manifold.n_total != man.n_total:
+            raise ValueError("states lie on different manifolds "
+                             f"(N = {man.n_total} and {state.manifold.n_total})")
+        norm = state.norm
+        if not abs(norm - 1.0) <= 1e-6:
+            raise ValueError(f"state norm is {norm!r}, expected 1")
+    n_states, d = len(states), man.qudit_dim
+    tensors = np.stack([embed(state) for state in states])
     u, v, w = _starts(d, restarts, seed)
-    sigma = _overlaps(t, u, v, w)  # per start
+    n_starts = u.shape[0]
+    sigma = _overlaps(np.repeat(tensors, n_starts, axis=0),
+                      *(np.tile(x, (n_states, 1)) for x in (u, v, w)))
+    sigma = sigma.reshape(n_states, n_starts)  # per (state, start)
     # swept row of each start: basis start (i, j, k) shares the row of
     # (0, j, k), since the first half-sweep reads only v and w; `first` is
     # the first start of each row
     row_of = np.concatenate([np.arange(d ** 3) % d ** 2,
                              d ** 2 + np.arange(restarts)])
     first = np.concatenate([np.arange(d ** 2), d ** 3 + np.arange(restarts)])
-    v, w = v[first], w[first]
+    n_rows = first.size
+    # rows of all states, state-major; the live ones are also held compactly
+    u, v, w = (np.tile(x[first], (n_states, 1)) for x in (u, v, w))
+    row_sigma = np.empty(n_states * n_rows)
     settled = np.zeros(sigma.shape, dtype=bool)
-    sweeps = 0
-    while sweeps < max_sweeps and not settled.all():
-        u = _normalize_rows(np.einsum("ijk,sj,sk->si", t, v.conj(), w.conj()))
-        v = _normalize_rows(np.einsum("ijk,si,sk->sj", t, u.conj(), w.conj()))
-        w = _normalize_rows(np.einsum("ijk,si,sj->sk", t, u.conj(), v.conj()))
-        new = _overlaps(t, u, v, w)[row_of]
-        settled = np.abs(new - sigma) <= tol
-        sigma = new
-        sweeps += 1
-    best = int(np.argmax(sigma))
-    row = row_of[best]
-    overlap = min(float(sigma[best] ** 2), 1.0)
-    maximizer = ProductState(state.manifold, (u[row], v[row], w[row]))
-    # abs, not negation: a product state's 0.0 stays 0.0 rather than -0.0
-    ent = abs(math.log2(overlap)) if overlap > 0 else math.inf
-    return OverlapResult(overlap=overlap, entanglement=ent, maximizer=maximizer,
-                         converged=bool(settled[best]), sweeps=sweeps,
-                         start_index=best, n_starts=int(sigma.size))
+    sweeps = np.zeros(n_states, dtype=int)
+    row_sweeps = np.zeros(n_states, dtype=int)
+    active = np.ones(n_states, dtype=bool)
+    live = np.arange(n_states * n_rows)
+    t, lu, lv, lw = tensors[live // n_rows], u, v, w
+    while live.size:
+        nu = _normalize_rows(np.einsum("sijk,sj,sk->si", t, lv.conj(), lw.conj()))
+        nv = _normalize_rows(np.einsum("sijk,si,sk->sj", t, nu.conj(), lw.conj()))
+        nw = _normalize_rows(np.einsum("sijk,si,sj->sk", t, nu.conj(), nv.conj()))
+        row_sigma[live] = _overlaps(t, nu, nv, nw)
+        fixed = ((nu == lu) & (nv == lv) & (nw == lw)).all(axis=1)
+        lu, lv, lw = nu, nv, nw
+        row_sweeps += np.bincount(live // n_rows, minlength=n_states)
+        swept = np.flatnonzero(active)
+        new = row_sigma.reshape(n_states, n_rows)[swept][:, row_of]
+        settled[swept] = np.abs(new - sigma[swept]) <= tol
+        sigma[swept] = new
+        sweeps[swept] += 1
+        active[swept] = (sweeps[swept] < max_sweeps) & ~settled[swept].all(axis=1)
+        keep = active[live // n_rows] & ~fixed
+        if not keep.all():
+            gone = ~keep
+            u[live[gone]], v[live[gone]], w[live[gone]] = lu[gone], lv[gone], lw[gone]
+            live, t, lu, lv, lw = (x[keep] for x in (live, t, lu, lv, lw))
+    results = []
+    for b, state in enumerate(states):
+        best = int(np.argmax(sigma[b]))
+        row = b * n_rows + row_of[best]
+        overlap = min(float(sigma[b, best] ** 2), 1.0)
+        # abs, not negation: a product state's 0.0 stays 0.0 rather than -0.0
+        ent = abs(math.log2(overlap)) if overlap > 0 else math.inf
+        results.append(OverlapResult(
+            overlap=overlap, entanglement=ent,
+            maximizer=ProductState(state.manifold, (u[row], v[row], w[row])),
+            converged=bool(settled[b, best]), sweeps=int(sweeps[b]),
+            start_index=best, n_starts=n_starts,
+            row_sweeps=int(row_sweeps[b]),
+            unconverged_starts=int(np.count_nonzero(~settled[b]))))
+    return results
+
+
+def max_product_overlap(state: StateVector, restarts: int = 64,
+                        tol: float = 1e-12, *, seed,
+                        max_sweeps: int = MAX_SWEEPS) -> OverlapResult:
+    """Best squared overlap of `state` with any product state: the one-state
+    call of `max_product_overlaps`.
+
+    Runs alternating power sweeps from every product-basis start plus
+    `restarts` seeded random starts.  The result is never below the largest
+    squared basis amplitude, never above 1, and is monotone in `restarts`
+    at fixed seed.  `seed` is required so repeated calls are reproducible.
+    """
+    return max_product_overlaps([state], restarts, tol, seed=seed,
+                                max_sweeps=max_sweeps)[0]
 
 
 def geometric_entanglement(state: StateVector, restarts: int = 64,

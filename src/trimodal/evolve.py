@@ -65,11 +65,10 @@ def _evolve(generator: Generator | Block, initial: np.ndarray,
     return osc @ spec.modes.T
 
 
-def _modes(generator: Generator | Block | np.ndarray,
-           initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _modes(spec: Spectrum, initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies and (mode, row) weights of the solution x(t) of
-    i dx/dt = M x with x(0) = initial: x(t) = sum_f weights[f] exp(-i f t)."""
-    spec = spectrum(generator)
+    i dx/dt = M x with x(0) = initial, from the spectrum of M:
+    x(t) = sum_f weights[f] exp(-i f t)."""
     weights = spec.modes * (spec.modes.conj().T @ initial)[None, :]
     return spec.frequencies, weights.T
 
@@ -196,7 +195,7 @@ def mode_expansion(generator: Generator | Block | np.ndarray,
     Modes with negligible coefficient are dropped; degenerate frequencies
     are merged.  A non-finite initial state raises ValueError.
     """
-    freqs, weights = _modes(generator, np.asarray(initial, dtype=complex))
+    freqs, weights = _modes(spectrum(generator), np.asarray(initial, dtype=complex))
     weights[np.abs(weights) < 1e-14] = 0.0
     freqs, weights = _merge_modes(freqs, weights)
     return [[(complex(c), -float(f)) for f, c in zip(freqs, row) if abs(c) > 1e-14]

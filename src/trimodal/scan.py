@@ -6,14 +6,18 @@ from a uniform bracketing grid refined by golden-section search; dwell
 averages are computed twice (mode cross-terms in closed form, and composite
 Simpson quadrature) so the two routes can be checked against each other;
 periods come from rational-commensuration analysis of the mode frequencies.
+`dwell_times` serves several labels from one representation, and its
+quadrature, which shares one exp(-i f phase) table per frequency across the
+labels, runs only when a result's `quadrature` is first read.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +26,7 @@ from .analytic import Family
 
 GOLDEN_TOL = 1e-10
 GRID_PER_PI = 4096
+_CHUNK = 1 << 16          # phases per quadrature chunk
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 Representation = tuple[np.ndarray, np.ndarray]
@@ -155,24 +160,6 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     return found
 
 
-@dataclass(frozen=True)
-class DwellTime:
-    """Time-averaged squared modulus of one amplitude over a phase span."""
-
-    label: str
-    span: float
-    closed_form: float
-    quadrature: float
-
-    @property
-    def value(self) -> float:
-        return self.closed_form
-
-    @property
-    def route_gap(self) -> float:
-        return abs(self.closed_form - self.quadrature)
-
-
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
     """Composite Simpson over an even number of intervals.
 
@@ -187,18 +174,87 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
                                 + y[2::2] * (2.0 - h0divh1)))
 
 
-def dwell_time(family: Family, label: str, span: float = math.pi, *,
-               quadrature_points: int = 1_000_000, **params) -> DwellTime:
-    """Average of |X_label(phase)|^2 over phases [0, span], both ways.
+@dataclass(frozen=True, eq=False)
+class _SimpsonRoute:
+    """The quadrature route of one `dwell_times` call: composite Simpson of
+    every label's |X(phase)|^2 on `points` intervals of [0, span]."""
+
+    freqs: np.ndarray
+    coeffs: np.ndarray      # (mode, label) columns, in `labels` order
+    labels: tuple[str, ...]
+    span: float
+    points: int
+
+    @cached_property
+    def averages(self) -> dict[str, float]:
+        """Average per label, computed on first read for all labels at once.
+
+        One exp(-i f phase) table per frequency serves every label.  It is
+        built chunk by chunk along the phases, and each element takes the
+        same operations as a whole-array table would, so the averages keep
+        the same bits at a fraction of the memory.
+        """
+        phases = np.linspace(0.0, self.span, self.points + 1)
+        squares = np.empty((len(self.labels), phases.size))
+        used = (self.coeffs != 0).any(axis=1)  # a zero mode would only add +-0
+        for lo in range(0, phases.size, _CHUNK):
+            ph = phases[lo:lo + _CHUNK]
+            tables = {m: np.exp(-1j * self.freqs[m] * ph)
+                      for m in np.flatnonzero(used)}
+            for y, col in zip(squares, self.coeffs.T):
+                acc = np.zeros(ph.size, dtype=complex)
+                for m, table in tables.items():
+                    if col[m] != 0:
+                        acc += col[m] * table
+                y[lo:lo + _CHUNK] = np.abs(acc) ** 2
+        return {lab: float(_simpson(y, phases) / self.span)
+                for lab, y in zip(self.labels, squares)}
+
+
+@dataclass(frozen=True)
+class DwellTime:
+    """Time-averaged squared modulus of one amplitude over a phase span.
+
+    `quadrature` is computed only when read, for every label of the call
+    that made this result at once.
+    """
+
+    label: str
+    span: float
+    closed_form: float
+    _route: _SimpsonRoute = field(repr=False, compare=False)
+
+    @property
+    def value(self) -> float:
+        return self.closed_form
+
+    @property
+    def quadrature(self) -> float:
+        return self._route.averages[self.label]
+
+    @property
+    def route_gap(self) -> float:
+        return abs(self.closed_form - self.quadrature)
+
+
+def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
+                quadrature_points: int = 1_000_000, **params) -> list[DwellTime]:
+    """Average of |X_label(phase)|^2 over phases [0, span], both ways, for
+    each of `labels` (in order), from one read of the representation.
 
     The closed form evaluates the mode cross-terms exactly:
         sum_fg c_f conj(c_g) * E((f - g) * span),  E(z) = (exp(-iz) - 1)/(-iz).
     The quadrature route is composite Simpson on `quadrature_points`
-    intervals, an even integer >= 2; the two agree to ~1e-9 by construction,
-    so a larger gap signals a representation bug.
+    intervals, an even integer >= 2, computed only when a result's
+    `quadrature` is read; the two agree to ~1e-9 by construction, so a
+    larger gap signals a representation bug.
     """
-    if label not in family.labels:
-        raise ValueError(f"{family.name} has no label {label!r}")
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError("need at least one label")
+    for label in labels:
+        if label not in family.labels:
+            raise ValueError(f"{family.name} has no label {label!r}")
     if not (span > 0 and math.isfinite(span)):
         raise ValueError(f"span must be positive and finite, got {span}")
     if not (isinstance(quadrature_points, (int, np.integer))
@@ -206,20 +262,24 @@ def dwell_time(family: Family, label: str, span: float = math.pi, *,
         raise ValueError("quadrature_points must be an even integer >= 2, "
                          f"got {quadrature_points!r}")
     freqs, coeffs = family.representation(**params)
-    col = coeffs[:, family.labels.index(label)]
+    cols = coeffs[:, [family.labels.index(lab) for lab in labels]]
     delta = np.subtract.outer(freqs, freqs) * span
     safe = np.where(delta == 0.0, 1.0, delta)
     kernel = np.where(delta == 0.0, 1.0,
                       (np.exp(-1j * safe) - 1.0) / (-1j * safe))
-    closed = float(np.real(col @ kernel @ col.conj()))
-    phases = np.linspace(0.0, span, quadrature_points + 1)
-    acc = np.zeros(phases.size, dtype=complex)
-    for c, f in zip(col, freqs):
-        if c != 0:  # a zero mode would only add +-0
-            acc += c * np.exp(-1j * f * phases)
-    quad = float(_simpson(np.abs(acc) ** 2, phases) / span)
-    return DwellTime(label=label, span=span, closed_form=closed,
-                     quadrature=quad)
+    route = _SimpsonRoute(freqs, cols, labels, span, int(quadrature_points))
+    return [DwellTime(label=lab, span=span,
+                      closed_form=float(np.real(col @ kernel @ col.conj())),
+                      _route=route)
+            for lab, col in zip(labels, cols.T)]
+
+
+def dwell_time(family: Family, label: str, span: float = math.pi, *,
+               quadrature_points: int = 1_000_000, **params) -> DwellTime:
+    """Average of |X_label(phase)|^2 over phases [0, span]: the one-label
+    call of `dwell_times`."""
+    return dwell_times(family, [label], span,
+                       quadrature_points=quadrature_points, **params)[0]
 
 
 @dataclass(frozen=True)

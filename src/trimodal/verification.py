@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -36,8 +37,8 @@ from .analytic import (
     n2_exchange_symmetric,
     pattern_compression,
 )
-from .entanglement import closed_form_overlap_n2, max_product_overlap
-from .scan import default_grid, dwell_time, family_objective, scan_extrema
+from .entanglement import closed_form_overlap_n2, max_product_overlaps
+from .scan import default_grid, dwell_time, dwell_times, family_objective, scan_extrema
 
 PASS = "pass"
 FAIL = "FAIL"
@@ -589,7 +590,7 @@ def _nearest(extrema, phase: float):
 
 
 def _landmark_extrema() -> dict[str, list]:
-    """The scans that criteria 5 and 7 both read, run once per suite: the
+    """The scans criterion 5 matches its stated landmarks against: the
     stay-put minima of the four-quanta starts and every extremum of the
     concentrated six-photon start over [0, 2*pi]."""
     single = family_objective(FAMILIES["n4_single_cavity"], "|C|^2+|F|^2",
@@ -604,7 +605,11 @@ def _landmark_extrema() -> dict[str, list]:
                                          grid=default_grid(0.0, window))}
 
 
-def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
+def _extremum_checks() -> tuple[list[CheckResult], dict]:
+    """Criterion 5 rows, and the extrema matched to the stated minima of the
+    single-cavity, two-cavity and concentrated starts, which criterion 7
+    reads too."""
+    landmarks = _landmark_extrema()
     rows = []
     vtol, ttol = 5e-5, 1e-3
 
@@ -637,6 +642,7 @@ def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
     e = stated_minima("c5.single_cavity_minima", landmarks["single_cavity"],
                       0.1960, (0.2094, 0.8378),
                       "deepest stay-put minima, four quanta")
+    matched = {"single_cavity": e}
     amps = fam.evaluate(1.0, e.phase, a=1.0, b=0.0)
     comp = (2 * abs(amps["A"]) ** 2, 2 * abs(amps["B"]) ** 2)
     ok = abs(comp[0] - 0.2251) <= vtol and abs(comp[1] - 0.5789) <= vtol
@@ -648,6 +654,7 @@ def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
     fam = FAMILIES["n4_two_cavity"]
     e = stated_minima("c5.two_cavity_minima", landmarks["two_cavity"],
                       0.1829, (0.1930, 0.8542, 1.2402), "two-pair spread minima")
+    matched["two_cavity"] = e
     amps = fam.evaluate(1.0, e.phase, a=1.0, b=0.0)
     comp = {"rest": abs(amps["A"]) ** 2, "one_moved": 2 * abs(amps["B"]) ** 2,
             "both_moved": 2 * abs(amps["F"]) ** 2, "shared": abs(amps["P"]) ** 2}
@@ -667,6 +674,7 @@ def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
     interior = [e for e in landmarks["concentrated"] if not e.at_endpoint]
     emin = _nearest([e for e in interior if e.kind == "min"], 1.7500)
     emax = _nearest([e for e in interior if e.kind == "max"], 3.0318)
+    matched["concentrated"] = emin
     ok = (abs(emin.phase - 1.7500) <= ttol
           and abs(emin.value - 0.001833) <= vtol)
     rows.append(_row("c5.concentrated_min", 5, ok,
@@ -699,7 +707,7 @@ def _extremum_checks(landmarks: dict[str, list]) -> list[CheckResult]:
                      "{" + ", ".join(_fmt(s) for s in stated) + "}",
                      "{" + ", ".join(_fmt(c) for c in comp) + "}", "5e-5",
                      "all six component probabilities at the near-revival"))
-    return rows
+    return rows, matched
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +767,9 @@ def _special_time_checks() -> list[CheckResult]:
 # criterion 7: geometric entanglement
 
 
-def _entanglement_cases(landmarks: dict[str, list]):
-    """(id, state, documented overlap, stated E, tol, companion detail)."""
+def _entanglement_cases(minima: dict):
+    """(id, state, documented overlap, stated E, tol, companion detail), at
+    the minima criterion 5 matched."""
     out = []
     fam = FAMILIES["n2_general"]
     amps = fam.evaluate(1.0, math.pi / 6, a=1.0, b=0.0)
@@ -768,20 +777,19 @@ def _entanglement_cases(landmarks: dict[str, list]):
                 "stay-put probability 1/9 at the antinode"))
 
     fam = FAMILIES["n4_single_cavity"]
-    e = _nearest(landmarks["single_cavity"], 0.2094)
+    e = minima["single_cavity"]
     amps = fam.evaluate(1.0, e.phase, a=1.0, b=0.0)
     out.append(("single_cavity_min", fam.state_vector(amps), e.value, 2.351,
                 1e-3, "shared+stay probability at the deepest minimum"))
 
     fam = FAMILIES["n4_two_cavity"]
-    e = _nearest(landmarks["two_cavity"], 0.1930)
+    e = minima["two_cavity"]
     amps = fam.evaluate(1.0, e.phase, a=1.0, b=0.0)
     out.append(("two_cavity_min", fam.state_vector(amps), e.value, 2.450,
                 1e-3, "start+shared probability at the minimum"))
 
     fam = FAMILIES["n6_concentrated"]
-    e = _nearest([x for x in landmarks["concentrated"]
-                  if x.kind == "min" and not x.at_endpoint], 1.7500)
+    e = minima["concentrated"]
     amps = fam.evaluate(1.0, e.phase)
     out.append(("concentrated_min", fam.state_vector(amps), e.value, 9.09,
                 0.05, "unentangled-component probability ~ 1/546"))
@@ -797,10 +805,14 @@ def _entanglement_cases(landmarks: dict[str, list]):
     return out
 
 
-def _entanglement_checks(seed: int, landmarks: dict[str, list]) -> list[CheckResult]:
+def _entanglement_checks(seed: int, minima: dict) -> list[CheckResult]:
     rows = []
-    for cid, state, overlap, stated, tol, note in _entanglement_cases(landmarks):
-        res = max_product_overlap(state, restarts=64, seed=seed)
+    cases = _entanglement_cases(minima)
+    # one sweep call per run of cases on one manifold
+    results = [res for _, group in groupby((case[1] for case in cases),
+                                           key=lambda st: st.manifold.n_total)
+               for res in max_product_overlaps(list(group), restarts=64, seed=seed)]
+    for (cid, _, overlap, stated, tol, note), res in zip(cases, results):
         holds = abs(res.entanglement - stated) <= tol
         rows.append(_claim(f"c7.{cid}", 7, holds, _fmt(stated),
                            _fmt(res.entanglement), _fmt(tol),
@@ -818,12 +830,12 @@ def _entanglement_checks(seed: int, landmarks: dict[str, list]) -> list[CheckRes
     worst = 0.0
     onesided = 0.0
     in_window = []
-    for _ in range(100):
-        a, b = _unit_pair(rng)
-        t = float(rng.uniform(0.0, math.pi))
-        amps = fam.evaluate(1.0, t, a=a, b=b)
-        res = max_product_overlap(fam.state_vector(amps), restarts=64,
-                                  seed=seed)
+    points = [(*_unit_pair(rng), float(rng.uniform(0.0, math.pi)))
+              for _ in range(100)]
+    states = [fam.state_vector(fam.evaluate(1.0, t, a=a, b=b))
+              for a, b, t in points]
+    for (a, b, t), res in zip(points, max_product_overlaps(states, restarts=64,
+                                                           seed=seed)):
         cf = closed_form_overlap_n2(a, b, 1.0, t)
         worst = max(worst, abs(res.overlap - cf))
         onesided = max(onesided, cf - res.overlap)
@@ -853,9 +865,7 @@ def _dwell_checks(seed: int) -> list[CheckResult]:
     rows = []
     tol = 1e-9
     fam = FAMILIES["n2_general"]
-    stay = dwell_time(fam, "A", a=1.0, b=0.0)
-    each = dwell_time(fam, "B", a=1.0, b=0.0)
-    other = dwell_time(fam, "C", a=1.0, b=0.0)
+    stay, each, other = dwell_times(fam, ("A", "B", "C"), a=1.0, b=0.0)
     combined = each.value + other.value
     rows.append(_row("c8.dwell_stay", 8, abs(stay.value - 5 / 9) <= tol,
                      "5/9", _fmt(stay.value), "1e-9",
@@ -986,15 +996,15 @@ def run_suite(suite: str = "paper", seed: int = 0) -> list[CheckResult]:
     """Run every acceptance check; deterministic for a fixed seed."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    landmarks = _landmark_extrema()
     rows: list[CheckResult] = []
     rows += _dimension_checks()
     rows += _generator_checks()
     rows += _spectrum_checks()
     rows += _oracle_checks()
-    rows += _extremum_checks(landmarks)
+    c5_rows, minima = _extremum_checks()
+    rows += c5_rows
     rows += _special_time_checks()
-    rows += _entanglement_checks(seed, landmarks)
+    rows += _entanglement_checks(seed, minima)
     rows += _dwell_checks(seed)
     rows += _invariant_checks(seed)
     return rows

@@ -540,6 +540,21 @@ def test_matrix_representation_equals_the_dense_route():
         assert np.array_equal(coeffs, ref_coeffs)
 
 
+def test_family_representation_reuses_its_spectrum_with_the_same_bits():
+    # the family keeps one eigendecomposition of its symmetrized matrix;
+    # every solve from it equals a fresh matrix_representation bit for bit
+    for name, fam in FAMILIES.items():
+        params = [{}] + ([dict(a=0.6, b=0.8)] if "b" in fam.parameters else [])
+        for p in params:
+            initial = fam.read_patterns([fam.initial_state(**p).amplitudes])[0]
+            fresh = matrix_representation(fam.system_matrix, initial,
+                                          fam.pattern_norms)
+            for got, ref in zip(fam.representation(**p), fresh):
+                assert np.array_equal(got, ref), name
+        assert fam._spectrum is fam._spectrum
+        assert not fam._spectrum.modes.flags.writeable
+
+
 def test_matrix_representation_fails_closed_on_nan():
     fam = FAMILIES["n2_general"]
     initial = np.array([math.nan, 0, 0, 0, 0, 0], dtype=complex)

@@ -28,6 +28,7 @@ from trimodal.entanglement import (
     embed,
     geometric_entanglement,
     max_product_overlap,
+    max_product_overlaps,
     symmetric_quarter_turn_check,
 )
 from trimodal.evolve import propagate
@@ -237,6 +238,167 @@ def test_collapsed_sweep_equals_the_all_start_reference(n_total, init, phase, re
     assert got.overlap == min(ref["overlap"], 1.0)
     for mine, theirs in zip(got.maximizer.vectors, ref["vectors"]):
         assert np.array_equal(mine, theirs)
+
+
+def _per_state_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
+    """The one-state sweep loop before batching: duplicate basis starts
+    collapsed to one row, every row against one shared tensor."""
+    def normalize_rows(m):
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        return m / np.where(norms > 0.0, norms, 1.0)
+
+    def overlaps(t, u, v, w):
+        return np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+
+    t = embed(state)
+    d = state.manifold.qudit_dim
+    u, v, w = _starts(d, restarts, seed)
+    sigma = overlaps(t, u, v, w)
+    row_of = np.concatenate([np.arange(d ** 3) % d ** 2,
+                             d ** 2 + np.arange(restarts)])
+    first = np.concatenate([np.arange(d ** 2), d ** 3 + np.arange(restarts)])
+    v, w = v[first], w[first]
+    settled = np.zeros(sigma.shape, dtype=bool)
+    sweeps = 0
+    while sweeps < max_sweeps and not settled.all():
+        u = normalize_rows(np.einsum("ijk,sj,sk->si", t, v.conj(), w.conj()))
+        v = normalize_rows(np.einsum("ijk,si,sk->sj", t, u.conj(), w.conj()))
+        w = normalize_rows(np.einsum("ijk,si,sj->sk", t, u.conj(), v.conj()))
+        new = overlaps(t, u, v, w)[row_of]
+        settled = np.abs(new - sigma) <= tol
+        sigma = new
+        sweeps += 1
+    best = int(np.argmax(sigma))
+    row = row_of[best]
+    overlap = min(float(sigma[best] ** 2), 1.0)
+    return dict(overlap=overlap,
+                entanglement=abs(math.log2(overlap)) if overlap > 0 else math.inf,
+                converged=bool(settled[best]), sweeps=sweeps, start_index=best,
+                n_starts=int(sigma.size), unconverged_starts=int((~settled).sum()),
+                vectors=(u[row], v[row], w[row]), n_rows=first.size)
+
+
+def _assert_equals_reference(got, ref):
+    for key in ("overlap", "entanglement", "converged", "sweeps", "start_index",
+                "n_starts", "unconverged_starts"):
+        assert getattr(got, key) == ref[key], key
+    for mine, theirs in zip(got.maximizer.vectors, ref["vectors"]):
+        assert np.array_equal(mine, theirs)
+    # every sweep computes at least one row and at most all of them
+    assert got.sweeps <= got.row_sweeps <= got.sweeps * ref["n_rows"]
+
+
+def _seeded_state(n_total, seed):
+    man = enumerate_manifold(n_total)
+    draw = np.random.default_rng(seed).standard_normal((man.dim, 2))
+    amps = draw[:, 0] + 1j * draw[:, 1]
+    return StateVector(man, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n_total, seed, restarts", [
+    (2, 3, 64), (2, 11, 8), (4, 5, 16), (6, 7, 8),
+])
+def test_batched_sweep_equals_the_per_state_loop(n_total, seed, restarts):
+    state = _seeded_state(n_total, seed)
+    ref = _per_state_reference(state, restarts, seed=seed)
+    _assert_equals_reference(max_product_overlap(state, restarts, seed=seed), ref)
+
+
+def test_batched_sweep_equals_the_per_state_loop_on_a_product_state():
+    state = parse_init("g0|0.6:g2+0.8:e0|g0", 2)
+    ref = _per_state_reference(state, 64, seed=0)
+    got = max_product_overlap(state, seed=0)
+    _assert_equals_reference(got, ref)
+    assert got.unconverged_starts == 0
+
+
+def _mixed_batch():
+    """Fast and slow states on one manifold: a product state, trajectory
+    states of the pair family and seeded random states."""
+    fam = FAMILIES["n2_general"]
+    states = [parse_init("g0|g0|g2", 2)]
+    states += [fam.state_vector(evaluate("n2_general", 1.0, t, a=0.6, b=0.8))
+               for t in (0.1, math.pi / 6.0, 0.9)]
+    states += [_seeded_state(2, seed) for seed in range(6)]
+    return states
+
+
+def test_batch_of_fast_and_slow_states_equals_the_per_state_loop():
+    states = _mixed_batch()
+    results = max_product_overlaps(states, 16, seed=4)
+    sweeps = {res.sweeps for res in results}
+    assert len(sweeps) > 3 and min(sweeps) * 2 < max(sweeps)
+    for state, got in zip(states, results):
+        _assert_equals_reference(got, _per_state_reference(state, 16, seed=4))
+        # a state's rows leave on its own schedule, whoever shares the call
+        assert got.row_sweeps == max_product_overlap(state, 16, seed=4).row_sweeps
+    # rows that repeat themselves bit for bit leave before their state does
+    n_rows = MAN2.qudit_dim ** 2 + 16
+    assert any(res.row_sweeps < res.sweeps * n_rows for res in results)
+
+
+def test_sweep_cutoff_reports_the_unsettled_starts():
+    states = _mixed_batch()
+    results = max_product_overlaps(states, 16, seed=4, max_sweeps=3)
+    for state, got in zip(states, results):
+        ref = _per_state_reference(state, 16, seed=4, max_sweeps=3)
+        _assert_equals_reference(got, ref)
+        assert got.sweeps <= 3
+    assert any(res.unconverged_starts > 0 and not res.converged for res in results)
+    assert results[0].unconverged_starts == 0
+
+
+def test_batched_sweep_fails_closed():
+    state = StateVector(MAN2, np.eye(6)[0])
+    with pytest.raises(ValueError, match="at least one"):
+        max_product_overlaps([], seed=0)
+    with pytest.raises(ValueError, match="different manifolds"):
+        max_product_overlaps([state, _seeded_state(4, 0)], seed=0)
+    with pytest.raises(ValueError, match="norm"):
+        max_product_overlaps([state, StateVector(MAN2, 0.7 * np.eye(6)[0])], seed=0)
+    amps = np.eye(6)[0].astype(complex)
+    amps[3] = np.nan
+    with pytest.raises(ValueError, match="norm"):
+        max_product_overlaps([state, StateVector(MAN2, amps)], seed=0)
+
+
+def _symmetric_power_oracle(state, restarts=64, seed=0, shift=2.0, tol=1e-15,
+                            max_iter=20_000):
+    """Best product overlap of a relabeling-invariant state over symmetric
+    product states x (x) x (x) x, by the shifted symmetric power iteration
+    (Kolda & Mayo 2011) from every basis vector and `restarts` seeded random
+    vectors.  x <- normalize(T(., x*, x*) + shift x) climbs Re<x x x|psi>,
+    whose maximum over unit x is the best |<x x x|psi>|."""
+    t = embed(state)
+    d = t.shape[0]
+    draw = np.random.default_rng(seed).standard_normal((restarts, d, 2))
+    starts = np.concatenate([np.eye(d, dtype=complex), draw[..., 0] + 1j * draw[..., 1]])
+    best = 0.0
+    for x in starts:
+        x = x / np.linalg.norm(x)
+        value = -1.0
+        for _ in range(max_iter):
+            x = np.einsum("ijk,j,k->i", t, x.conj(), x.conj()) + shift * x
+            x /= np.linalg.norm(x)
+            new = abs(np.einsum("ijk,i,j,k->", t, x.conj(), x.conj(), x.conj()))
+            if abs(new - value) <= tol:
+                break
+            value = new
+        best = max(best, new ** 2)
+    return best
+
+
+@pytest.mark.parametrize("turn", [1.0, 0.5])  # c7.sym_half_turn, c7.sym_quarter_turn
+def test_symmetric_states_match_the_symmetric_power_oracle(turn):
+    fam = FAMILIES["n6_symmetric"]
+    phase = turn * math.pi / (2.0 * math.sqrt(66.0))
+    state = fam.state_vector(fam.evaluate(1.0, phase, a=1.0, b=0.0))
+    t = embed(state)
+    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+        assert np.allclose(t, t.transpose(axes), atol=1e-15)
+    oracle = _symmetric_power_oracle(state)
+    assert max_product_overlap(state, restarts=64, seed=0).overlap == \
+        pytest.approx(oracle, abs=1e-10)
 
 
 def test_maximizer_reports_its_levels():

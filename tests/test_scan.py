@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from trimodal.analytic import FAMILIES
+from trimodal import scan
 from trimodal.scan import (
     _simpson,
     default_grid,
     detect_period,
     dwell_time,
+    dwell_times,
     family_objective,
     parse_objective,
     scan_extrema,
@@ -183,28 +185,70 @@ def test_dwell_span_controls_the_average():
     assert short.route_gap < 1e-9
 
 
-def test_dwell_quadrature_equals_the_all_mode_sum():
+@pytest.mark.parametrize("points", [4096, 200_000])  # one chunk, several
+def test_dwell_quadrature_equals_the_all_mode_sum(points):
     # modes with an exact zero coefficient are skipped; they only add +-0.
     # With an excited admixture the photon labels carry an exact zero on
-    # the frozen excited-sector mode.
+    # the frozen excited-sector mode.  The reference builds each table
+    # over all phases at once, the library chunk by chunk.
     fam = FAMILIES["n2_general"]
     freqs, coeffs = fam.representation(a=0.6, b=0.8)
     for k, label in enumerate(fam.labels[:3]):
         col = coeffs[:, k]
         assert (col == 0).any()
-        phases = np.linspace(0.0, math.pi, 4097)
+        phases = np.linspace(0.0, math.pi, points + 1)
         acc = np.zeros(phases.size, dtype=complex)
         for c, f in zip(col, freqs):
             acc += c * np.exp(-1j * f * phases)
         ref = float(_simpson(np.abs(acc) ** 2, phases) / math.pi)
-        got = dwell_time(fam, label, quadrature_points=4096, a=0.6, b=0.8)
+        got = dwell_time(fam, label, quadrature_points=points, a=0.6, b=0.8)
         assert got.quadrature == ref
+
+
+@pytest.mark.parametrize("params", [dict(a=1.0, b=0.0), dict(a=0.6, b=0.8)])
+@pytest.mark.parametrize("points", [4096, 200_000])
+def test_dwell_times_equal_the_one_label_calls(params, points):
+    fam = FAMILIES["n2_general"]
+    batch = dwell_times(fam, fam.labels, math.pi / 5.0,
+                        quadrature_points=points, **params)
+    assert [d.label for d in batch] == list(fam.labels)
+    for got in batch:
+        one = dwell_time(fam, got.label, math.pi / 5.0,
+                         quadrature_points=points, **params)
+        assert (got.span, got.closed_form, got.quadrature) == \
+            (one.span, one.closed_form, one.quadrature)
+
+
+def test_dwell_value_does_not_compute_the_quadrature(monkeypatch):
+    calls = []
+
+    def counting_simpson(y, x):
+        calls.append(y.size)
+        return _simpson(y, x)
+
+    monkeypatch.setattr(scan, "_simpson", counting_simpson)
+    fam = FAMILIES["n2_general"]
+    one = dwell_time(fam, "A", quadrature_points=4096, a=0.6, b=0.8)
+    assert one.value == one.closed_form
+    assert calls == []
+    batch = dwell_times(fam, ("A", "B", "C"), quadrature_points=4096,
+                        a=0.6, b=0.8)
+    assert [d.value for d in batch] and calls == []
+    # the first read computes every label of the call, once
+    batch[1].quadrature
+    assert calls == [4097] * 3
+    assert max(d.route_gap for d in batch) < 1e-9
+    assert calls == [4097] * 3
 
 
 def test_dwell_validation():
     fam = FAMILIES["n2_general"]
     with pytest.raises(ValueError):
         dwell_time(fam, "Z")
+    with pytest.raises(ValueError, match="no label 'Z'"):
+        dwell_times(fam, ["A", "Z"])
+    with pytest.raises(ValueError, match="at least one label"):
+        dwell_times(fam, [])
     with pytest.raises(ValueError):
         dwell_time(fam, "A", span=0.0)
 
