@@ -1,5 +1,6 @@
 """Objective parsing, extremum scans, dwell averages, and recurrence analysis."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -185,15 +186,16 @@ def test_dwell_span_controls_the_average():
     assert short.route_gap < 1e-9
 
 
-@pytest.mark.parametrize("points", [4096, 200_000])  # one chunk, several
-def test_dwell_quadrature_equals_the_all_mode_sum(points):
+def test_dwell_quadrature_equals_the_all_mode_sum():
     # modes with an exact zero coefficient are skipped; they only add +-0.
     # With an excited admixture the photon labels carry an exact zero on
     # the frozen excited-sector mode.  The reference builds each table
-    # over all phases at once, the library chunk by chunk.
+    # over all phases at once, the library chunk by chunk (one chunk at
+    # 4096 intervals, several at 200 000).
     fam = FAMILIES["n2_general"]
     freqs, coeffs = fam.representation(a=0.6, b=0.8)
-    for k, label in enumerate(fam.labels[:3]):
+    for (k, label), points in itertools.product(enumerate(fam.labels[:3]),
+                                                (4096, 200_000)):
         col = coeffs[:, k]
         assert (col == 0).any()
         phases = np.linspace(0.0, math.pi, points + 1)
