@@ -37,7 +37,6 @@ from .analytic import (
 from .entanglement import (
     OverlapResult,
     closed_form_overlap_n2,
-    geometric_entanglement,
     max_product_overlap,
     max_product_overlaps,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "enumerate_manifold",
     "evaluate",
     "family_objective",
-    "geometric_entanglement",
     "matrix_representation",
     "max_product_overlap",
     "max_product_overlaps",

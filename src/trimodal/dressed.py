@@ -73,7 +73,3 @@ def energy_scale(n_total: int, params: DressedParams) -> float:
     cos, _ = mixing_angle(n_ref, params)
     return splitting(n_ref, params) * cos * cos
 
-
-def dimensionless_hopping(n_total: int, params: DressedParams, xi_physical: float) -> float:
-    """Convert a hopping rate in units of g2 to the manifold's dimensionless xi."""
-    return xi_physical / energy_scale(n_total, params)

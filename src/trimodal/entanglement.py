@@ -226,12 +226,6 @@ def max_product_overlap(state: StateVector, restarts: int = 64,
                                 max_sweeps=max_sweeps)[0]
 
 
-def geometric_entanglement(state: StateVector, restarts: int = 64,
-                           tol: float = 1e-12, *, seed) -> float:
-    """-log2 of the best product overlap."""
-    return max_product_overlap(state, restarts, tol, seed=seed).entanglement
-
-
 def closed_form_overlap_n2(a: complex, b: complex, xi: float, t) -> float | np.ndarray:
     """Reference best-overlap curve for the total-2 seeded family:
     (1/9)(5 + 4 cos(6 xi t))|a|^2 + |b|^2.

@@ -48,13 +48,11 @@ def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
     return Spectrum(frequencies=freqs, modes=modes)
 
 
-def _evolve(generator: Generator | Block, initial: np.ndarray,
+def _evolve(generator: Generator, initial: np.ndarray,
             times: np.ndarray) -> np.ndarray:
-    """Rows exp(-i M t) @ initial, one per entry of times; both must be finite."""
+    """Rows exp(-i M t) @ initial, one per entry of times, which must be finite."""
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if not np.all(np.isfinite(initial)):
-        raise ValueError("initial vector must be finite")
     spec = spectrum(generator)
     coeffs = spec.modes.conj().T @ initial
     # one (times, modes) buffer, updated in place: same values as
@@ -151,13 +149,6 @@ def propagate(generator: Generator, initial: StateVector, times,
     return Trajectory(manifold=generator.manifold, generator=generator,
                       times=times, times_are_phase=times_are_phase,
                       amplitudes=amplitudes)
-
-
-def evolve_block(block: Block, initial: np.ndarray, phases) -> np.ndarray:
-    """Evolve block coordinates through exp(-i M_block * phase); phases and
-    the initial vector must be finite."""
-    phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    return _evolve(block, np.asarray(initial, dtype=complex), phases)
 
 
 def sector_probabilities(trajectory: Trajectory, by: str = "count") -> dict:

@@ -8,10 +8,13 @@ starts to hold, the suite flips that row to ``FAIL`` (stale analysis) and the
 test fails loudly instead of silently going green.
 """
 
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from trimodal import verification
 from trimodal.verification import (
     FAIL,
     KNOWN,
@@ -87,3 +90,28 @@ def test_gate_property_trips_only_on_fail():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite(suite="nonsense", seed=0)
+
+
+def _statuses(**patches):
+    """Row statuses of a seed-0 run with verification's names patched."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patches.items():
+            mp.setattr(verification, name, value)
+        return {r.check_id: r.status for r in run_suite(seed=0)}
+
+
+def test_a_nan_in_a_running_worst_fails_its_row():
+    # a NaN dwell among the 100 random starts must not vanish from the worst
+    # margin (the builtin max drops a NaN that is not its first argument)
+    def nan_dwell(*args, **kwargs):
+        return SimpleNamespace(value=math.nan)
+
+    assert _statuses(dwell_time=nan_dwell)["c8.dwell_bound"] == FAIL
+
+
+def test_a_non_finite_measurement_fails_a_claim_row():
+    # a claim reads known-divergence only for a finite miss
+    statuses = _statuses(_family_deviation=lambda *args, **kwargs: math.nan)
+    for check_id in ("c4.sym_photon_triplet", "c4.sym_single_quartet",
+                     "c4.sym_pair_doublet", "c4.pair_start"):
+        assert statuses[check_id] == FAIL, check_id

@@ -7,7 +7,6 @@ import pytest
 
 from trimodal.dressed import (
     DressedParams,
-    dimensionless_hopping,
     dressed_vectors,
     energy_scale,
     mixing_angle,
@@ -75,9 +74,3 @@ def test_energy_scale_matches_definition():
     cos, _ = mixing_angle(0, params)
     assert energy_scale(2, params) == pytest.approx(splitting(0, params) * cos**2)
 
-
-def test_dimensionless_hopping_inverts_the_scale():
-    params = DressedParams(r=1.3, delta=0.2)
-    for n_total in (2, 4, 6):
-        xi = dimensionless_hopping(n_total, params, 0.05)
-        assert xi * energy_scale(n_total, params) == pytest.approx(0.05)

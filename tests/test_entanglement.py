@@ -26,7 +26,6 @@ from trimodal.entanglement import (
     _starts,
     closed_form_overlap_n2,
     embed,
-    geometric_entanglement,
     max_product_overlap,
     max_product_overlaps,
     symmetric_quarter_turn_check,
@@ -83,7 +82,7 @@ def test_unentangled_state_has_unit_overlap():
     assert result.overlap == pytest.approx(1.0, abs=1e-10)
     assert result.converged
     assert result.n_starts >= 1
-    assert geometric_entanglement(vec, seed=0) == pytest.approx(0.0, abs=1e-9)
+    assert result.entanglement == pytest.approx(0.0, abs=1e-9)
 
 
 def test_sweep_agrees_with_the_reference_curve_on_its_window():
@@ -113,8 +112,7 @@ def test_sweep_beats_the_reference_curve_at_the_antinode():
 def test_entanglement_is_log2_of_the_overlap():
     state = FAMILIES["n2_general"].state_vector(evaluate("n2_general", 1.0, 0.4))
     result = max_product_overlap(state, seed=1)
-    assert geometric_entanglement(state, seed=1) == pytest.approx(
-        -math.log2(result.overlap))
+    assert result.entanglement == pytest.approx(-math.log2(result.overlap))
 
 
 def test_closed_form_overlap_vectorizes():

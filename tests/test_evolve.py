@@ -1,4 +1,4 @@
-"""Exact evolution: spectra, trajectories, block evolution, mode expansions.
+"""Exact evolution: spectra, trajectories, mode expansions.
 
 Properties run under the derandomized hypothesis profile loaded in
 conftest.py, so every run draws the same examples.
@@ -12,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from trimodal.basis import StateVector, enumerate_manifold
 from trimodal.dressed import DressedParams
-from trimodal.dynamics import build_full_generator, build_large_xi_generator, sector_block
+from trimodal.dynamics import build_full_generator, build_large_xi_generator
 from trimodal.evolve import (
     NumericalContractError,
     Trajectory,
-    evolve_block,
     mode_expansion,
     propagate,
     sector_probabilities,
@@ -164,35 +163,9 @@ def test_trajectory_state_accessor():
     assert np.allclose(st.amplitudes, traj.amplitudes[3])
 
 
-def test_evolve_block_matches_full_propagation():
-    gen = build_large_xi_generator(MAN6, xi=1.0)
-    block = sector_block(gen, 0)
-    x0 = np.zeros(block.dim, dtype=complex)
-    x0[0] = 1.0
-    phases = np.linspace(0.0, 2.0, 9)
-    inside = evolve_block(block, x0, phases)
-    full = propagate(gen, StateVector(MAN6, block.embedding @ x0), phases,
-                     times_are_phase=True)
-    assert np.max(np.abs(inside @ block.embedding.T - full.amplitudes)) < 1e-12
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_evolve_block_rejects_non_finite_phases(bad):
-    block = sector_block(build_large_xi_generator(MAN6), 0)
-    x0 = np.eye(block.dim, dtype=complex)[0]
-    with pytest.raises(ValueError, match="finite"):
-        evolve_block(block, x0, [0.1, bad])
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_evolution_rejects_a_non_finite_initial_vector(bad):
     gen = build_large_xi_generator(MAN6)
-    block = sector_block(gen, 0)
-    x0 = np.eye(block.dim, dtype=complex)[0]
-    x0[1] = bad
-    with pytest.raises(ValueError, match="initial vector must be finite"):
-        evolve_block(block, x0, [0.0, 0.1])
-    # propagate's norm check comes first and keeps its message
     amps = np.eye(MAN6.dim, dtype=complex)[0]
     amps[1] = bad
     with pytest.raises(ValueError, match="not normalized"):

@@ -1,0 +1,64 @@
+"""The re-spec tool: tables that differ only in printed digits pass and list
+their moved rows; any other difference is refused."""
+
+from pathlib import Path
+
+import pytest
+
+from golden_diff import compare, main
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "verify_paper_seed0.txt"
+GOLDEN = GOLDEN_PATH.read_text(encoding="utf-8")
+
+
+def _edit(old: str, new: str) -> str:
+    assert GOLDEN.count(old) == 1, old
+    return GOLDEN.replace(old, new)
+
+
+def test_identical_tables_move_nothing():
+    assert compare(GOLDEN, GOLDEN) == []
+
+
+def test_moved_digits_are_listed_with_their_moves():
+    table = _edit("measured 1.8919944959341046e-14", "measured 4.4e-14")
+    [(check_id, gap, rel)] = compare(GOLDEN, table)
+    assert check_id == "c4.concentrated_family"
+    assert gap == pytest.approx(4.4e-14 - 1.8919944959341046e-14)
+    assert rel == pytest.approx(gap / 1.8919944959341046e-14)
+
+
+def test_a_move_from_zero_is_infinitely_relative():
+    table = _edit("measured 0  expected 0 (tol 1e-9)  -- all-excited",
+                  "measured 2e-16  expected 0 (tol 1e-9)  -- all-excited")
+    [(check_id, gap, rel)] = compare(GOLDEN, table)
+    assert (check_id, gap, rel) == ("c4.sym_stationary", 2e-16, float("inf"))
+
+
+@pytest.mark.parametrize("table, reason", [
+    (_edit("c4.sym_pair_doublet                   known-divergence",
+           "c4.sym_pair_doublet                   pass            "), "status"),
+    (_edit("-- two-pair spread minima", "-- two-pair minima"), "text"),
+    (GOLDEN.replace("c9.norm ", "c9.nrm  "), "IDs"),
+    ("".join(GOLDEN.splitlines(keepends=True)[1:]), "IDs"),
+    ("".join(reversed(GOLDEN.splitlines(keepends=True)[:2]))
+     + "".join(GOLDEN.splitlines(keepends=True)[2:]), "IDs"),
+])
+def test_anything_beyond_digits_is_refused(table, reason):
+    with pytest.raises(ValueError, match=reason):
+        compare(GOLDEN, table)
+
+
+def test_command_line(tmp_path, capsys):
+    moved = tmp_path / "moved.txt"
+    moved.write_text(_edit("measured 1.8919944959341046e-14", "measured 4.4e-14"),
+                     encoding="utf-8")
+    assert main([str(GOLDEN_PATH), str(moved)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "c4.concentrated_family  moved by 2.51e-14 (relative 1.33)"
+    assert out.splitlines()[-1] == "1 of 69 rows moved"
+    broken = tmp_path / "broken.txt"
+    broken.write_text(GOLDEN.replace("known-divergence", "FAIL            "),
+                      encoding="utf-8")
+    assert main([str(GOLDEN_PATH), str(broken)]) == 1
+    assert "status" in capsys.readouterr().err

@@ -1,4 +1,8 @@
-"""Objective parsing, extremum scans, dwell averages, and recurrence analysis."""
+"""Objective parsing, extremum scans, dwell averages, and recurrence analysis.
+
+Properties run under the derandomized hypothesis profile loaded in
+conftest.py, so every run draws the same examples.
+"""
 
 import itertools
 import math
@@ -7,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trimodal.analytic import FAMILIES
 from trimodal import scan
@@ -68,6 +73,39 @@ def test_scan_finds_interior_extrema_of_a_cosine():
     ends = [e for e in found if e.at_endpoint]
     assert {e.kind for e in ends} == {"max"}
     assert sorted(e.phase for e in ends) == pytest.approx([0.0, 2.0 * math.pi])
+
+
+@settings(max_examples=5)
+@given(st.integers(0, 2**32 - 1))
+def test_scan_finds_every_extremum_of_a_dense_grid_and_nothing_else(seed):
+    # a seeded |sum_k c_k exp(-i f_k phase)|^2, the form of a one-label objective
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(-8.0, 8.0, 4)
+    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    def objective(phases):
+        return np.abs(np.exp(-1j * np.outer(phases, freqs)) @ coeffs) ** 2
+
+    window = 2.0 * math.pi
+    xs = np.linspace(0.0, window, 100_000)
+    ys = objective(xs)
+    step = xs[1] - xs[0]
+    found = [e for e in scan_extrema(objective, 0.0, window,
+                                     grid=default_grid(0.0, window), tol=1e-10)
+             if not e.at_endpoint]
+    for kind, sign in (("min", 1.0), ("max", -1.0)):
+        inner = sign * ys[1:-1]
+        at = 1 + np.flatnonzero((inner < sign * ys[:-2]) & (inner < sign * ys[2:]))
+        got = [e for e in found if e.kind == kind]
+        assert len(got) == at.size, kind
+        for e, k in zip(got, at):
+            # the vertex of the parabola through the three dense samples;
+            # value comparisons resolve a quadratic extremum's phase only to
+            # ~sqrt(eps), hence 1e-6 here rather than tol
+            y0, y1, y2 = ys[k - 1:k + 2]
+            vertex = xs[k] + 0.5 * step * (y0 - y2) / (y0 - 2.0 * y1 + y2)
+            assert abs(e.phase - vertex) <= 1e-6, (kind, vertex)
+            assert sign * e.value <= sign * y1 + 1e-12
 
 
 def test_scan_reproduces_exchange_family_landmarks():
