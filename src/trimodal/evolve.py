@@ -48,7 +48,7 @@ def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
     return Spectrum(frequencies=freqs, modes=modes)
 
 
-def _evolve(generator: Generator, initial: np.ndarray,
+def _evolve(generator: Generator | Block, initial: np.ndarray,
             times: np.ndarray) -> np.ndarray:
     """Rows exp(-i M t) @ initial, one per entry of times, which must be finite."""
     if not np.all(np.isfinite(times)):

@@ -12,10 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from trimodal.basis import StateVector, enumerate_manifold
 from trimodal.dressed import DressedParams
-from trimodal.dynamics import build_full_generator, build_large_xi_generator
+from trimodal.dynamics import (
+    build_full_generator,
+    build_large_xi_generator,
+    sector_block,
+)
 from trimodal.evolve import (
     NumericalContractError,
     Trajectory,
+    _evolve,
     mode_expansion,
     propagate,
     sector_probabilities,
@@ -161,6 +166,15 @@ def test_trajectory_state_accessor():
     st = traj.state(3)
     assert isinstance(st, StateVector)
     assert np.allclose(st.amplitudes, traj.amplitudes[3])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolve_block_rejects_non_finite_phases(bad):
+    # block coordinates evolve through the same body as propagate
+    block = sector_block(build_large_xi_generator(MAN6), 0)
+    x0 = np.eye(block.dim, dtype=complex)[0]
+    with pytest.raises(ValueError, match="finite"):
+        _evolve(block, x0, np.array([0.1, bad]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
