@@ -9,7 +9,7 @@ start cavity a 5/9 majority share.
 
 import numpy as np
 
-from trimodal.analytic import FAMILIES, n2_amplitudes
+from trimodal.analytic import FAMILIES
 from trimodal.basis import StateVector, enumerate_manifold
 from trimodal.dynamics import build_large_xi_generator
 from trimodal.evolve import propagate
@@ -23,7 +23,7 @@ def main():
 
     phases = np.linspace(0.0, np.pi / 3.0, 9)
     traj = propagate(gen, start, phases, times_are_phase=True)
-    closed = n2_amplitudes(start.amplitudes, 1.0, phases)
+    closed = FAMILIES["n2_general"].evaluate_phases(phases)  # a=1, b=0: the same start
 
     print("pair-location probabilities (start: pair in cavity 3):")
     print("  xi*t       cav3     cav2     cav1    closed form for cav3")

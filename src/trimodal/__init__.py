@@ -12,12 +12,11 @@ from .basis import (
     StateVector,
     enumerate_manifold,
     parse_level,
-    permutation_matrix,
     permute_cavities,
     product_state,
     symmetrize,
 )
-from .dressed import DressedParams, dressed_vectors, mixing_angle, splitting
+from .dressed import DressedParams, mixing_angle, splitting
 from .dynamics import (
     Block,
     Generator,
@@ -30,7 +29,6 @@ from .analytic import (
     FAMILIES,
     AmplitudeSet,
     Family,
-    evaluate,
     matrix_representation,
     pattern_compression,
 )
@@ -76,11 +74,9 @@ __all__ = [
     "build_large_xi_generator",
     "closed_form_overlap_n2",
     "detect_period",
-    "dressed_vectors",
     "dwell_time",
     "dwell_times",
     "enumerate_manifold",
-    "evaluate",
     "family_objective",
     "matrix_representation",
     "max_product_overlap",
@@ -89,7 +85,6 @@ __all__ = [
     "parse_level",
     "parse_objective",
     "pattern_compression",
-    "permutation_matrix",
     "permute_cavities",
     "product_state",
     "project_onto",

@@ -89,9 +89,6 @@ class AmplitudeSet:
     def probability(self, label: str) -> float:
         return abs(self[label]) ** 2
 
-    def as_dict(self) -> dict[str, complex]:
-        return {lab: complex(v) for lab, v in zip(self.labels, self.values)}
-
 
 @dataclass(frozen=True, eq=False)
 class ConservedSum:
@@ -467,12 +464,11 @@ _N6_ASYM_PATTERNS = {
 FAMILIES: dict[str, Family] = {}
 
 
-def _register(family: Family) -> Family:
+def _register(family: Family) -> None:
     FAMILIES[family.name] = family
-    return family
 
 
-N2_GENERAL = _register(Family(
+_register(Family(
     name="n2_general",
     n_total=2,
     patterns=_N2_PATTERNS,
@@ -485,7 +481,7 @@ N2_GENERAL = _register(Family(
     modulus_period=math.pi / 3,
 ))
 
-N4_SINGLE_CAVITY = _register(Family(
+_register(Family(
     name="n4_single_cavity",
     n_total=4,
     patterns=_N4_SINGLE_PATTERNS,
@@ -498,7 +494,7 @@ N4_SINGLE_CAVITY = _register(Family(
     modulus_period=math.pi,
 ))
 
-N4_TWO_CAVITY = _register(Family(
+_register(Family(
     name="n4_two_cavity",
     n_total=4,
     patterns=_N4_TWO_PATTERNS,
@@ -513,7 +509,7 @@ N4_TWO_CAVITY = _register(Family(
     modulus_period=math.pi,
 ))
 
-N6_CONCENTRATED = _register(Family(
+_register(Family(
     name="n6_concentrated",
     n_total=6,
     patterns=_N6_CONC_PATTERNS,
@@ -525,7 +521,7 @@ N6_CONCENTRATED = _register(Family(
     modulus_period=None,
 ))
 
-N6_SYMMETRIC = _register(Family(
+_register(Family(
     name="n6_symmetric",
     n_total=6,
     patterns=_N6_SYM_PATTERNS,
@@ -541,7 +537,7 @@ N6_SYMMETRIC = _register(Family(
     documented_matrix=_n6_symmetric_system(),
 ))
 
-N6_ASYMMETRIC = _register(Family(
+_register(Family(
     name="n6_asymmetric",
     n_total=6,
     patterns=_N6_ASYM_PATTERNS,
@@ -552,38 +548,6 @@ N6_ASYMMETRIC = _register(Family(
     ),
     modulus_period=math.pi,
 ))
-
-
-def evaluate(family: str, xi: float, t: float, **params) -> AmplitudeSet:
-    """Evaluate a registered family at one time."""
-    try:
-        fam = FAMILIES[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; registered: {sorted(FAMILIES)}"
-        ) from None
-    return fam.evaluate(xi, t, **params)
-
-
-def n2_amplitudes(initials, xi: float, t) -> AmplitudeSet | np.ndarray:
-    """Six-amplitude solution for total 2 from any normalized start: photon
-    labels mix through the uniform mode (frequency 4xi) and its complement
-    (frequency -2xi); the excited-cavity labels D, E, F are frozen.
-
-    Scalar `t` returns an AmplitudeSet; an array returns shape (T, 6).
-    """
-    initials = np.asarray(initials, dtype=complex)
-    if initials.shape != (6,):
-        raise ValueError("need six initial amplitudes")
-    total = float(np.sum(np.abs(initials) ** 2))
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValueError(f"initial amplitudes have squared norm {total!r}")
-    fam = N2_GENERAL
-    freqs, coeffs = _solve(fam._spectrum, fam.pattern_norms, initials)
-    table = _exp_sum(np.asarray(t, dtype=float) * xi, freqs, coeffs)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return AmplitudeSet(fam.name, fam.labels, table[0], float(xi), float(t))
-    return table
 
 
 def n2_exchange_symmetric(ampset: AmplitudeSet) -> dict[str, complex]:

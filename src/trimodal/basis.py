@@ -94,13 +94,6 @@ class BasisState:
     def excited_count(self) -> int:
         return sum(lv.excited for lv in self.levels)
 
-    def permuted(self, perm: tuple[int, int, int]) -> "BasisState":
-        """Image under a cavity relabeling: cavity i's content moves to perm[i]."""
-        new = [None, None, None]
-        for i, target in enumerate(perm):
-            new[target - 1] = self.levels[i]
-        return BasisState(tuple(new))
-
     def __str__(self) -> str:
         return "|" + ",".join(str(lv) for lv in self.levels) + ">"
 
@@ -160,7 +153,8 @@ class Manifold:
         return self._lookup[tuple(np.moveaxis(np.asarray(positions), -1, 0))]
 
     def images(self, perm: tuple[int, int, int]) -> np.ndarray:
-        """Entry i is the basis index of `basis[i].permuted(perm)`."""
+        """Entry i is the basis index of the image of `basis[i]` under the
+        cavity relabeling `perm`: cavity c's level moves to cavity perm[c - 1]."""
         if sorted(perm) != [1, 2, 3]:
             raise ValueError(f"not a permutation of (1, 2, 3): {perm}")
         return self.index_at(self.coords[:, np.argsort(perm)])
@@ -267,17 +261,11 @@ def product_state(
 
 
 def permute_cavities(state: StateVector, perm: tuple[int, int, int]) -> StateVector:
-    """Relabel cavities: amplitude of b moves to the image state b.permuted(perm)."""
+    """Relabel cavities: the amplitude of each basis state moves to its image
+    under `perm` (see `Manifold.images`)."""
     out = np.zeros(state.manifold.dim, dtype=complex)
     out[state.manifold.images(perm)] = state.amplitudes
     return StateVector(state.manifold, out)
-
-
-def permutation_matrix(manifold: Manifold, perm: tuple[int, int, int]) -> np.ndarray:
-    """Matrix of the cavity-relabeling operator in the canonical basis."""
-    mat = np.zeros((manifold.dim, manifold.dim))
-    mat[manifold.images(perm), np.arange(manifold.dim)] = 1.0
-    return mat
 
 
 def symmetrize(state: BasisState, kind: str = "all") -> StateVector:

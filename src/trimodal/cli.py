@@ -29,6 +29,7 @@ from .scan import GRID_PER_PI, default_grid, family_objective, scan_extrema
 from .verification import run_suite, render_table
 
 MODES = ("full", "large_hopping")
+N_CHOICES = (2, 4, 6)
 DEFAULT_SEED = 0
 
 
@@ -50,7 +51,7 @@ _PI_RE = re.compile(
 
 
 def parse_phase(text: str) -> float:
-    """Parse '0.5', 'pi', '2pi', 'pi/3', '3*pi/2' into a float."""
+    """Parse '0.5', 'pi', '2pi', 'pi/3', '3*pi/2' into a finite float."""
     s = text.strip().lower()
     m = _PI_RE.match(s)
     if not m or (not m.group("num") and not m.group("pi")):
@@ -60,7 +61,10 @@ def parse_phase(text: str) -> float:
     if m.group("pi"):
         value *= math.pi
     if m.group("den"):
-        value /= float(m.group("den"))
+        den = float(m.group("den"))
+        value = value / den if den else math.inf
+    if not math.isfinite(value):
+        raise CliError(f"number {text!r} is not finite")
     return value
 
 
@@ -180,10 +184,11 @@ def parse_state_file(path: str) -> StateVector:
     for field in ("N", "amplitudes"):
         if field not in doc:
             raise CliError(f"{path}: missing field {field!r}")
-    try:
-        man = enumerate_manifold(int(doc["N"]))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: field 'N': {exc}") from None
+    # checked before enumerating: the grid grows as the cube of N
+    if type(doc["N"]) is not int or doc["N"] not in N_CHOICES:
+        raise CliError(f"{path}: field 'N' must be one of {N_CHOICES}, "
+                       f"got {doc['N']!r}")
+    man = enumerate_manifold(doc["N"])
     raw = doc["amplitudes"]
     if not isinstance(raw, list) or len(raw) != man.dim:
         got = len(raw) if isinstance(raw, list) else type(raw).__name__
@@ -244,7 +249,7 @@ class RunConfig:
                 f"times-in must be 'xi_t' or 't', got {self.times_in!r}")
         if not (math.isfinite(self.xi) and self.xi > 0):
             raise CliError(f"xi must be positive and finite, got {self.xi}")
-        if self.N not in (2, 4, 6):
+        if self.N not in N_CHOICES:
             raise CliError(f"N must be 2, 4, or 6, got {self.N}")
 
 
@@ -413,20 +418,6 @@ def _cmd_evolve(config: RunConfig, initial: StateVector | None = None) -> int:
     return 0
 
 
-def read_trajectory(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Re-parse an evolve CSV into (times, amplitudes); bit-exact round trip."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_states = (len(header) - 1) // 2
-        times, rows = [], []
-        for row in reader:
-            times.append(float(row[0]))
-            vals = np.array([float(v) for v in row[1:]])
-            rows.append(vals[0::2] + 1j * vals[1::2])
-    return np.array(times), np.array(rows).reshape(-1, n_states)
-
-
 def _cmd_entangle(config: RunConfig, initial: StateVector | None = None) -> int:
     initial = _initial_state(config, initial, "no state")
     res = max_product_overlap(initial, restarts=config.restarts,
@@ -509,7 +500,7 @@ def _add_output(p):
 
 
 def _add_manifold(p):
-    p.add_argument("--N", type=int, default=None, choices=(2, 4, 6),
+    p.add_argument("--N", type=int, default=None, choices=N_CHOICES,
                    help="total-count manifold (default 2)")
 
 

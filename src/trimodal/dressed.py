@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class DressedParams:
@@ -52,14 +50,6 @@ def splitting(n: int, params: DressedParams) -> float:
         raise ValueError(f"pair label must be >= -1, got {n}")
     r, delta = params.r, params.delta
     return 0.5 * (-delta + math.sqrt(delta * delta + 4 * (r * r * (n + 2) + (n + 1))))
-
-
-def dressed_vectors(n: int, params: DressedParams) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (+, -) dressed vectors on the ordered pair (|e,n>, |g,n+2>)."""
-    cos, sin = mixing_angle(n, params)
-    plus = np.array([sin, cos])
-    minus = np.array([cos, -sin])
-    return plus, minus
 
 
 def energy_scale(n_total: int, params: DressedParams) -> float:

@@ -25,46 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ALL_PERMUTATIONS, BasisState, Manifold, StateVector
+from .basis import ALL_PERMUTATIONS, Manifold
 from .dressed import DressedParams, energy_scale, mixing_angle, splitting
 
 HERMITICITY_TOL = 1e-12
 # row c shifts cavity c's level position by one, leaving the others
 _CAVITY_STEP = np.eye(3, dtype=np.intp)
-
-
-def hopping_element(bra: BasisState, ket: BasisState, xi: float = 1.0) -> float:
-    """Matrix element of the pair-exchange coupling between two basis states.
-
-    Nonzero only when bra differs from ket by one photon pair moved between
-    two cavities with atomic flags untouched; the value is
-    xi * sqrt((n+1)*(n+2)) * sqrt(m*(m-1)) for a pair landing on a cavity
-    with n photons and leaving one with m photons.
-    """
-    if bra.total != ket.total:
-        return 0.0
-    gain = None
-    lose = None
-    for i, (lb, lk) in enumerate(zip(bra.levels, ket.levels)):
-        if lb == lk:
-            continue
-        if lb.excitation is not lk.excitation:
-            return 0.0
-        if lb.pairs == lk.pairs + 1:
-            if gain is not None:
-                return 0.0
-            gain = i
-        elif lb.pairs == lk.pairs - 1:
-            if lose is not None:
-                return 0.0
-            lose = i
-        else:
-            return 0.0
-    if gain is None or lose is None:
-        return 0.0
-    n = ket.levels[gain].photons
-    m = ket.levels[lose].photons
-    return xi * math.sqrt((n + 1) * (n + 2)) * math.sqrt(m * (m - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +84,10 @@ def _hopping_matrix(manifold: Manifold, xi: float) -> np.ndarray:
     """Pair-exchange matrix, filled by index arithmetic on `manifold.coords`.
 
     A pair moving from cavity src to dst takes src's level one position down
-    and dst's one up its ladder in `levels`.  Each coupled pair (i, j), i < j,
-    is filled once with `hopping_element`'s value for bra i and ket j.
+    and dst's one up its ladder in `levels`; atomic flags stay.  Each coupled
+    pair (i, j), i < j, is filled once with the value for bra i and ket j:
+    xi * sqrt((n+1)*(n+2)) * sqrt(m*(m-1)), where the ket holds n photons in
+    the cavity the pair lands on and m in the one it leaves.
     """
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
@@ -171,9 +139,10 @@ def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 
     return Generator(manifold=manifold, matrix=mat, mode="full", xi=xi, params=params)
 
 
-def project_onto(generator: Generator | Block, states: list[StateVector] | np.ndarray,
+def project_onto(generator: Generator | Block, states: np.ndarray,
                  label: str = "") -> Block:
-    """Compress a generator or block onto an orthonormal list of states.
+    """Compress a generator or block onto orthonormal states, the columns of
+    `states`.
 
     States are given in the generator's own coordinates: manifold basis
     amplitudes for a Generator, block coordinates for a Block (whose
@@ -183,10 +152,7 @@ def project_onto(generator: Generator | Block, states: list[StateVector] | np.nd
     the dynamics in an adapted basis).  An empty (dim x 0) array gives a
     0 x 0 block.
     """
-    if isinstance(states, np.ndarray):
-        emb = np.ascontiguousarray(states, dtype=complex)
-    else:
-        emb = np.column_stack([s.amplitudes for s in states]).astype(complex)
+    emb = np.ascontiguousarray(states, dtype=complex)
     gram = emb.conj().T @ emb
     if not np.abs(gram - np.eye(emb.shape[1])).max(initial=0.0) <= 1e-9:
         raise ValueError("projection states must be orthonormal")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CavityLevel, Manifold, StateVector
+from .basis import Manifold, StateVector
 
 MAX_SWEEPS = 10_000
 
@@ -54,20 +54,6 @@ class ProductState:
             if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
                 raise ValueError("factors must be unit vectors")
         object.__setattr__(self, "vectors", vecs)
-
-    def tensor(self) -> np.ndarray:
-        u, v, w = self.vectors
-        return np.einsum("i,j,k->ijk", u, v, w)
-
-    def overlap_with(self, state: StateVector) -> complex:
-        """<product|state>, embedding the manifold state in the qudit space."""
-        t = embed(state)
-        u, v, w = self.vectors
-        return complex(np.einsum("ijk,i,j,k->", t, u.conj(), v.conj(), w.conj()))
-
-    def dominant_levels(self) -> tuple[CavityLevel, CavityLevel, CavityLevel]:
-        levels = self.manifold.levels
-        return tuple(levels[int(np.argmax(np.abs(v)))] for v in self.vectors)
 
 
 @dataclass(frozen=True, eq=False)

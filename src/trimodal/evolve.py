@@ -107,10 +107,6 @@ class Trajectory:
     times_are_phase: bool
     amplitudes: np.ndarray
 
-    @property
-    def n_times(self) -> int:
-        return len(self.times)
-
     def state(self, k: int) -> StateVector:
         return StateVector(self.manifold, self.amplitudes[k])
 

@@ -1,0 +1,52 @@
+"""Per-state definitions the library's table arithmetic is compared against.
+
+The generators and cavity relabelings are filled by index arithmetic on a
+manifold's coordinate table; these state-by-state definitions are what that
+arithmetic must reproduce.
+"""
+
+import math
+
+from trimodal.basis import BasisState
+
+
+def hopping_element(bra: BasisState, ket: BasisState, xi: float = 1.0) -> float:
+    """Matrix element of the pair-exchange coupling between two basis states.
+
+    Nonzero only when bra differs from ket by one photon pair moved between
+    two cavities with atomic flags untouched; the value is
+    xi * sqrt((n+1)*(n+2)) * sqrt(m*(m-1)) for a pair landing on a cavity
+    with n photons and leaving one with m photons.
+    """
+    if bra.total != ket.total:
+        return 0.0
+    gain = None
+    lose = None
+    for i, (lb, lk) in enumerate(zip(bra.levels, ket.levels)):
+        if lb == lk:
+            continue
+        if lb.excitation is not lk.excitation:
+            return 0.0
+        if lb.pairs == lk.pairs + 1:
+            if gain is not None:
+                return 0.0
+            gain = i
+        elif lb.pairs == lk.pairs - 1:
+            if lose is not None:
+                return 0.0
+            lose = i
+        else:
+            return 0.0
+    if gain is None or lose is None:
+        return 0.0
+    n = ket.levels[gain].photons
+    m = ket.levels[lose].photons
+    return xi * math.sqrt((n + 1) * (n + 2)) * math.sqrt(m * (m - 1))
+
+
+def permuted(state: BasisState, perm: tuple[int, int, int]) -> BasisState:
+    """Image under a cavity relabeling: cavity i's content moves to perm[i]."""
+    new = [None, None, None]
+    for i, target in enumerate(perm):
+        new[target - 1] = state.levels[i]
+    return BasisState(tuple(new))

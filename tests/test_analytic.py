@@ -11,9 +11,7 @@ from trimodal.analytic import (
     FAMILIES,
     AmplitudeSet,
     _exp_sum,
-    evaluate,
     matrix_representation,
-    n2_amplitudes,
     n2_exchange_symmetric,
     pattern_compression,
 )
@@ -385,10 +383,6 @@ def test_normalization_checks_fail_closed_on_nan():
         FAMILIES["n2_general"].evaluate(1.0, 0.1, a=math.nan, b=0.0)
     with pytest.raises(ValueError):
         FAMILIES["n4_two_cavity"].evaluate(1.0, 0.1, c=math.nan)
-    initials = np.eye(6)[0].astype(complex)
-    initials[3] = math.nan
-    with pytest.raises(ValueError):
-        n2_amplitudes(initials, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -398,8 +392,6 @@ def test_exponential_sums_reject_non_finite_phases(bad):
         fam.evaluate(bad, 1.0)
     with pytest.raises(ValueError, match="phases must be finite"):
         fam.evaluate_phases([0.1, bad])
-    with pytest.raises(ValueError, match="phases must be finite"):
-        n2_amplitudes(np.eye(6)[0].astype(complex), 1.0, [0.0, bad])
 
 
 def test_parameter_validation():
@@ -412,41 +404,27 @@ def test_parameter_validation():
     assert fam.conservation_residual(ok, a=0.6, b=0.8j) < 1e-12
 
 
-def test_module_level_evaluate_dispatch():
-    direct = FAMILIES["n4_two_cavity"].evaluate(2.0, 0.4)
-    routed = evaluate("n4_two_cavity", 2.0, 0.4)
-    assert np.allclose(routed.values, direct.values)
-    with pytest.raises(ValueError, match="n2_general"):
-        evaluate("not_a_family", 1.0, 0.0)
-
-
 # --------------------------------------------------------------- total 2
 
 def test_pair_leaves_its_cavity_at_a_third_turn():
-    folded = n2_exchange_symmetric(evaluate("n2_general", 1.0, math.pi / 3.0))
+    folded = n2_exchange_symmetric(FAMILIES["n2_general"].evaluate(1.0, math.pi / 3.0))
     assert abs(folded["B"]) < 1e-12
     assert abs(folded["A"]) == pytest.approx(1.0)
 
 
 def test_stay_probability_profile():
     ts = np.linspace(0.0, math.pi, 50)
-    table = n2_amplitudes(np.eye(6)[0].astype(complex), 1.0, ts)
+    fam = FAMILIES["n2_general"]
+    table = fam.evaluate_phases(ts)
     assert table.shape == (50, 6)
     assert np.abs(table[:, 0]) ** 2 == pytest.approx((5 + 4 * np.cos(6 * ts)) / 9)
     for k in (0, 7, 49):
-        single = n2_amplitudes(np.eye(6)[0].astype(complex), 1.0, ts[k])
+        single = fam.evaluate(1.0, ts[k])
         assert np.array_equal(table[k], single.values)
 
 
-def test_n2_amplitudes_validation():
-    with pytest.raises(ValueError):
-        n2_amplitudes(np.zeros(5, dtype=complex), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        n2_amplitudes(0.5 * np.eye(6)[0].astype(complex), 1.0, 0.0)
-
-
 def test_exchange_fold_fails_closed_on_nan():
-    aset = evaluate("n2_general", 1.0, 0.2)
+    aset = FAMILIES["n2_general"].evaluate(1.0, 0.2)
     values = aset.values.copy()
     values[1] = math.nan
     broken = AmplitudeSet(aset.family, aset.labels, values, aset.xi, aset.t)
@@ -455,11 +433,13 @@ def test_exchange_fold_fails_closed_on_nan():
 
 
 def test_exchange_fold_requires_the_symmetry():
-    aset = evaluate("n2_general", 1.0, 0.2)
+    aset = FAMILIES["n2_general"].evaluate(1.0, 0.2)
     assert set(n2_exchange_symmetric(aset)) == {"A", "B", "C"}
     with pytest.raises(ValueError):
         n2_exchange_symmetric(FAMILIES["n4_single_cavity"].evaluate(1.0, 0.1))
-    lopsided = n2_amplitudes(np.array([0, 1, 0, 0, 0, 0], dtype=complex), 1.0, 0.3)
+    fam = FAMILIES["n2_general"]
+    # the pair seeded in cavity 2 instead of cavity 3
+    lopsided = fam.amplitudes_from_state(StateVector(fam.manifold, np.eye(6)[1]))
     with pytest.raises(ValueError):
         n2_exchange_symmetric(lopsided)
 
@@ -467,14 +447,14 @@ def test_exchange_fold_requires_the_symmetry():
 # --------------------------------------------------------------- total 4 / 6
 
 def test_single_cavity_family_third_turn_split():
-    aset = evaluate("n4_single_cavity", 1.0, math.pi / 3.0)
+    aset = FAMILIES["n4_single_cavity"].evaluate(1.0, math.pi / 3.0)
     assert abs(aset["A"]) < 1e-12 and abs(aset["B"]) < 1e-12
     assert aset.probability("C") == pytest.approx(18.0 / 25.0)
     assert aset.probability("F") == pytest.approx(7.0 / 25.0)
 
 
 def test_two_cavity_family_third_turn_split():
-    aset = evaluate("n4_two_cavity", 1.0, math.pi / 3.0)
+    aset = FAMILIES["n4_two_cavity"].evaluate(1.0, math.pi / 3.0)
     assert aset.probability("A") == pytest.approx(18.0 / 25.0)
     assert aset.probability("P") == pytest.approx(7.0 / 25.0)
 
@@ -491,10 +471,10 @@ def test_concentrated_pair_of_amplitudes_matches_family():
 
 
 def test_asymmetric_family_landmark_times():
-    pi5 = evaluate("n6_asymmetric", 1.0, math.pi / 5.0)
+    pi5 = FAMILIES["n6_asymmetric"].evaluate(1.0, math.pi / 5.0)
     assert pi5.probability("A") == pytest.approx(
         (4.0 / 9.0) * math.sin(math.pi / 5.0) ** 2)
-    pi3 = evaluate("n6_asymmetric", 1.0, math.pi / 3.0)
+    pi3 = FAMILIES["n6_asymmetric"].evaluate(1.0, math.pi / 3.0)
     assert pi3.probability("C") == pytest.approx(18.0 / 25.0)
     assert pi3.probability("D") == pytest.approx(7.0 / 25.0)
 

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, subcommands, exit codes, determinism."""
 
+import csv
 import json
 import math
 
@@ -19,7 +20,6 @@ from trimodal.cli import (
     parse_phase,
     parse_state_file,
     parse_times,
-    read_trajectory,
 )
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import build_full_generator
@@ -30,6 +30,20 @@ from trimodal.verification import CheckResult
 def write_state(path, n, amps):
     path.write_text(json.dumps({"N": n, "amplitudes": amps}))
     return str(path)
+
+
+def read_trajectory(path):
+    """Re-parse an evolve CSV into (times, amplitudes)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        n_states = (len(header) - 1) // 2
+        times, rows = [], []
+        for row in reader:
+            times.append(float(row[0]))
+            vals = np.array([float(v) for v in row[1:]])
+            rows.append(vals[0::2] + 1j * vals[1::2])
+    return np.array(times), np.array(rows).reshape(-1, n_states)
 
 
 UNIT6 = [[1.0, 0.0]] + [[0.0, 0.0]] * 5
@@ -55,6 +69,22 @@ def test_parse_phase(text, value):
 def test_parse_phase_rejects(bad):
     with pytest.raises(CliError):
         parse_phase(bad)
+
+
+@pytest.mark.parametrize("bad", ["pi/0", "0/0", "1e400", "-1e400*pi"])
+def test_parse_phase_rejects_non_finite_values(bad):
+    with pytest.raises(CliError, match="not finite"):
+        parse_phase(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:pi/0"],
+    ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:1e400"],
+    ["evolve", "--N", "2", "--init", "g0|g0|g2", "--times", "0:pi/0:3"],
+])
+def test_non_finite_phases_exit_with_a_message(argv, capsys):
+    assert main(argv) == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_parse_times():
@@ -144,6 +174,15 @@ def test_state_file_reports_json_position(tmp_path):
     path.write_text('{"N": 2,\n  "amplitudes": [,]}')
     with pytest.raises(CliError, match="line 2"):
         parse_state_file(str(path))
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True, "2", 3, 100, None])
+def test_state_file_n_must_be_an_allowed_int(tmp_path, capsys, n):
+    path = write_state(tmp_path / "s.json", n, UNIT6)
+    with pytest.raises(CliError, match="field 'N' must be one of"):
+        parse_state_file(path)
+    assert main(["entangle", "--state-file", path]) == 1
+    assert "field 'N'" in capsys.readouterr().err
 
 
 def test_state_file_missing_fields(tmp_path):

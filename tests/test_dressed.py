@@ -2,12 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from trimodal.dressed import (
     DressedParams,
-    dressed_vectors,
     energy_scale,
     mixing_angle,
     splitting,
@@ -58,15 +56,6 @@ def test_splitting_positive_and_resonant_value(r, delta):
     if delta == 0.0:
         # on resonance the shift is the bare coupling norm
         assert splitting(0, params) == pytest.approx(math.sqrt(2 * r * r + 1))
-
-
-def test_dressed_vectors_orthonormal():
-    params = DressedParams(r=0.8, delta=0.1)
-    for n in (-1, 0, 3):
-        plus, minus = dressed_vectors(n, params)
-        assert np.dot(plus, plus) == pytest.approx(1.0)
-        assert np.dot(minus, minus) == pytest.approx(1.0)
-        assert np.dot(plus, minus) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_scale_matches_definition():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trimodal.analytic import FAMILIES, evaluate
+from trimodal.analytic import FAMILIES
 from trimodal.basis import (
     ALL_PERMUTATIONS,
     StateVector,
@@ -23,6 +23,7 @@ from trimodal.cli import parse_init
 from trimodal.dynamics import build_large_xi_generator
 from trimodal.entanglement import (
     ProductState,
+    _overlaps,
     _starts,
     closed_form_overlap_n2,
     embed,
@@ -33,6 +34,7 @@ from trimodal.entanglement import (
 from trimodal.evolve import propagate
 
 MAN2 = enumerate_manifold(2)
+N2 = FAMILIES["n2_general"]
 
 
 def lv(text):
@@ -54,11 +56,11 @@ def test_product_state_overlap_agrees_with_embedding():
     d = MAN2.qudit_dim
     vecs = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    prod = ProductState(MAN2, (vecs[0], vecs[1], vecs[2]))
     amps = rng.normal(size=MAN2.dim) + 1j * rng.normal(size=MAN2.dim)
     state = StateVector(MAN2, amps / np.linalg.norm(amps))
-    assert prod.overlap_with(state) == pytest.approx(
-        np.vdot(prod.tensor(), embed(state)))
+    tensor = np.einsum("i,j,k->ijk", *vecs)
+    assert _overlaps(embed(state)[None], *vecs[:, None]) == pytest.approx(
+        [abs(np.vdot(tensor, embed(state)))])
 
 
 def test_product_state_validation():
@@ -88,7 +90,7 @@ def test_unentangled_state_has_unit_overlap():
 def test_sweep_agrees_with_the_reference_curve_on_its_window():
     # where cos(6 xi t) >= -1/8 the aligned product combination is optimal
     t = 0.1
-    state = FAMILIES["n2_general"].state_vector(evaluate("n2_general", 1.0, t))
+    state = N2.state_vector(N2.evaluate(1.0, t))
     result = max_product_overlap(state, seed=0)
     assert result.overlap == pytest.approx(
         closed_form_overlap_n2(1.0, 0.0, 1.0, t), abs=1e-9)
@@ -98,19 +100,19 @@ def test_sweep_beats_the_reference_curve_at_the_antinode():
     # at a sixth turn the best product state leaves the aligned combination:
     # the sweep lands on 64/135, above the curve's 1/9
     t = math.pi / 6.0
-    state = FAMILIES["n2_general"].state_vector(evaluate("n2_general", 1.0, t))
+    state = N2.state_vector(N2.evaluate(1.0, t))
     result = max_product_overlap(state, seed=0)
     assert result.overlap == pytest.approx(64.0 / 135.0, abs=1e-9)
     assert closed_form_overlap_n2(1.0, 0.0, 1.0, t) == pytest.approx(1.0 / 9.0)
     # one-sided: the sweep can only exceed the aligned-combination curve
     for phi in np.linspace(0.0, math.pi / 3.0, 12):
-        st = FAMILIES["n2_general"].state_vector(evaluate("n2_general", 1.0, phi))
+        st = N2.state_vector(N2.evaluate(1.0, phi))
         res = max_product_overlap(st, restarts=8, seed=1)
         assert res.overlap >= closed_form_overlap_n2(1.0, 0.0, 1.0, phi) - 1e-9
 
 
 def test_entanglement_is_log2_of_the_overlap():
-    state = FAMILIES["n2_general"].state_vector(evaluate("n2_general", 1.0, 0.4))
+    state = N2.state_vector(N2.evaluate(1.0, 0.4))
     result = max_product_overlap(state, seed=1)
     assert result.entanglement == pytest.approx(-math.log2(result.overlap))
 
@@ -315,7 +317,7 @@ def _mixed_batch():
     states of the pair family and seeded random states."""
     fam = FAMILIES["n2_general"]
     states = [parse_init("g0|g0|g2", 2)]
-    states += [fam.state_vector(evaluate("n2_general", 1.0, t, a=0.6, b=0.8))
+    states += [fam.state_vector(fam.evaluate(1.0, t, a=0.6, b=0.8))
                for t in (0.1, math.pi / 6.0, 0.9)]
     states += [_seeded_state(2, seed) for seed in range(6)]
     return states
@@ -402,12 +404,13 @@ def test_symmetric_states_match_the_symmetric_power_oracle(turn):
 def test_maximizer_reports_its_levels():
     vec = product_state(MAN2, [[(lv("g0"), 1.0)], [(lv("e0"), 1.0)], [(lv("g0"), 1.0)]])
     result = max_product_overlap(vec, seed=0)
-    assert tuple(str(l) for l in result.maximizer.dominant_levels()) == \
-        ("g0", "e0", "g0")
+    assert tuple(str(MAN2.levels[int(np.argmax(np.abs(v)))])
+                 for v in result.maximizer.vectors) == ("g0", "e0", "g0")
 
 
 def test_seeded_sweep_is_reproducible():
-    state = FAMILIES["n4_two_cavity"].state_vector(evaluate("n4_two_cavity", 1.0, 0.19))
+    fam = FAMILIES["n4_two_cavity"]
+    state = fam.state_vector(fam.evaluate(1.0, 0.19))
     first = max_product_overlap(state, restarts=8, seed=42)
     second = max_product_overlap(state, restarts=8, seed=42)
     assert first.overlap == second.overlap

@@ -162,7 +162,6 @@ def test_propagation_keeps_the_norm_and_the_group_law(n_total, xi, r, delta,
 def test_trajectory_state_accessor():
     gen = build_large_xi_generator(MAN2)
     traj = propagate(gen, corner_state(MAN2), np.linspace(0.0, 1.0, 5))
-    assert traj.n_times == 5
     st = traj.state(3)
     assert isinstance(st, StateVector)
     assert np.allclose(st.amplitudes, traj.amplitudes[3])
