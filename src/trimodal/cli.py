@@ -38,6 +38,11 @@ class CliError(Exception):
     `main` reports a library ValueError the same way."""
 
 
+def _allowed_n(n) -> bool:
+    """True for an int (not a bool) in N_CHOICES."""
+    return type(n) is int and n in N_CHOICES
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -185,7 +190,7 @@ def parse_state_file(path: str) -> StateVector:
         if field not in doc:
             raise CliError(f"{path}: missing field {field!r}")
     # checked before enumerating: the grid grows as the cube of N
-    if type(doc["N"]) is not int or doc["N"] not in N_CHOICES:
+    if not _allowed_n(doc["N"]):
         raise CliError(f"{path}: field 'N' must be one of {N_CHOICES}, "
                        f"got {doc['N']!r}")
     man = enumerate_manifold(doc["N"])
@@ -249,8 +254,8 @@ class RunConfig:
                 f"times-in must be 'xi_t' or 't', got {self.times_in!r}")
         if not (math.isfinite(self.xi) and self.xi > 0):
             raise CliError(f"xi must be positive and finite, got {self.xi}")
-        if self.N not in N_CHOICES:
-            raise CliError(f"N must be 2, 4, or 6, got {self.N}")
+        if not _allowed_n(self.N):
+            raise CliError(f"N must be 2, 4, or 6, got {self.N!r}")
 
 
 CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(RunConfig))

@@ -197,8 +197,9 @@ def test_state_file_missing_fields(tmp_path):
 # ------------------------------------------------------------ config objects
 
 def test_run_config_validation():
-    with pytest.raises(CliError):
-        parse_config({"command": "evolve", "N": 3})
+    for n in (3, 2.0, True, "2"):
+        with pytest.raises(CliError, match="N must be 2, 4, or 6"):
+            parse_config({"command": "evolve", "N": n})
     with pytest.raises(CliError):
         parse_config({"command": "evolve", "mode": "adiabatic"})
     with pytest.raises(CliError):
