@@ -75,13 +75,11 @@ def _orbit_pattern(levels: tuple[str, str, str], perms) -> Pattern:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeSet:
-    """Labelled complex amplitudes of one family at a single (xi, t)."""
+    """Labelled complex amplitudes of one family at a single phase xi*t."""
 
     family: str
     labels: tuple[str, ...]
     values: np.ndarray
-    xi: float
-    t: float
 
     def __getitem__(self, label: str) -> complex:
         return complex(self.values[self.labels.index(label)])
@@ -94,7 +92,6 @@ class AmplitudeSet:
 class ConservedSum:
     """sum_l weight_l |X_l(t)|^2 stays at its t = 0 value for all t."""
 
-    name: str
     weights: Mapping[str, float]
 
 
@@ -216,7 +213,7 @@ class Family:
 
     def evaluate(self, xi: float, t: float, **overrides) -> AmplitudeSet:
         values = self.evaluate_phases([xi * t], **overrides)[0]
-        return AmplitudeSet(self.name, self.labels, values, float(xi), float(t))
+        return AmplitudeSet(self.name, self.labels, values)
 
     def initial_state(self, **overrides) -> StateVector:
         """The family's unentangled initial state on its manifold."""
@@ -273,13 +270,12 @@ class Family:
         """Assemble the manifold state carrying the labelled amplitudes."""
         return StateVector(self.manifold, self.fill_patterns([ampset.values])[0])
 
-    def amplitudes_from_state(self, state: StateVector, xi: float = 1.0,
-                              t: float = 0.0, tol: float = 1e-9) -> AmplitudeSet:
+    def amplitudes_from_state(self, state: StateVector) -> AmplitudeSet:
         """Read labelled amplitudes off a manifold state (see `read_patterns`)."""
         if state.manifold.n_total != self.n_total:
             raise ValueError("state lives on a different manifold")
-        values = self.read_patterns([state.amplitudes], tol)[0]
-        return AmplitudeSet(self.name, self.labels, values, float(xi), float(t))
+        values = self.read_patterns([state.amplitudes])[0]
+        return AmplitudeSet(self.name, self.labels, values)
 
     def conservation_residual(self, ampset: AmplitudeSet, **overrides) -> float:
         """Largest deviation of any conserved sum from its value at t = 0,
@@ -333,7 +329,7 @@ def pattern_compression(family: Family, generator: Generator) -> np.ndarray:
 
 
 def matrix_representation(matrix: np.ndarray, initial: np.ndarray,
-                          scale: np.ndarray | None = None):
+                          scale: np.ndarray):
     """Exponential-sum solution of i dx/dt = xi * matrix @ x, x(0) = initial.
 
     `scale` symmetrizes a label-coordinate matrix built on unnormalized
@@ -341,7 +337,7 @@ def matrix_representation(matrix: np.ndarray, initial: np.ndarray,
     Returns merged (frequencies, coefficients[mode, label]); a non-finite
     `initial` raises ValueError.
     """
-    s = np.ones(matrix.shape[0]) if scale is None else np.asarray(scale, dtype=float)
+    s = np.asarray(scale, dtype=float)
     return _solve(_symmetrized_spectrum(matrix, s), s, initial)
 
 
@@ -475,8 +471,8 @@ _register(Family(
     defaults={"a": 1.0, "b": 0.0},
     initial=({"g0": 1.0}, {"g0": 1.0}, {"g2": "a", "e0": "b"}),
     conserved=(
-        ConservedSum("photon sector", {"A": 1, "B": 1, "C": 1}),
-        ConservedSum("excited sector", {"D": 1, "E": 1, "F": 1}),
+        ConservedSum({"A": 1, "B": 1, "C": 1}),  # photon sector
+        ConservedSum({"D": 1, "E": 1, "F": 1}),  # excited sector
     ),
     modulus_period=math.pi / 3,
 ))
@@ -488,8 +484,8 @@ _register(Family(
     defaults={"a": 1.0, "b": 0.0},
     initial=({"g0": 1.0}, {"g0": 1.0}, {"g4": "a", "e2": "b"}),
     conserved=(
-        ConservedSum("photon sector", {"A": 2, "B": 2, "C": 1, "F": 1}),
-        ConservedSum("excited sector", {"E": 2, "K": 1}),
+        ConservedSum({"A": 2, "B": 2, "C": 1, "F": 1}),  # photon sector
+        ConservedSum({"E": 2, "K": 1}),  # excited sector
     ),
     modulus_period=math.pi,
 ))
@@ -501,10 +497,10 @@ _register(Family(
     defaults={"a": 1.0, "b": 0.0, "c": 1.0, "d": 0.0},
     initial=({"g0": 1.0}, {"g2": "a", "e0": "b"}, {"g2": "c", "e0": "d"}),
     conserved=(
-        ConservedSum("photon sector", {"A": 1, "B": 2, "F": 2, "P": 1}),
-        ConservedSum("both excited", {"L": 1}),
-        ConservedSum("cavity 2 excited", {"D": 2, "M": 1}),
-        ConservedSum("cavity 3 excited", {"E": 2, "N": 1}),
+        ConservedSum({"A": 1, "B": 2, "F": 2, "P": 1}),  # photon sector
+        ConservedSum({"L": 1}),  # both excited
+        ConservedSum({"D": 2, "M": 1}),  # cavity 2 excited
+        ConservedSum({"E": 2, "N": 1}),  # cavity 3 excited
     ),
     modulus_period=math.pi,
 ))
@@ -516,7 +512,7 @@ _register(Family(
     defaults={},
     initial=({"g6": 1.0}, {"g0": 1.0}, {"g0": 1.0}),
     conserved=(
-        ConservedSum("norm", {"A": 1, "B": 2, "E": 2, "G": 2, "K": 2, "F": 1}),
+        ConservedSum({"A": 1, "B": 2, "E": 2, "G": 2, "K": 2, "F": 1}),  # norm
     ),
     modulus_period=None,
 ))
@@ -528,10 +524,10 @@ _register(Family(
     defaults={"a": 1.0, "b": 0.0},
     initial=({"g2": "a", "e0": "b"},) * 3,
     conserved=(
-        ConservedSum("photon sector", {"A": 1, "F": 1, "K": 1}),
-        ConservedSum("one excited", {"B": 1, "E": 1, "G": 1, "J": 1}),
-        ConservedSum("two excited", {"C": 1, "H": 1}),
-        ConservedSum("three excited", {"D": 1}),
+        ConservedSum({"A": 1, "F": 1, "K": 1}),  # photon sector
+        ConservedSum({"B": 1, "E": 1, "G": 1, "J": 1}),  # one excited
+        ConservedSum({"C": 1, "H": 1}),  # two excited
+        ConservedSum({"D": 1}),  # three excited
     ),
     modulus_period=None,
     documented_matrix=_n6_symmetric_system(),
@@ -544,7 +540,7 @@ _register(Family(
     defaults={},
     initial=({"e2": 1.0}, {"g2": 1.0}, {"g0": 1.0}),
     conserved=(
-        ConservedSum("norm", {"A": 1, "B": 1, "C": 1, "D": 1, "E": 1, "F": 1}),
+        ConservedSum({"A": 1, "B": 1, "C": 1, "D": 1, "E": 1, "F": 1}),  # norm
     ),
     modulus_period=math.pi,
 ))

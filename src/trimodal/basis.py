@@ -216,14 +216,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def amplitude(self, state: BasisState) -> complex:
-        return complex(self.amplitudes[self.manifold.index_of(state)])
-
-    def overlap(self, other: "StateVector") -> complex:
-        if other.manifold is not self.manifold:
-            raise ValueError("states live on different manifolds")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def product_state(
     manifold: Manifold,
@@ -268,21 +260,15 @@ def permute_cavities(state: StateVector, perm: tuple[int, int, int]) -> StateVec
     return StateVector(state.manifold, out)
 
 
-def symmetrize(state: BasisState, kind: str = "all") -> StateVector:
-    """Normalized sum of a basis state's permutation images.
+def symmetrize(state: BasisState) -> StateVector:
+    """Normalized sum of a basis state's images under the six cavity
+    permutations.
 
-    kind is 'all' (six permutations) or 'even' (the three cyclic ones).
     Coinciding images are merged before normalization, so a fully symmetric
     input comes back with weight 1.
     """
-    if kind == "all":
-        perms = ALL_PERMUTATIONS
-    elif kind == "even":
-        perms = EVEN_PERMUTATIONS
-    else:
-        raise ValueError(f"kind must be 'all' or 'even', got {kind!r}")
     manifold = enumerate_manifold(state.total)
     i = manifold.index_of(state)
-    hits = [manifold.images(perm)[i] for perm in perms]
+    hits = [manifold.images(perm)[i] for perm in ALL_PERMUTATIONS]
     amplitudes = np.bincount(hits, minlength=manifold.dim).astype(complex)
     return StateVector(manifold, amplitudes / np.linalg.norm(amplitudes))

@@ -82,10 +82,6 @@ def parse_times(text: str) -> tuple[float, float, int]:
         count = int(parts[2])
     except ValueError:
         raise CliError(f"times count must be an integer, got {parts[2]!r}") from None
-    if count < 2:
-        raise CliError(f"times count must be at least 2, got {count}")
-    if not hi > lo:
-        raise CliError(f"times window is empty: {lo} .. {hi}")
     return lo, hi, count
 
 
@@ -223,6 +219,27 @@ def parse_state_file(path: str) -> StateVector:
 # ---------------------------------------------------------------------------
 # run configuration
 
+_NONE = type(None)
+_REAL = (int, float)
+# field -> the exact types its value may have, so a bool is no number; N,
+# mode, times_in, times and window have checks of their own
+_FIELD_TYPES = {
+    "command": (str,), "r": _REAL, "delta": _REAL, "xi": _REAL,
+    "init": (tuple, _NONE), "objective": (str, _NONE), "family": (str, _NONE),
+    "grid": (int, _NONE), "restarts": (int,), "suite": (str,), "seed": (int,),
+    "output": (str, _NONE), "spectrum": (bool,),
+}
+
+
+def _check_numbers(field: str, value, kinds, rule: str) -> None:
+    """A CliError stating `rule` unless `value` is None or a tuple whose
+    entries have the exact types `kinds` in turn."""
+    if value is not None and not (
+            type(value) is tuple and len(value) == len(kinds)
+            and all(type(v) in kind for kind, v in zip(kinds, value))):
+        raise CliError(f"config field {field!r} must be {rule}, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Everything one subcommand invocation needs, in normalized form."""
@@ -247,6 +264,14 @@ class RunConfig:
     spectrum: bool = False
 
     def __post_init__(self):
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if type(value) not in types:
+                wanted = " or ".join("null" if t is _NONE else t.__name__ for t in types)
+                raise CliError(f"config field {name!r} must be {wanted}, got {value!r}")
+        _check_numbers("times", self.times, (_REAL, _REAL, (int,)),
+                       "[start, stop, count] with an integer count")
+        _check_numbers("window", self.window, (_REAL, _REAL), "[lo, hi]")
         if self.mode not in MODES:
             raise CliError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.times_in not in ("xi_t", "t"):
@@ -256,20 +281,20 @@ class RunConfig:
             raise CliError(f"xi must be positive and finite, got {self.xi}")
         if not _allowed_n(self.N):
             raise CliError(f"N must be 2, 4, or 6, got {self.N!r}")
+        if self.times is not None:
+            lo, hi, count = float(self.times[0]), float(self.times[1]), self.times[2]
+            if count < 2:
+                raise CliError(f"times count must be at least 2, got {count}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise CliError(f"times window is not finite: {lo} .. {hi}")
+            if not hi > lo:
+                raise CliError(f"times window is empty: {lo} .. {hi}")
+            object.__setattr__(self, "times", (lo, hi, count))
+        if self.window is not None:
+            object.__setattr__(self, "window", tuple(map(float, self.window)))
 
 
 CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(RunConfig))
-
-
-def _numbers(values, kinds, rule: str) -> tuple:
-    """`values` converted entry by entry with `kinds`; a wrong length or an
-    unconvertible entry is a CliError stating the config `rule`."""
-    try:
-        if len(values) == len(kinds):
-            return tuple(kind(v) for kind, v in zip(kinds, values))
-    except (TypeError, ValueError):
-        pass
-    raise CliError(f"config field {rule}, got {values!r}")
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -285,17 +310,14 @@ def parse_config(doc: dict) -> RunConfig:
     kw = dict(doc)
     if isinstance(kw.get("times"), str):
         kw["times"] = parse_times(kw["times"])
-    elif isinstance(kw.get("times"), (list, tuple)):
-        kw["times"] = _numbers(kw["times"], (float, float, int),
-                               "'times' must be [start, stop, count]")
     if isinstance(kw.get("window"), str):
         lo_hi = kw["window"].split(":")
         if len(lo_hi) != 2:
             raise CliError(f"window must be lo:hi, got {kw['window']!r}")
         kw["window"] = (parse_phase(lo_hi[0]), parse_phase(lo_hi[1]))
-    elif isinstance(kw.get("window"), (list, tuple)):
-        kw["window"] = _numbers(kw["window"], (float, float),
-                                "'window' must be [lo, hi]")
+    for field in ("times", "window"):
+        if isinstance(kw.get(field), list):
+            kw[field] = tuple(kw[field])
     if isinstance(kw.get("init"), str):
         kw["init"] = normalize_init(kw["init"])
     elif isinstance(kw.get("init"), (list, tuple)):

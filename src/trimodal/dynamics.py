@@ -39,9 +39,7 @@ class Generator:
 
     manifold: Manifold
     matrix: np.ndarray
-    mode: str
     xi: float
-    params: DressedParams | None = None
 
     def __post_init__(self):
         # checked as given: a real matrix needs no complex temporaries
@@ -54,30 +52,22 @@ class Generator:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.manifold.dim
-
 
 @dataclass(frozen=True, eq=False)
 class Block:
     """A generator compressed onto an orthonormal family of vectors.
 
     `matrix` is the compressed Hermitian matrix and the columns of
-    `embedding` (manifold.dim x dim) are the orthonormal vectors written in
-    the basis of `manifold`.  When the family spans an invariant subspace the
-    block evolves autonomously.  A Block handed back to `project_onto` takes
-    its states in the block's own coordinates (length `dim`).
+    `embedding` (manifold.dim x block size) are the orthonormal vectors
+    written in the basis of `manifold`.  When the family spans an invariant
+    subspace the block evolves autonomously.  A Block handed back to
+    `project_onto` takes its states in the block's own coordinates (one entry
+    per row of `matrix`).
     """
 
     matrix: np.ndarray
     embedding: np.ndarray
     manifold: Manifold
-    label: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _hopping_matrix(manifold: Manifold, xi: float) -> np.ndarray:
@@ -106,8 +96,7 @@ def _hopping_matrix(manifold: Manifold, xi: float) -> np.ndarray:
 
 def build_large_xi_generator(manifold: Manifold, xi: float = 1.0) -> Generator:
     """Pair-exchange-only generator; exact when the hopping dominates."""
-    return Generator(manifold=manifold, matrix=_hopping_matrix(manifold, xi),
-                     mode="large_hopping", xi=xi)
+    return Generator(manifold=manifold, matrix=_hopping_matrix(manifold, xi), xi=xi)
 
 
 def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 1.0) -> Generator:
@@ -136,11 +125,10 @@ def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 
         j = manifold.index_at(manifold.coords[i] - shift * _CAVITY_STEP[cav])
         # the hopping never links a state to its atom-flipped partner
         mat[i, j] = mat[j, i] = (weight * tan)[level[i] - shift - 1]
-    return Generator(manifold=manifold, matrix=mat, mode="full", xi=xi, params=params)
+    return Generator(manifold=manifold, matrix=mat, xi=xi)
 
 
-def project_onto(generator: Generator | Block, states: np.ndarray,
-                 label: str = "") -> Block:
+def project_onto(generator: Generator | Block, states: np.ndarray) -> Block:
     """Compress a generator or block onto orthonormal states, the columns of
     `states`.
 
@@ -160,7 +148,7 @@ def project_onto(generator: Generator | Block, states: np.ndarray,
     parent_emb = getattr(generator, "embedding", None)
     if parent_emb is not None:
         emb = parent_emb @ emb
-    return Block(matrix=mat, embedding=emb, manifold=generator.manifold, label=label)
+    return Block(matrix=mat, embedding=emb, manifold=generator.manifold)
 
 
 def sector_block(generator: Generator, excited_count: int) -> Block:
@@ -173,8 +161,7 @@ def sector_block(generator: Generator, excited_count: int) -> Block:
     idx = manifold.sectors[excited_count]
     if not idx:
         raise ValueError(f"sector {excited_count} is empty for total {manifold.n_total}")
-    return project_onto(generator, np.eye(manifold.dim)[:, list(idx)],
-                        label=f"sector{excited_count}")
+    return project_onto(generator, np.eye(manifold.dim)[:, list(idx)])
 
 
 def symmetry_blocks(generator: Generator | Block,
@@ -197,8 +184,8 @@ def symmetry_blocks(generator: Generator | Block,
     mat = generator.matrix
     n = mat.shape[0]
     if not n:  # an empty block splits into two empty blocks
-        return (project_onto(generator, np.zeros((0, 0)), label=f"sym{i}{j}"),
-                project_onto(generator, np.zeros((0, 0)), label=f"asym{i}{j}"))
+        return (project_onto(generator, np.zeros((0, 0))),
+                project_onto(generator, np.zeros((0, 0))))
     # the swap in the input's own coordinates; the exchange is an
     # involution, so P is eye[rows] and P @ parent is parent[rows]
     parent = getattr(generator, "embedding", None)
@@ -224,11 +211,11 @@ def symmetry_blocks(generator: Generator | Block,
             sym_cols.append((unit[c] + s * unit[d]) * rt)
             asym_cols.append((unit[c] - s * unit[d]) * rt)
 
-    def _make(cols, tag):
+    def _make(cols):
         states = np.column_stack(cols) if cols else unit[:, :0]
-        return project_onto(generator, states, label=tag)
+        return project_onto(generator, states)
 
-    return _make(sym_cols, f"sym{i}{j}"), _make(asym_cols, f"asym{i}{j}")
+    return _make(sym_cols), _make(asym_cols)
 
 
 def permutation_symmetric_block(generator: Generator | Block) -> Block:
@@ -257,4 +244,4 @@ def permutation_symmetric_block(generator: Generator | Block) -> Block:
         if not np.all(lost <= 1e-9):
             raise ValueError("symmetric states are not contained in the parent block")
         states = coords
-    return project_onto(generator, states, label="fully-symmetric")
+    return project_onto(generator, states)

@@ -35,6 +35,7 @@ import numpy as np
 from .basis import Manifold, StateVector
 
 MAX_SWEEPS = 10_000
+SETTLE_TOL = 1e-12        # a start settles once a sweep moves its overlap by at most this
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,27 +107,26 @@ def _overlaps(t: np.ndarray, u: np.ndarray, v: np.ndarray,
     return np.abs(np.einsum("sijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
 
 
-def max_product_overlaps(states, restarts: int = 64, tol: float = 1e-12, *,
-                         seed, max_sweeps: int = MAX_SWEEPS) -> list[OverlapResult]:
+def max_product_overlaps(states, restarts: int = 64, *,
+                         seed) -> list[OverlapResult]:
     """Best squared overlap with any product state, one result per state.
 
     Every state must lie on one manifold.  All (state, row) pairs are swept
     in one loop, each row against its own state's tensor, so a row's bits do
     not depend on which other rows share the call.  A state stops sweeping
-    once all its starts settle (or at `max_sweeps`) and keeps its own
+    once all its starts settle (or at MAX_SWEEPS) and keeps its own
     `sweeps` count.  A row stops earlier only when a sweep returns its
     (u, v, w) unchanged bit for bit: the next sweep is a function of (v, w)
     alone, so the row could only repeat itself, and its starts keep their
     overlaps.  Each result is never below the state's largest squared basis
     amplitude, never above 1, and is monotone in `restarts` at fixed seed.
-    `seed` is required so repeated calls are reproducible.
+    `seed` is required, and may not be None, so repeated calls are
+    reproducible.
     """
+    if seed is None:
+        raise ValueError("seed must be given; None would draw fresh starts every call")
     if restarts < 1:
         raise ValueError(f"restarts must be positive, got {restarts}")
-    if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be positive, got {max_sweeps}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     states = list(states)
     if not states:
         raise ValueError("need at least one state")
@@ -171,10 +171,10 @@ def max_product_overlaps(states, restarts: int = 64, tol: float = 1e-12, *,
         row_sweeps += np.bincount(live // n_rows, minlength=n_states)
         swept = np.flatnonzero(active)
         new = row_sigma.reshape(n_states, n_rows)[swept][:, row_of]
-        settled[swept] = np.abs(new - sigma[swept]) <= tol
+        settled[swept] = np.abs(new - sigma[swept]) <= SETTLE_TOL
         sigma[swept] = new
         sweeps[swept] += 1
-        active[swept] = (sweeps[swept] < max_sweeps) & ~settled[swept].all(axis=1)
+        active[swept] = (sweeps[swept] < MAX_SWEEPS) & ~settled[swept].all(axis=1)
         keep = active[live // n_rows] & ~fixed
         if not keep.all():
             gone = ~keep
@@ -197,19 +197,18 @@ def max_product_overlaps(states, restarts: int = 64, tol: float = 1e-12, *,
     return results
 
 
-def max_product_overlap(state: StateVector, restarts: int = 64,
-                        tol: float = 1e-12, *, seed,
-                        max_sweeps: int = MAX_SWEEPS) -> OverlapResult:
+def max_product_overlap(state: StateVector, restarts: int = 64, *,
+                        seed) -> OverlapResult:
     """Best squared overlap of `state` with any product state: the one-state
     call of `max_product_overlaps`.
 
     Runs alternating power sweeps from every product-basis start plus
     `restarts` seeded random starts.  The result is never below the largest
     squared basis amplitude, never above 1, and is monotone in `restarts`
-    at fixed seed.  `seed` is required so repeated calls are reproducible.
+    at fixed seed.  `seed` is required, and may not be None, so repeated
+    calls are reproducible.
     """
-    return max_product_overlaps([state], restarts, tol, seed=seed,
-                                max_sweeps=max_sweeps)[0]
+    return max_product_overlaps([state], restarts, seed=seed)[0]
 
 
 def closed_form_overlap_n2(a: complex, b: complex, xi: float, t) -> float | np.ndarray:
@@ -231,16 +230,13 @@ class QuarterTurnCheck:
     family's photon block."""
 
     tau: float
-    l: int
     amplitudes_ok: bool
     basis_overlap: float
     optimizer_overlap: float
     matches_basis: bool
-    result: OverlapResult
 
 
-def symmetric_quarter_turn_check(l: int = 0, restarts: int = 64, *,
-                                 seed) -> QuarterTurnCheck:
+def symmetric_quarter_turn_check(l: int = 0, *, seed) -> QuarterTurnCheck:
     """Build the all-photon symmetric-family state at
     t = (l + 1/2) pi / (2 sqrt(66)), verify its three amplitudes, and compare
     the sweep optimizer against the best product-basis overlap 25/121.
@@ -261,10 +257,10 @@ def symmetric_quarter_turn_check(l: int = 0, restarts: int = 64, *,
         and abs(aset["K"] + math.sqrt(30.0) / 11.0) < 1e-9
     )
     state = fam.state_vector(aset)
-    result = max_product_overlap(state, restarts=restarts, seed=seed)
+    result = max_product_overlap(state, seed=seed)
     basis = 25.0 / 121.0
     return QuarterTurnCheck(
-        tau=tau, l=l, amplitudes_ok=amplitudes_ok, basis_overlap=basis,
+        tau=tau, amplitudes_ok=amplitudes_ok, basis_overlap=basis,
         optimizer_overlap=result.overlap,
-        matches_basis=abs(result.overlap - basis) < 1e-6, result=result,
+        matches_basis=abs(result.overlap - basis) < 1e-6,
     )

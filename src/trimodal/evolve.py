@@ -36,10 +36,6 @@ class Spectrum:
     frequencies: np.ndarray
     modes: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.frequencies)
-
 
 def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
     """Eigenfrequencies (ascending) and orthonormal modes of a generator."""
@@ -99,22 +95,16 @@ def _merge_modes(freqs: np.ndarray, coeffs: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Amplitudes sampled along an exact evolution."""
+    """Amplitudes sampled along an exact evolution, with the largest
+    deviation of any sampled norm from 1."""
 
     manifold: Manifold
-    generator: Generator
     times: np.ndarray
-    times_are_phase: bool
     amplitudes: np.ndarray
+    norm_drift: float
 
     def state(self, k: int) -> StateVector:
         return StateVector(self.manifold, self.amplitudes[k])
-
-    def phases(self) -> np.ndarray:
-        """Times expressed as the dimensionless product xi*t."""
-        if self.times_are_phase:
-            return self.times
-        return self.times * self.generator.xi
 
 
 def propagate(generator: Generator, initial: StateVector, times,
@@ -125,7 +115,8 @@ def propagate(generator: Generator, initial: StateVector, times,
     times_are_phase is set, in which case they are read as xi*t and the
     hopping strength drops out of the large-hopping dynamics entirely.
 
-    Raises NumericalContractError if any evolved norm drifts beyond 1e-10.
+    Raises NumericalContractError if any evolved norm drifts beyond 1e-10;
+    the worst drift within that bound is the result's `norm_drift`.
     """
     if initial.manifold is not generator.manifold:
         raise ValueError("initial state lives on a different manifold")
@@ -142,9 +133,8 @@ def propagate(generator: Generator, initial: StateVector, times,
     worst = float(np.max(np.abs(norms - 1.0)))
     if not worst <= NORM_TOL:
         raise NumericalContractError(f"norm drifted by {worst:.3e} during evolution")
-    return Trajectory(manifold=generator.manifold, generator=generator,
-                      times=times, times_are_phase=times_are_phase,
-                      amplitudes=amplitudes)
+    return Trajectory(manifold=generator.manifold, times=times,
+                      amplitudes=amplitudes, norm_drift=worst)
 
 
 def sector_probabilities(trajectory: Trajectory, by: str = "count") -> dict:

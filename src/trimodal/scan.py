@@ -26,6 +26,9 @@ from .analytic import Family
 
 GOLDEN_TOL = 1e-10
 GRID_PER_PI = 4096
+PERIOD_TOL = 1e-9         # relative tolerance of a commensuration ratio
+MAX_DENOMINATOR = 1000    # largest denominator a commensuration ratio may have
+SUPPORT_TOL = 1e-12       # a smaller mode coefficient feeds no label
 _CHUNK = 1 << 16          # phases per quadrature chunk
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -111,11 +114,12 @@ def default_grid(lo: float, hi: float) -> int:
 
 
 def scan_extrema(objective: Callable, lo: float, hi: float, *,
-                 grid: int = 256, tol: float = GOLDEN_TOL) -> list[Extremum]:
+                 grid: int = 256) -> list[Extremum]:
     """All local extrema of `objective` on [lo, hi].
 
     A uniform `grid`-point pass brackets every slope sign change; each
-    bracket is refined by golden-section search to phase tolerance `tol`.
+    bracket is refined by golden-section search to phase tolerance
+    GOLDEN_TOL.
     A run of equal samples counts as one point: it is an extremum when it
     sits below (or above) the samples on both sides of it, bracketed by
     those two samples, and none when it is a shoulder on a slope.  Endpoint
@@ -125,8 +129,6 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     """
     if not isinstance(grid, (int, np.integer)) or grid < 16:
         raise ValueError(f"grid must be an integer of at least 16 points, got {grid!r}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid)
@@ -148,7 +150,7 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
             kind, sgn = "max", -1.0
         else:
             continue
-        x_star = _golden(lambda x: sgn * scalar(x), xs[a - 1], xs[b], tol)
+        x_star = _golden(lambda x: sgn * scalar(x), xs[a - 1], xs[b], GOLDEN_TOL)
         found.append(Extremum(phase=x_star, value=scalar(x_star), kind=kind,
                               at_endpoint=False))
     if starts.size > 2:
@@ -220,7 +222,6 @@ class DwellTime:
     """
 
     label: str
-    span: float
     closed_form: float
     _route: _SimpsonRoute = field(repr=False, compare=False)
 
@@ -268,7 +269,7 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
     kernel = np.where(delta == 0.0, 1.0,
                       (np.exp(-1j * safe) - 1.0) / (-1j * safe))
     route = _SimpsonRoute(freqs, cols, labels, span, int(quadrature_points))
-    return [DwellTime(label=lab, span=span,
+    return [DwellTime(label=lab,
                       closed_form=float(np.real(col @ kernel @ col.conj())),
                       _route=route)
             for lab, col in zip(labels, cols.T)]
@@ -297,22 +298,22 @@ class PeriodInfo:
     commensurate: bool
 
 
-def _rational_gcd(gaps: Sequence[float], tol: float,
-                  max_denominator: int) -> float | None:
+def _rational_gcd(gaps: Sequence[float]) -> float | None:
     """Positive generator g with every gap an integer multiple of g.
 
-    Returns None when the gaps are not rationally related within `tol`
-    (relative, with denominators capped), and 0.0 for an empty set.
+    Returns None when the gaps are not rationally related within PERIOD_TOL
+    (relative, with denominators up to MAX_DENOMINATOR), and 0.0 for an
+    empty set.
     """
-    vals = sorted({abs(float(g)) for g in gaps if abs(g) > tol})
+    vals = sorted({abs(float(g)) for g in gaps if abs(g) > PERIOD_TOL})
     if not vals:
         return 0.0
     ref = vals[0]
     fracs = []
     for v in vals:
         ratio = v / ref
-        fr = Fraction(ratio).limit_denominator(max_denominator)
-        if abs(ratio - float(fr)) > tol * max(1.0, ratio):
+        fr = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
+        if abs(ratio - float(fr)) > PERIOD_TOL * max(1.0, ratio):
             return None
         fracs.append(fr)
     den_lcm = math.lcm(*(fr.denominator for fr in fracs))
@@ -321,24 +322,20 @@ def _rational_gcd(gaps: Sequence[float], tol: float,
 
 
 def detect_period(source: Family | Representation, *, xi: float = 1.0,
-                  tol: float = 1e-9, max_denominator: int = 1000,
-                  support_tol: float = 1e-12, **params) -> PeriodInfo:
+                  **params) -> PeriodInfo:
     """Period analysis of a family (or a raw (freqs, coeffs) representation).
 
     Frequency gaps are tested for rational commensuration by continued
-    fractions with denominators up to `max_denominator` at relative
-    tolerance `tol`.  The state period uses every gap between contributing
-    modes; the modulus period only gaps within each label's support (a
-    label fed by a single mode has constant modulus).  Periods are returned
-    in time units (phase / xi).  A non-finite frequency or coefficient
-    raises ValueError.
+    fractions with denominators up to MAX_DENOMINATOR at relative tolerance
+    PERIOD_TOL.  Modes with no coefficient above SUPPORT_TOL are dropped.
+    The state period uses every gap between contributing modes; the modulus
+    period only gaps within each label's support (a label fed by a single
+    mode has constant modulus).  Periods are returned in time units
+    (phase / |xi|), positive for either sign of xi.  A non-finite frequency
+    or coefficient raises ValueError.
     """
     if not (math.isfinite(xi) and xi != 0):
         raise ValueError(f"xi must be finite and nonzero, got {xi!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not max_denominator >= 1:
-        raise ValueError(f"max_denominator must be at least 1, got {max_denominator!r}")
     if isinstance(source, Family):
         freqs, coeffs = source.representation(**params)
     else:
@@ -349,20 +346,20 @@ def detect_period(source: Family | Representation, *, xi: float = 1.0,
             raise ValueError("family parameters require a Family source")
     if not (np.isfinite(freqs).all() and np.isfinite(coeffs).all()):
         raise ValueError("frequencies and coefficients must be finite")
-    active = np.abs(coeffs).max(axis=1) > support_tol
+    active = np.abs(coeffs).max(axis=1) > SUPPORT_TOL
     freqs, coeffs = freqs[active], coeffs[active]
     state_gaps = [f - freqs[0] for f in freqs[1:]] if freqs.size else []
     modulus_gaps: list[float] = []
     for col in range(coeffs.shape[1]):
-        live = freqs[np.abs(coeffs[:, col]) > support_tol]
+        live = freqs[np.abs(coeffs[:, col]) > SUPPORT_TOL]
         modulus_gaps.extend(f - live[0] for f in live[1:])
-    g_state = _rational_gcd(state_gaps, tol, max_denominator)
-    g_mod = _rational_gcd(modulus_gaps, tol, max_denominator)
+    g_state = _rational_gcd(state_gaps)
+    g_mod = _rational_gcd(modulus_gaps)
 
     def period(g: float | None) -> float | None:
         if g is None:
             return None
-        return 0.0 if g == 0.0 else 2.0 * math.pi / (g * xi)
+        return 0.0 if g == 0.0 else 2.0 * math.pi / abs(g * xi)
 
     return PeriodInfo(state_period=period(g_state),
                       modulus_period=period(g_mod),

@@ -80,7 +80,7 @@ def test_render_table_summary_line():
 
 
 def test_gate_property_trips_only_on_fail():
-    base = dict(check_id="x.y", criterion="c", expected="0", measured="0",
+    base = dict(check_id="x.y", expected="0", measured="0",
                 tolerance="exact", detail="")
     assert not CheckResult(status=PASS, **base).gate
     assert not CheckResult(status=KNOWN, **base).gate

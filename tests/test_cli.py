@@ -89,9 +89,14 @@ def test_non_finite_phases_exit_with_a_message(argv, capsys):
 
 def test_parse_times():
     assert parse_times("0:pi:5") == (0.0, math.pi, 5)
-    for bad in ("0:pi", "0:pi:x", "0:pi:1", "pi:0:4"):
+    for bad in ("0:pi", "0:pi:x"):
         with pytest.raises(CliError):
             parse_times(bad)
+    # the count and window checks belong to the config, for both forms
+    for bad, message in (("0:pi:1", "count must be at least 2"),
+                         ("pi:0:4", "window is empty")):
+        with pytest.raises(CliError, match=message):
+            parse_config({"command": "evolve", "times": bad})
 
 
 def test_init_mini_language():
@@ -107,8 +112,8 @@ def test_init_complex_coefficients_survive_the_plus_split():
     assert spec[2] == (("g2", 0.6, 0.0), ("e0", 0.0, 0.8))
     state = parse_init("g0|g0|0.6:g2+0.8j:e0", 2)
     man = enumerate_manifold(2)
-    assert state.amplitude(man.basis[0]) == pytest.approx(0.6)
-    assert state.amplitude(man.basis[3]) == pytest.approx(0.8j)
+    assert state.amplitudes[man.index_of(man.basis[0])] == pytest.approx(0.6)
+    assert state.amplitudes[man.index_of(man.basis[3])] == pytest.approx(0.8j)
 
 
 @pytest.mark.parametrize("bad", [
@@ -218,6 +223,40 @@ def test_run_config_validation():
 def test_config_number_lists_are_input_errors(field, value):
     with pytest.raises(CliError, match=f"config field '{field}' must be"):
         parse_config({"command": "scan", field: value})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"times": [0, 1, 1]}, "times count must be at least 2, got 1"),
+    ({"times": [1, 0, 5]}, "times window is empty: 1.0 .. 0.0"),
+    ({"times": [0, 1, 0]}, "times count must be at least 2, got 0"),
+    ({"times": [0, 1, 2.5]}, "config field 'times' must be"),
+    ({"mode": "full", "r": "abc"}, "config field 'r' must be int or float"),
+    ({"mode": "full", "delta": None}, "config field 'delta' must be int or float"),
+    ({"xi": True}, "config field 'xi' must be int or float"),
+    ({"output": 1}, "config field 'output' must be str or null"),
+    ({"output": 5}, "config field 'output' must be str or null"),
+    ({"times": [0, 1e999, 5]}, "times window is not finite: 0.0 .. inf"),
+], ids=["count-1", "reversed-window", "count-0", "float-count", "string-r",
+        "null-delta", "bool-xi", "output-1", "output-5", "infinite-stop"])
+def test_config_file_fields_get_the_checks_of_their_flags(tmp_path, capsys, fields,
+                                                          message):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"command": "evolve", "init": "g0|g0|g2",
+                                "times": "0:1:3", **fields}))
+    assert main(["evolve", "--config", str(conf)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_list_times_run_like_the_flag_form(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"command": "evolve", "init": "g0|g0|g2",
+                                "times": [0, 1, 3]}))
+    assert main(["evolve", "--config", str(conf)]) == 0
+    from_list = capsys.readouterr().out
+    assert main(["evolve", "--init", "g0|g0|g2", "--times", "0:1:3"]) == 0
+    assert capsys.readouterr().out == from_list
 
 
 def test_emit_parse_fixed_point():
@@ -429,8 +468,8 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_exit_two_on_gate_failure(capsys, monkeypatch):
-    row = CheckResult(check_id="x.fake", criterion="fabricated", status="FAIL",
-                      expected="0", measured="1", tolerance="exact", detail="")
+    row = CheckResult(check_id="x.fake", status="FAIL", expected="0",
+                      measured="1", tolerance="exact", detail="")
     monkeypatch.setattr(cli, "run_suite", lambda suite, seed: [row])
     assert main(["verify"]) == 2
     assert "x.fake" in capsys.readouterr().out

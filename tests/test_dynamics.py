@@ -85,7 +85,6 @@ def test_large_hopping_generator_total_two():
     expect = np.zeros((6, 6))
     expect[:3, :3] = 2.0 * (np.ones((3, 3)) - np.eye(3))
     assert np.allclose(gen.matrix, expect)
-    assert gen.mode == "large_hopping"
     assert sorted(np.round(np.linalg.eigvalsh(gen.matrix), 9)) == \
         pytest.approx([-2.0, -2.0, 0.0, 0.0, 0.0, 4.0])
 
@@ -112,11 +111,11 @@ def test_generator_validation():
     bad = np.zeros((6, 6))
     bad[0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValueError):
-        Generator(manifold=MAN2, matrix=bad, mode="full", xi=1.0)
+        Generator(manifold=MAN2, matrix=bad, xi=1.0)
     with pytest.raises(ValueError):
-        Generator(manifold=MAN2, matrix=np.zeros((5, 5)), mode="full", xi=1.0)
+        Generator(manifold=MAN2, matrix=np.zeros((5, 5)), xi=1.0)
     with pytest.raises(ValueError):
-        Generator(manifold=MAN2, matrix=np.full((6, 6), np.nan), mode="full", xi=1.0)
+        Generator(manifold=MAN2, matrix=np.full((6, 6), np.nan), xi=1.0)
     gen = build_large_xi_generator(MAN2)
     with pytest.raises(ValueError):
         gen.matrix[0, 0] = 5.0
@@ -224,7 +223,7 @@ def test_sector_block_invariance_in_large_hopping_mode():
         if not idx:
             continue
         block = sector_block(gen, k)
-        assert block.dim == len(idx)
+        assert block.matrix.shape == (len(idx), len(idx))
         # invariant: the generator never leaks out of the sector columns
         leak = np.delete(gen.matrix[:, list(idx)], list(idx), axis=0)
         assert np.max(np.abs(leak)) == 0.0
@@ -235,8 +234,7 @@ def test_sector_block_invariance_in_large_hopping_mode():
 def test_symmetry_blocks_split_dimensions_and_spectrum():
     gen = build_large_xi_generator(MAN2)
     sym, asym = symmetry_blocks(gen, (2, 3))
-    assert (sym.label, asym.label) == ("sym23", "asym23")
-    assert (sym.dim, asym.dim) == (4, 2)
+    assert (len(sym.matrix), len(asym.matrix)) == (4, 2)
     merged = np.concatenate([
         np.linalg.eigvalsh(sym.matrix), np.linalg.eigvalsh(asym.matrix)])
     assert np.sort(merged) == pytest.approx(np.linalg.eigvalsh(gen.matrix))
@@ -262,25 +260,24 @@ def test_symmetry_blocks_commute_check_fails_closed_on_nan():
 def test_symmetry_blocks_resplit_the_antisymmetric_block_as_antisymmetric():
     gen = build_large_xi_generator(MAN4)
     asym = symmetry_blocks(gen, (1, 2))[1]
-    assert asym.dim == 7
+    assert len(asym.matrix) == 7
     sym, again = symmetry_blocks(asym, (1, 2))
-    assert (sym.dim, again.dim) == (0, 7)
+    assert (len(sym.matrix), len(again.matrix)) == (0, 7)
     assert np.allclose(again.embedding, asym.embedding)
 
 
 def test_symmetry_blocks_keep_the_fully_symmetric_block_symmetric():
     full = permutation_symmetric_block(build_large_xi_generator(MAN4))
     sym, asym = symmetry_blocks(full, (1, 2))
-    assert (sym.dim, asym.dim) == (5, 0)
+    assert (len(sym.matrix), len(asym.matrix)) == (5, 0)
 
 
 def test_symmetry_blocks_split_an_empty_block_into_two_empty_blocks():
     full = permutation_symmetric_block(build_large_xi_generator(MAN4))
     empty = symmetry_blocks(full, (1, 3))[1]
-    assert empty.dim == 0
+    assert empty.matrix.shape == (0, 0)
     sym, asym = symmetry_blocks(empty, (1, 2))
-    assert (sym.dim, asym.dim) == (0, 0)
-    assert (sym.label, asym.label) == ("sym12", "asym12")
+    assert sym.matrix.shape == asym.matrix.shape == (0, 0)
     assert sym.embedding.shape == asym.embedding.shape == (MAN4.dim, 0)
 
 
@@ -303,10 +300,10 @@ def test_permutation_symmetric_block_reproduces_symmetric_dynamics():
     gen = build_large_xi_generator(MAN2)
     block = permutation_symmetric_block(gen)
     # orbit sums: one photon orbit, one excited orbit
-    assert block.dim == 2
+    assert block.matrix.shape == (2, 2)
     assert np.linalg.eigvalsh(block.matrix) == pytest.approx([0.0, 4.0])
     gram = block.embedding.conj().T @ block.embedding
-    assert np.allclose(gram, np.eye(block.dim))
+    assert np.allclose(gram, np.eye(2))
 
 
 # One compression route: every builder must give the blocks of the dedicated
@@ -396,16 +393,17 @@ def _same_block(block, reference):
 
 
 def _generators(n_total):
+    """Both generators on the manifold, by mode; N = 0 has no full one."""
     man = enumerate_manifold(n_total)
-    gens = [build_large_xi_generator(man, xi=0.37)]
+    gens = {"large_hopping": build_large_xi_generator(man, xi=0.37)}
     if n_total:
-        gens.append(build_full_generator(man, DressedParams(r=0.7, delta=0.3), xi=1.3))
+        gens["full"] = build_full_generator(man, DressedParams(r=0.7, delta=0.3), xi=1.3)
     return gens
 
 
 @pytest.mark.parametrize("n_total", [0, 2, 4, 6, 8])
 def test_block_builders_equal_the_dedicated_compressions(n_total):
-    for gen in _generators(n_total):
+    for mode, gen in _generators(n_total).items():
         assert sector_block(gen, 0).manifold is gen.manifold
         sectors = [k for k, idx in enumerate(gen.manifold.sectors) if idx]
         for k in sectors:
@@ -415,7 +413,7 @@ def test_block_builders_equal_the_dedicated_compressions(n_total):
             for block, ref in zip(symmetry_blocks(gen, exchange),
                                   _reference_exchange(gen, exchange)):
                 _same_block(block, ref)
-        if gen.mode != "large_hopping":
+        if mode != "large_hopping":
             continue
         # Block inputs: the (invariant) sectors and the 2<->3 symmetric block
         parents = [sector_block(gen, k) for k in sectors]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trimodal import entanglement
 from trimodal.analytic import FAMILIES
 from trimodal.basis import (
     ALL_PERMUTATIONS,
@@ -132,17 +133,20 @@ def test_sweep_input_validation():
     with pytest.raises(ValueError):
         max_product_overlap(state, restarts=0, seed=0)
     with pytest.raises(ValueError):
-        max_product_overlap(state, tol=0.0, seed=0)
-    with pytest.raises(ValueError):
         max_product_overlap(StateVector(MAN2, 0.7 * np.eye(6)[0]), seed=0)
-    with pytest.raises(ValueError):
-        max_product_overlap(state, max_sweeps=0, seed=0)
+
+
+def test_sweep_rejects_a_seed_of_none():
+    # None would draw fresh random starts, so repeated calls could disagree
+    fam = FAMILIES["n4_single_cavity"]
+    state = fam.state_vector(fam.evaluate(1.0, 0.7))
+    with pytest.raises(ValueError, match="seed"):
+        max_product_overlap(state, seed=None)
+    with pytest.raises(ValueError, match="seed"):
+        max_product_overlaps([state], seed=None)
 
 
 def test_sweep_input_validation_fails_closed_on_nan():
-    state = StateVector(MAN2, np.eye(6)[0])
-    with pytest.raises(ValueError, match="tol"):
-        max_product_overlap(state, tol=math.nan, seed=0)
     amps = np.eye(6)[0].astype(complex)
     amps[3] = np.nan
     with pytest.raises(ValueError, match="norm"):
@@ -337,9 +341,10 @@ def test_batch_of_fast_and_slow_states_equals_the_per_state_loop():
     assert any(res.row_sweeps < res.sweeps * n_rows for res in results)
 
 
-def test_sweep_cutoff_reports_the_unsettled_starts():
+def test_sweep_cutoff_reports_the_unsettled_starts(monkeypatch):
     states = _mixed_batch()
-    results = max_product_overlaps(states, 16, seed=4, max_sweeps=3)
+    monkeypatch.setattr(entanglement, "MAX_SWEEPS", 3)
+    results = max_product_overlaps(states, 16, seed=4)
     for state, got in zip(states, results):
         ref = _per_state_reference(state, 16, seed=4, max_sweeps=3)
         _assert_equals_reference(got, ref)
@@ -426,7 +431,12 @@ def test_quarter_turn_probe_beats_the_basis_reading():
     # the sweep reproducibly finds a better product state than any basis one
     assert check.optimizer_overlap > check.basis_overlap + 1e-3
     assert not check.matches_basis
-    assert check.result.converged
+    # the probe's overlap is a converged 64-restart sweep of its state
+    fam = FAMILIES["n6_symmetric"]
+    result = max_product_overlap(
+        fam.state_vector(fam.evaluate(1.0, check.tau, a=1.0, b=0.0)), 64, seed=0)
+    assert result.converged
+    assert result.overlap == check.optimizer_overlap
 
 
 def test_quarter_turn_probe_is_periodic_in_the_odd_index():

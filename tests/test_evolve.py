@@ -41,7 +41,7 @@ def test_spectrum_is_an_eigendecomposition():
     assert np.all(np.diff(spec.frequencies) >= 0)
     assert np.allclose(spec.modes @ np.diag(spec.frequencies) @ spec.modes.conj().T,
                        gen.matrix)
-    assert np.allclose(spec.modes.conj().T @ spec.modes, np.eye(spec.dim))
+    assert np.allclose(spec.modes.conj().T @ spec.modes, np.eye(len(spec.frequencies)))
     assert np.allclose(spec.frequencies, np.linalg.eigvalsh(gen.matrix))
 
 
@@ -54,9 +54,11 @@ def test_propagate_preserves_norm_and_inner_products():
     times = np.linspace(0.0, 40.0, 101)
     tu, tv = propagate(gen, u, times), propagate(gen, v, times)
     norms = np.linalg.norm(tu.amplitudes, axis=1)
-    assert np.max(np.abs(norms - 1.0)) < 1e-10
+    # the trajectory carries the worst drift propagate measured
+    assert tu.norm_drift == float(np.max(np.abs(norms - 1.0)))
+    assert tu.norm_drift < 1e-10
     ips = np.sum(tu.amplitudes.conj() * tv.amplitudes, axis=1)
-    assert np.max(np.abs(ips - u.overlap(v))) < 1e-9
+    assert np.max(np.abs(ips - np.vdot(u.amplitudes, v.amplitudes))) < 1e-9
 
 
 def test_propagate_phase_times_drop_the_rate():
@@ -66,13 +68,12 @@ def test_propagate_phase_times_drop_the_rate():
     fast = propagate(build_large_xi_generator(MAN2, xi=50.0), corner_state(MAN2),
                      phases, times_are_phase=True)
     assert np.allclose(slow.amplitudes, fast.amplitudes)
-    assert np.allclose(slow.phases(), phases)
+    assert np.array_equal(slow.times, phases)
 
 
 def test_phases_scale_physical_times():
     gen = build_large_xi_generator(MAN2, xi=2.0)
     traj = propagate(gen, corner_state(MAN2), [0.0, 0.25])
-    assert np.allclose(traj.phases(), [0.0, 0.5])
     same = propagate(gen, corner_state(MAN2), [0.5], times_are_phase=True)
     assert np.allclose(traj.amplitudes[1], same.amplitudes[0])
 
@@ -171,7 +172,7 @@ def test_trajectory_state_accessor():
 def test_evolve_block_rejects_non_finite_phases(bad):
     # block coordinates evolve through the same body as propagate
     block = sector_block(build_large_xi_generator(MAN6), 0)
-    x0 = np.eye(block.dim, dtype=complex)[0]
+    x0 = np.eye(len(block.matrix), dtype=complex)[0]
     with pytest.raises(ValueError, match="finite"):
         _evolve(block, x0, np.array([0.1, bad]))
 

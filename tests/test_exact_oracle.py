@@ -35,7 +35,7 @@ def _exact(matrix):
 
 def _exchange_triangle():
     block = sector_block(build_large_xi_generator(enumerate_manifold(2)), 0)
-    assert block.dim == 3 and not np.any(block.matrix.imag)
+    assert block.matrix.shape == (3, 3) and not np.any(block.matrix.imag)
     return block.matrix.real
 
 

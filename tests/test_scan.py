@@ -62,12 +62,12 @@ def test_family_objective_rejects_unknown_labels():
 
 def test_scan_finds_interior_extrema_of_a_cosine():
     found = scan_extrema(lambda p: np.cos(np.asarray(p)), 0.0, 2.0 * math.pi,
-                         grid=512, tol=1e-10)
+                         grid=512)
     interior = [e for e in found if not e.at_endpoint]
     assert len(interior) == 1
     assert interior[0].kind == "min"
     # value comparisons go flat within ~sqrt(eps) of a quadratic minimum,
-    # so the refined phase is only good to ~1e-8 regardless of tol
+    # so the refined phase is only good to ~1e-8 regardless of GOLDEN_TOL
     assert interior[0].phase == pytest.approx(math.pi, abs=1e-6)
     assert interior[0].value == pytest.approx(-1.0, abs=1e-12)
     ends = [e for e in found if e.at_endpoint]
@@ -91,7 +91,7 @@ def test_scan_finds_every_extremum_of_a_dense_grid_and_nothing_else(seed):
     ys = objective(xs)
     step = xs[1] - xs[0]
     found = [e for e in scan_extrema(objective, 0.0, window,
-                                     grid=default_grid(0.0, window), tol=1e-10)
+                                     grid=default_grid(0.0, window))
              if not e.at_endpoint]
     for kind, sign in (("min", 1.0), ("max", -1.0)):
         inner = sign * ys[1:-1]
@@ -184,14 +184,6 @@ def test_default_grid_is_4096_points_per_pi_and_at_least_16():
     assert default_grid(0.0, 1e-3) == 16
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-def test_scan_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
-    # tol=0 used to loop forever in the golden-section refinement, and NaN
-    # returned the unrefined brackets
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        scan_extrema(lambda p: np.cos(np.asarray(p)), 0.0, 2.0 * math.pi, tol=tol)
-
-
 def test_scan_rejects_non_finite_samples():
     # NaN samples used to pass silently: this came back as two endpoint
     # rows, the one at 2.0 with value NaN
@@ -255,8 +247,7 @@ def test_dwell_times_equal_the_one_label_calls(params, points):
     for got in batch:
         one = dwell_time(fam, got.label, math.pi / 5.0,
                          quadrature_points=points, **params)
-        assert (got.span, got.closed_form, got.quadrature) == \
-            (one.span, one.closed_form, one.quadrature)
+        assert (got.closed_form, got.quadrature) == (one.closed_form, one.quadrature)
 
 
 def test_dwell_value_does_not_compute_the_quadrature(monkeypatch):
@@ -386,10 +377,17 @@ def test_period_units_scale_with_the_rate():
     assert half.modulus_period == pytest.approx(math.pi / 6.0)
 
 
+@pytest.mark.parametrize("xi", [-1.0, -3.1])
+def test_periods_are_positive_for_a_negative_rate(xi):
+    # a period is the smallest T > 0: the sign of xi reverses the motion,
+    # not the time it takes to recur
+    fam = FAMILIES["n2_general"]
+    assert detect_period(fam, xi=xi) == detect_period(fam, xi=-xi)
+    assert detect_period(fam, xi=xi).modulus_period == pytest.approx(math.pi / (3.0 * -xi))
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(xi=0.0), dict(xi=math.nan), dict(xi=math.inf), dict(xi=-math.inf),
-    dict(tol=0.0), dict(tol=-1e-9), dict(tol=math.nan), dict(tol=math.inf),
-    dict(max_denominator=0), dict(max_denominator=-3),
 ])
 def test_detect_period_rejects_bad_settings(kwargs):
     with pytest.raises(ValueError):
