@@ -76,7 +76,7 @@ def _hopping_matrix(manifold: Manifold, xi: float) -> np.ndarray:
     A pair moving from cavity src to dst takes src's level one position down
     and dst's one up its ladder in `levels`; atomic flags stay.  Each coupled
     pair (i, j), i < j, is filled once with the value for bra i and ket j:
-    xi * sqrt((n+1)*(n+2)) * sqrt(m*(m-1)), where the ket holds n photons in
+    xi * (sqrt((n+1)*(n+2)) * sqrt(m*(m-1))), where the ket holds n photons in
     the cavity the pair lands on and m in the one it leaves.
     """
     if not math.isfinite(xi):
@@ -89,8 +89,10 @@ def _hopping_matrix(manifold: Manifold, xi: float) -> np.ndarray:
         j = manifold.index_at(moved)
         up = j > i
         n, m = photons[moved[up][:, [src, dst]]].T
+        # the two roots swap places when a relabeling swaps bra and ket;
+        # their product is the same either way
         mat[i[up], j[up]] = mat[j[up], i[up]] = \
-            xi * np.sqrt((n + 1) * (n + 2)) * np.sqrt(m * (m - 1))
+            xi * (np.sqrt((n + 1) * (n + 2)) * np.sqrt(m * (m - 1)))
     return mat
 
 
@@ -118,9 +120,12 @@ def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 
     level_diag = np.concatenate(([0.0], weight, weight * tan * tan))
     # |e,n> sits n_total / 2 positions after its partner |g,n+2>
     shift = manifold.n_total // 2
+    # each state's three per-cavity terms summed in ascending order, so a
+    # relabeling of the cavities leaves the sum's rounding unchanged
+    terms = np.sort(level_diag[manifold.coords], axis=1)
+    mat[np.diag_indices(manifold.dim)] += terms[:, 0] + terms[:, 1] + terms[:, 2]
     for cav in range(3):
         level = manifold.coords[:, cav]
-        mat[np.diag_indices(manifold.dim)] += level_diag[level]
         i = np.flatnonzero(level > shift)
         j = manifold.index_at(manifold.coords[i] - shift * _CAVITY_STEP[cav])
         # the hopping never links a state to its atom-flipped partner

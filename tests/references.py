@@ -15,7 +15,7 @@ def hopping_element(bra: BasisState, ket: BasisState, xi: float = 1.0) -> float:
 
     Nonzero only when bra differs from ket by one photon pair moved between
     two cavities with atomic flags untouched; the value is
-    xi * sqrt((n+1)*(n+2)) * sqrt(m*(m-1)) for a pair landing on a cavity
+    xi * (sqrt((n+1)*(n+2)) * sqrt(m*(m-1))) for a pair landing on a cavity
     with n photons and leaving one with m photons.
     """
     if bra.total != ket.total:
@@ -41,7 +41,7 @@ def hopping_element(bra: BasisState, ket: BasisState, xi: float = 1.0) -> float:
         return 0.0
     n = ket.levels[gain].photons
     m = ket.levels[lose].photons
-    return xi * math.sqrt((n + 1) * (n + 2)) * math.sqrt(m * (m - 1))
+    return xi * (math.sqrt((n + 1) * (n + 2)) * math.sqrt(m * (m - 1)))
 
 
 def permuted(state: BasisState, perm: tuple[int, int, int]) -> BasisState:

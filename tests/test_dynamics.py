@@ -145,10 +145,11 @@ def test_builders_equal_the_all_pairs_element_loop(n_total, xi):
 
 def _per_state_dressed_terms(manifold, params):
     """The dressed terms state by state: each state's per-cavity diagonal
-    terms summed in cavity order, weight * tan on each (|e,n>, |g,n+2>)."""
+    terms summed in ascending order, weight * tan on each (|e,n>, |g,n+2>)."""
     scale = energy_scale(manifold.n_total, params)
     mat = np.zeros((manifold.dim, manifold.dim))
     for i, state in enumerate(manifold.basis):
+        diagonal = []
         for cav, level in enumerate(state.levels):
             n = level.photons if level.excited else level.photons - 2
             if n < 0:  # |g,0> is no member of a dressed pair
@@ -157,13 +158,14 @@ def _per_state_dressed_terms(manifold, params):
             weight = splitting(n, params) * cos * cos / scale
             tan = sin / cos
             if not level.excited:
-                mat[i, i] += weight
+                diagonal.append(weight)
                 continue
-            mat[i, i] += weight * tan * tan
+            diagonal.append(weight * tan * tan)
             partner = list(state.levels)
             partner[cav] = CavityLevel(Excitation.GROUND, level.pairs + 1)
             j = manifold.index_of(BasisState(tuple(partner)))
             mat[i, j] = mat[j, i] = weight * tan
+        mat[i, i] = sum(sorted(diagonal))
     return mat
 
 
