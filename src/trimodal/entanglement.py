@@ -1,28 +1,32 @@
 """Geometric entanglement via best product-state overlap.
 
-A manifold state embeds into the three-fold tensor power of the per-cavity
-level space (dimension ``manifold.qudit_dim``).  The figure of merit is the
-squared overlap with the closest unentangled state,
+A manifold state lives in the three-fold tensor power of the per-cavity
+level space (dimension ``manifold.qudit_dim``), but only on its basis
+states: the rows of ``manifold.coords``, one level position per cavity.
+The figure of merit is the squared overlap with the closest unentangled
+state,
 
     P_max = max |<u (x) v (x) w | psi>|^2   over unit vectors u, v, w,
 
 maximized by alternating power sweeps: each cavity factor in turn is set to
 the exact optimum given the other two, which never decreases the overlap.
-Sweeps run from every product-basis start (deterministic) plus a batch of
-seeded complex-normal starts, and the best squared overlap wins; ties go to
-the lowest start index.  A sweep's first step overwrites u, so basis starts
-(i, j, k) that differ only in i follow one trajectory: duplicate basis
-starts are collapsed to one swept row each, while every start keeps its
-own initial overlap for the stop test and the tie rule.  The geometric
-entanglement is -log2(P_max).
+Every contraction gathers the factors at the basis states' levels, so it
+touches the state's ``dim`` amplitudes and none of the d**3 tensor entries
+off the manifold.  Sweeps run from every product-basis start
+(deterministic) plus a batch of seeded complex-normal starts, and the best
+squared overlap wins; ties go to the lowest start index.  A sweep's first
+step overwrites u, so basis starts (i, j, k) that differ only in i follow
+one trajectory: duplicate basis starts are collapsed to one swept row
+each, while every start keeps its own initial overlap for the stop test
+and the tie rule.  The geometric entanglement is -log2(P_max).
 
 `max_product_overlaps` sweeps the rows of many states on one manifold in
-one loop; `max_product_overlap` is its one-state call.  Each row is
-contracted against its own state's tensor, so its bits do not depend on
-which rows share the call.  A state stops when all its starts settle; a
-row stops earlier only at an exact fixed point, a sweep that returns its
-(u, v, w) unchanged bit for bit.  Every result therefore equals the one
-the state would get alone.
+one loop; `max_product_overlap` is its one-state call.  Each row carries
+its own state's amplitudes and sums in a fixed order, so its bits do not
+depend on which rows share the call.  A state stops when all its starts
+settle; a row stops earlier only at an exact fixed point, a sweep that
+returns its (u, v, w) unchanged bit for bit.  Every result therefore
+equals the one the state would get alone.
 """
 
 from __future__ import annotations
@@ -72,14 +76,6 @@ class OverlapResult:
     unconverged_starts: int   # starts not settled when the sweep stopped
 
 
-def embed(state: StateVector) -> np.ndarray:
-    """Dense (d, d, d) qudit tensor carrying the manifold amplitudes."""
-    man = state.manifold
-    out = np.zeros((man.qudit_dim,) * 3, dtype=complex)
-    out[tuple(man.coords.T)] = state.amplitudes
-    return out
-
-
 def _normalize_rows(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     return mat / np.where(norms > 0.0, norms, 1.0)
@@ -101,10 +97,46 @@ def _starts(d: int, restarts: int, seed) -> tuple[np.ndarray, np.ndarray, np.nda
             np.concatenate([w, rw]))
 
 
-def _overlaps(t: np.ndarray, u: np.ndarray, v: np.ndarray,
+def _overlaps(coords: np.ndarray, a: np.ndarray, u: np.ndarray, v: np.ndarray,
               w: np.ndarray) -> np.ndarray:
-    """|<u (x) v (x) w|t>| per row, each row against its own tensor t[s]."""
-    return np.abs(np.einsum("sijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+    """|<u (x) v (x) w|psi>| per row: row s holds the amplitudes a[s] of the
+    basis states whose level positions are the rows of `coords`.
+
+    Each row is summed on its own from a row-major copy: a column gather
+    such as u[:, i] can come back column-major, and numpy would then sum
+    down the columns, rounding a row differently with other rows present.
+    """
+    i, j, k = coords.T
+    prod = a * u.conj()[:, i] * v.conj()[:, j] * w.conj()[:, k]
+    return np.abs(np.ascontiguousarray(prod).sum(axis=1))
+
+
+def _cavity_runs(coords: np.ndarray, d: int) -> tuple[list[np.ndarray], ...]:
+    """Per cavity c, in three lists: `orders[c]` sorts the basis states by
+    their level in c (stably), `others[c]` (2, dim) holds, in that order, the
+    levels they put in the other two cavities, and `starts[c]` where each
+    level's run begins.  Every level occurs in every cavity, so no run is
+    empty."""
+    orders = [np.argsort(coords[:, cav], kind="stable") for cav in range(3)]
+    others = [np.delete(coords[order], cav, axis=1).T
+              for cav, order in enumerate(orders)]
+    starts = [np.searchsorted(coords[order, cav], np.arange(d))
+              for cav, order in enumerate(orders)]
+    return orders, others, starts
+
+
+def _half_step(a: np.ndarray, others: np.ndarray, starts: np.ndarray,
+               x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Best factor for one cavity given the other two, x and y, per row.
+
+    `a` holds each row's amplitudes in the cavity's run order, and `others`
+    and `starts` are the cavity's entries of `_cavity_runs`.  Each run is summed left
+    to right, so a row's bits do not depend on how many rows share the call
+    (a BLAS product with a one-hot scatter matrix rounds a lone row
+    differently).
+    """
+    prod = a * x.conj()[:, others[0]] * y.conj()[:, others[1]]
+    return _normalize_rows(np.add.reduceat(prod, starts, axis=1))
 
 
 def max_product_overlaps(states, restarts: int = 64, *,
@@ -112,8 +144,8 @@ def max_product_overlaps(states, restarts: int = 64, *,
     """Best squared overlap with any product state, one result per state.
 
     Every state must lie on one manifold.  All (state, row) pairs are swept
-    in one loop, each row against its own state's tensor, so a row's bits do
-    not depend on which other rows share the call.  A state stops sweeping
+    in one loop, each row against its own state's amplitudes, so a row's bits
+    do not depend on which other rows share the call.  A state stops sweeping
     once all its starts settle (or at MAX_SWEEPS) and keeps its own
     `sweeps` count.  A row stops earlier only when a sweep returns its
     (u, v, w) unchanged bit for bit: the next sweep is a function of (v, w)
@@ -139,10 +171,13 @@ def max_product_overlaps(states, restarts: int = 64, *,
         if not abs(norm - 1.0) <= 1e-6:
             raise ValueError(f"state norm is {norm!r}, expected 1")
     n_states, d = len(states), man.qudit_dim
-    tensors = np.stack([embed(state) for state in states])
+    orders, others, starts = _cavity_runs(man.coords, d)
+    # the overlaps read the basis states in the first cavity's run order
+    coords_i = man.coords[orders[0]]
+    amps = np.stack([state.amplitudes for state in states])
     u, v, w = _starts(d, restarts, seed)
     n_starts = u.shape[0]
-    sigma = _overlaps(np.repeat(tensors, n_starts, axis=0),
+    sigma = _overlaps(coords_i, np.repeat(amps[:, orders[0]], n_starts, axis=0),
                       *(np.tile(x, (n_states, 1)) for x in (u, v, w)))
     sigma = sigma.reshape(n_states, n_starts)  # per (state, start)
     # swept row of each start: basis start (i, j, k) shares the row of
@@ -160,12 +195,14 @@ def max_product_overlaps(states, restarts: int = 64, *,
     row_sweeps = np.zeros(n_states, dtype=int)
     active = np.ones(n_states, dtype=bool)
     live = np.arange(n_states * n_rows)
-    t, lu, lv, lw = tensors[live // n_rows], u, v, w
+    # each live row's amplitudes, in each cavity's run order
+    ai, aj, ak = (amps[:, order][live // n_rows] for order in orders)
+    lu, lv, lw = u, v, w
     while live.size:
-        nu = _normalize_rows(np.einsum("sijk,sj,sk->si", t, lv.conj(), lw.conj()))
-        nv = _normalize_rows(np.einsum("sijk,si,sk->sj", t, nu.conj(), lw.conj()))
-        nw = _normalize_rows(np.einsum("sijk,si,sj->sk", t, nu.conj(), nv.conj()))
-        row_sigma[live] = _overlaps(t, nu, nv, nw)
+        nu = _half_step(ai, others[0], starts[0], lv, lw)
+        nv = _half_step(aj, others[1], starts[1], nu, lw)
+        nw = _half_step(ak, others[2], starts[2], nu, nv)
+        row_sigma[live] = _overlaps(coords_i, ai, nu, nv, nw)
         fixed = ((nu == lu) & (nv == lv) & (nw == lw)).all(axis=1)
         lu, lv, lw = nu, nv, nw
         row_sweeps += np.bincount(live // n_rows, minlength=n_states)
@@ -179,7 +216,7 @@ def max_product_overlaps(states, restarts: int = 64, *,
         if not keep.all():
             gone = ~keep
             u[live[gone]], v[live[gone]], w[live[gone]] = lu[gone], lv[gone], lw[gone]
-            live, t, lu, lv, lw = (x[keep] for x in (live, t, lu, lv, lw))
+            live, ai, aj, ak, lu, lv, lw = (x[keep] for x in (live, ai, aj, ak, lu, lv, lw))
     results = []
     for b, state in enumerate(states):
         best = int(np.argmax(sigma[b]))

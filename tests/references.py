@@ -1,13 +1,16 @@
 """Per-state definitions the library's table arithmetic is compared against.
 
 The generators and cavity relabelings are filled by index arithmetic on a
-manifold's coordinate table; these state-by-state definitions are what that
+manifold's coordinate table, and the product-overlap sweep contracts over
+that table; these state-by-state and dense definitions are what that
 arithmetic must reproduce.
 """
 
 import math
 
-from trimodal.basis import BasisState
+import numpy as np
+
+from trimodal.basis import BasisState, StateVector
 
 
 def hopping_element(bra: BasisState, ket: BasisState, xi: float = 1.0) -> float:
@@ -50,3 +53,11 @@ def permuted(state: BasisState, perm: tuple[int, int, int]) -> BasisState:
     for i, target in enumerate(perm):
         new[target - 1] = state.levels[i]
     return BasisState(tuple(new))
+
+
+def embed(state: StateVector) -> np.ndarray:
+    """Dense (d, d, d) qudit tensor carrying the manifold amplitudes."""
+    man = state.manifold
+    out = np.zeros((man.qudit_dim,) * 3, dtype=complex)
+    out[tuple(man.coords.T)] = state.amplitudes
+    return out

@@ -24,15 +24,18 @@ from trimodal.cli import parse_init
 from trimodal.dynamics import build_large_xi_generator
 from trimodal.entanglement import (
     ProductState,
+    _cavity_runs,
+    _half_step,
     _overlaps,
     _starts,
     closed_form_overlap_n2,
-    embed,
     max_product_overlap,
     max_product_overlaps,
     symmetric_quarter_turn_check,
 )
 from trimodal.evolve import propagate
+
+from references import embed
 
 MAN2 = enumerate_manifold(2)
 N2 = FAMILIES["n2_general"]
@@ -60,8 +63,52 @@ def test_product_state_overlap_agrees_with_embedding():
     amps = rng.normal(size=MAN2.dim) + 1j * rng.normal(size=MAN2.dim)
     state = StateVector(MAN2, amps / np.linalg.norm(amps))
     tensor = np.einsum("i,j,k->ijk", *vecs)
-    assert _overlaps(embed(state)[None], *vecs[:, None]) == pytest.approx(
-        [abs(np.vdot(tensor, embed(state)))])
+    assert _overlaps(MAN2.coords, state.amplitudes[None], *vecs[:, None]) == \
+        pytest.approx([abs(np.vdot(tensor, embed(state)))])
+
+
+def _random_rows(rng, rows, size):
+    draw = rng.standard_normal((rows, size, 2))
+    return draw[..., 0] + 1j * draw[..., 1]
+
+
+@pytest.mark.parametrize("n_total", [2, 4, 6, 8])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gather_kernel_equals_the_dense_contraction(n_total, seed):
+    # the sweep's half-steps and overlap contract over the manifold's dim
+    # amplitudes; on the dense (d, d, d) tensor they are plain einsums
+    man = enumerate_manifold(n_total)
+    rng = np.random.default_rng(seed)
+    state = _seeded_state(n_total, seed)
+    t = embed(state)
+    u, v, w = (_random_rows(rng, 5, man.qudit_dim) for _ in range(3))
+    orders, others, starts = _cavity_runs(man.coords, man.qudit_dim)
+    a = [np.tile(state.amplitudes[order], (5, 1)) for order in orders]
+    dense = {
+        0: np.einsum("ijk,sj,sk->si", t, v.conj(), w.conj()),
+        1: np.einsum("ijk,si,sk->sj", t, u.conj(), w.conj()),
+        2: np.einsum("ijk,si,sj->sk", t, u.conj(), v.conj()),
+    }
+    gathered = {
+        0: _half_step(a[0], others[0], starts[0], v, w),
+        1: _half_step(a[1], others[1], starts[1], u, w),
+        2: _half_step(a[2], others[2], starts[2], u, v),
+    }
+    for cav, want in dense.items():
+        want = want / np.linalg.norm(want, axis=1, keepdims=True)
+        assert np.all(np.linalg.norm(gathered[cav] - want, axis=1) <= 1e-14)
+    want = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+    got = _overlaps(man.coords[orders[0]], a[0], u, v, w)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    # each row's bits are its own: a one-row call gives the same bits
+    for r in range(5):
+        assert np.array_equal(
+            _half_step(a[0][r:r + 1], others[0], starts[0], v[r:r + 1], w[r:r + 1]),
+            gathered[0][r:r + 1])
+        assert np.array_equal(
+            _overlaps(man.coords[orders[0]], a[0][r:r + 1], u[r:r + 1], v[r:r + 1],
+                      w[r:r + 1]), got[r:r + 1])
 
 
 def test_product_state_validation():
@@ -196,22 +243,34 @@ def test_overlap_is_invariant_under_relabeling_and_local_phases(n_total, seed):
         assert abs(got - overlap) <= 1e-9
 
 
+def _gather_kernel(state):
+    """The sweep's gather contraction on one state: the three half-steps
+    and the overlap, every row against the state's amplitudes."""
+    man = state.manifold
+    orders, others, starts = _cavity_runs(man.coords, man.qudit_dim)
+    a = [state.amplitudes[order] for order in orders]
+
+    def half_step(cav, x, y):
+        return _half_step(a[cav], others[cav], starts[cav], x, y)
+
+    def overlaps(u, v, w):
+        return _overlaps(man.coords[orders[0]], a[0], u, v, w)
+
+    return half_step, overlaps
+
+
 def _all_start_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
     """The sweep run on every start row, without collapsing duplicates."""
-    def normalize_rows(m):
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        return m / np.where(norms > 0.0, norms, 1.0)
-
-    t = embed(state)
+    half_step, overlaps = _gather_kernel(state)
     u, v, w = _starts(state.manifold.qudit_dim, restarts, seed)
-    sigma = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+    sigma = overlaps(u, v, w)
     settled = np.zeros(sigma.shape, dtype=bool)
     sweeps = 0
     while sweeps < max_sweeps and not settled.all():
-        u = normalize_rows(np.einsum("ijk,sj,sk->si", t, v.conj(), w.conj()))
-        v = normalize_rows(np.einsum("ijk,si,sk->sj", t, u.conj(), w.conj()))
-        w = normalize_rows(np.einsum("ijk,si,sj->sk", t, u.conj(), v.conj()))
-        new = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
+        u = half_step(0, v, w)
+        v = half_step(1, u, w)
+        w = half_step(2, u, v)
+        new = overlaps(u, v, w)
         settled = np.abs(new - sigma) <= tol
         sigma = new
         sweeps += 1
@@ -246,18 +305,11 @@ def test_collapsed_sweep_equals_the_all_start_reference(n_total, init, phase, re
 
 def _per_state_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
     """The one-state sweep loop before batching: duplicate basis starts
-    collapsed to one row, every row against one shared tensor."""
-    def normalize_rows(m):
-        norms = np.linalg.norm(m, axis=1, keepdims=True)
-        return m / np.where(norms > 0.0, norms, 1.0)
-
-    def overlaps(t, u, v, w):
-        return np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
-
-    t = embed(state)
+    collapsed to one row, every row against the one state."""
+    half_step, overlaps = _gather_kernel(state)
     d = state.manifold.qudit_dim
     u, v, w = _starts(d, restarts, seed)
-    sigma = overlaps(t, u, v, w)
+    sigma = overlaps(u, v, w)
     row_of = np.concatenate([np.arange(d ** 3) % d ** 2,
                              d ** 2 + np.arange(restarts)])
     first = np.concatenate([np.arange(d ** 2), d ** 3 + np.arange(restarts)])
@@ -265,10 +317,10 @@ def _per_state_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
     settled = np.zeros(sigma.shape, dtype=bool)
     sweeps = 0
     while sweeps < max_sweeps and not settled.all():
-        u = normalize_rows(np.einsum("ijk,sj,sk->si", t, v.conj(), w.conj()))
-        v = normalize_rows(np.einsum("ijk,si,sk->sj", t, u.conj(), w.conj()))
-        w = normalize_rows(np.einsum("ijk,si,sj->sk", t, u.conj(), v.conj()))
-        new = overlaps(t, u, v, w)[row_of]
+        u = half_step(0, v, w)
+        v = half_step(1, u, w)
+        w = half_step(2, u, v)
+        new = overlaps(u, v, w)[row_of]
         settled = np.abs(new - sigma) <= tol
         sigma = new
         sweeps += 1
@@ -314,6 +366,32 @@ def test_batched_sweep_equals_the_per_state_loop_on_a_product_state():
     got = max_product_overlap(state, seed=0)
     _assert_equals_reference(got, ref)
     assert got.unconverged_starts == 0
+
+
+def _sparse_state(n_total, seed):
+    """A seeded state on about two fifths of the basis."""
+    man = enumerate_manifold(n_total)
+    rng = np.random.default_rng(seed)
+    draw = rng.standard_normal((man.dim, 2))
+    amps = (draw[:, 0] + 1j * draw[:, 1]) * (rng.random(man.dim) < 0.4)
+    return StateVector(man, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("seed", [144, 177, 230])
+def test_a_lone_live_row_keeps_its_bits_beside_a_slower_state(seed):
+    # alone, these states sweep their last 11-36 rounds on one live row;
+    # beside a slower state that row has company.  A BLAS product with a
+    # one-hot scatter matrix rounds a one-row call differently (gemv, not
+    # gemm), which moved their overlaps by up to 2.2e-16
+    state = _sparse_state(4, seed)
+    x = np.random.default_rng(99).standard_normal(state.manifold.dim)
+    slower = StateVector(state.manifold, x / np.linalg.norm(x))
+    alone = max_product_overlap(state, 1, seed=0)
+    beside = max_product_overlaps([state, slower], 1, seed=0)[0]
+    for key in ("overlap", "sweeps", "row_sweeps", "start_index", "converged"):
+        assert getattr(beside, key) == getattr(alone, key), key
+    for mine, theirs in zip(beside.maximizer.vectors, alone.maximizer.vectors):
+        assert np.array_equal(mine, theirs)
 
 
 def _mixed_batch():

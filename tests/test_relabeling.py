@@ -17,9 +17,7 @@ from trimodal.basis import (
 )
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import build_full_generator, build_large_xi_generator
-from trimodal.entanglement import embed
-
-from references import permuted
+from references import embed, permuted
 
 EVEN_TOTALS = (0, 2, 4, 6, 8)
 
