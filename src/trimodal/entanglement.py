@@ -129,11 +129,11 @@ def _half_step(a: np.ndarray, others: np.ndarray, starts: np.ndarray,
                x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Best factor for one cavity given the other two, x and y, per row.
 
-    `a` holds each row's amplitudes in the cavity's run order, and `others`
-    and `starts` are the cavity's entries of `_cavity_runs`.  Each run is summed left
-    to right, so a row's bits do not depend on how many rows share the call
-    (a BLAS product with a one-hot scatter matrix rounds a lone row
-    differently).
+    `a` holds each row's amplitudes in the cavity's run order; `others` and
+    `starts` are the cavity's entries of `_cavity_runs`.  Each run is summed
+    by numpy's reduceat, so a row's bits do not depend on how many rows
+    share the call (a BLAS product with a one-hot scatter matrix rounds a
+    lone row differently: gemv, not gemm).
     """
     prod = a * x.conj()[:, others[0]] * y.conj()[:, others[1]]
     return _normalize_rows(np.add.reduceat(prod, starts, axis=1))
