@@ -10,15 +10,17 @@ state,
 
 maximized by alternating power sweeps: each cavity factor in turn is set to
 the exact optimum given the other two, which never decreases the overlap.
-Every contraction gathers the factors at the basis states' levels, so it
-touches the state's ``dim`` amplitudes and none of the d**3 tensor entries
-off the manifold.  Sweeps run from every product-basis start
-(deterministic) plus a batch of seeded complex-normal starts, and the best
-squared overlap wins; ties go to the lowest start index.  A sweep's first
-step overwrites u, so basis starts (i, j, k) that differ only in i follow
-one trajectory: duplicate basis starts are collapsed to one swept row
-each, while every start keeps its own initial overlap for the stop test
-and the tie rule.  The geometric entanglement is -log2(P_max).
+That optimum is the half-step's vector normalized, so the norm of a sweep's
+last half-step is the sweep's overlap.  Every half-step gathers the factors
+at the basis states' levels, so it touches the state's ``dim`` amplitudes
+and none of the d**3 tensor entries off the manifold.  Sweeps run from
+every product-basis start (deterministic) plus a batch of seeded
+complex-normal starts, and the best squared overlap wins; ties go to the
+lowest start index.  A sweep's first step overwrites u, so basis starts
+(i, j, k) that differ only in i follow one trajectory: duplicate basis
+starts are collapsed to one swept row each, while every start keeps its
+own initial overlap, its w against the half-step from its (u, v), for the
+stop test and the tie rule.  The geometric entanglement is -log2(P_max).
 
 `max_product_overlaps` sweeps the rows of many states on one manifold in
 one loop; `max_product_overlap` is its one-state call.  Each row carries
@@ -76,9 +78,10 @@ class OverlapResult:
     unconverged_starts: int   # starts not settled when the sweep stopped
 
 
-def _normalize_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    return mat / np.where(norms > 0.0, norms, 1.0)
+def _normalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row scaled to unit norm (a zero row stays zero), and the norms."""
+    norms = np.linalg.norm(mat, axis=1)
+    return mat / np.where(norms > 0.0, norms, 1.0)[:, None], norms
 
 
 def _starts(d: int, restarts: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,23 +95,9 @@ def _starts(d: int, restarts: int, seed) -> tuple[np.ndarray, np.ndarray, np.nda
     rng = np.random.default_rng(seed)
     draw = rng.standard_normal((restarts, 3, d, 2))
     rand = draw[..., 0] + 1j * draw[..., 1]
-    ru, rv, rw = (_normalize_rows(rand[:, i]) for i in range(3))
+    ru, rv, rw = (_normalize_rows(rand[:, i])[0] for i in range(3))
     return (np.concatenate([u, ru]), np.concatenate([v, rv]),
             np.concatenate([w, rw]))
-
-
-def _overlaps(coords: np.ndarray, a: np.ndarray, u: np.ndarray, v: np.ndarray,
-              w: np.ndarray) -> np.ndarray:
-    """|<u (x) v (x) w|psi>| per row: row s holds the amplitudes a[s] of the
-    basis states whose level positions are the rows of `coords`.
-
-    Each row is summed on its own from a row-major copy: a column gather
-    such as u[:, i] can come back column-major, and numpy would then sum
-    down the columns, rounding a row differently with other rows present.
-    """
-    i, j, k = coords.T
-    prod = a * u.conj()[:, i] * v.conj()[:, j] * w.conj()[:, k]
-    return np.abs(np.ascontiguousarray(prod).sum(axis=1))
 
 
 def _cavity_runs(coords: np.ndarray, d: int) -> tuple[list[np.ndarray], ...]:
@@ -127,7 +116,8 @@ def _cavity_runs(coords: np.ndarray, d: int) -> tuple[list[np.ndarray], ...]:
 
 def _half_step(a: np.ndarray, others: np.ndarray, starts: np.ndarray,
                x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Best factor for one cavity given the other two, x and y, per row.
+    """Best factor for one cavity given the other two, x and y, per row, not
+    yet normalized: its norm is |<x (x) y (x) z|psi>| for z its unit form.
 
     `a` holds each row's amplitudes in the cavity's run order; `others` and
     `starts` are the cavity's entries of `_cavity_runs`.  Each run is summed
@@ -136,7 +126,7 @@ def _half_step(a: np.ndarray, others: np.ndarray, starts: np.ndarray,
     lone row differently: gemv, not gemm).
     """
     prod = a * x.conj()[:, others[0]] * y.conj()[:, others[1]]
-    return _normalize_rows(np.add.reduceat(prod, starts, axis=1))
+    return np.add.reduceat(prod, starts, axis=1)
 
 
 def max_product_overlaps(states, restarts: int = 64, *,
@@ -172,14 +162,14 @@ def max_product_overlaps(states, restarts: int = 64, *,
             raise ValueError(f"state norm is {norm!r}, expected 1")
     n_states, d = len(states), man.qudit_dim
     orders, others, starts = _cavity_runs(man.coords, d)
-    # the overlaps read the basis states in the first cavity's run order
-    coords_i = man.coords[orders[0]]
     amps = np.stack([state.amplitudes for state in states])
     u, v, w = _starts(d, restarts, seed)
     n_starts = u.shape[0]
-    sigma = _overlaps(coords_i, np.repeat(amps[:, orders[0]], n_starts, axis=0),
-                      *(np.tile(x, (n_states, 1)) for x in (u, v, w)))
-    sigma = sigma.reshape(n_states, n_starts)  # per (state, start)
+    # per (state, start): the start's w against the w half-step from its (u, v)
+    raw = _half_step(np.repeat(amps[:, orders[2]], n_starts, axis=0), others[2],
+                     starts[2], *(np.tile(x, (n_states, 1)) for x in (u, v)))
+    sigma = np.abs((np.tile(w, (n_states, 1)).conj() * raw).sum(axis=1))
+    sigma = sigma.reshape(n_states, n_starts)
     # swept row of each start: basis start (i, j, k) shares the row of
     # (0, j, k), since the first half-sweep reads only v and w; `first` is
     # the first start of each row
@@ -199,10 +189,9 @@ def max_product_overlaps(states, restarts: int = 64, *,
     ai, aj, ak = (amps[:, order][live // n_rows] for order in orders)
     lu, lv, lw = u, v, w
     while live.size:
-        nu = _half_step(ai, others[0], starts[0], lv, lw)
-        nv = _half_step(aj, others[1], starts[1], nu, lw)
-        nw = _half_step(ak, others[2], starts[2], nu, nv)
-        row_sigma[live] = _overlaps(coords_i, ai, nu, nv, nw)
+        nu = _normalize_rows(_half_step(ai, others[0], starts[0], lv, lw))[0]
+        nv = _normalize_rows(_half_step(aj, others[1], starts[1], nu, lw))[0]
+        nw, row_sigma[live] = _normalize_rows(_half_step(ak, others[2], starts[2], nu, nv))
         fixed = ((nu == lu) & (nv == lv) & (nw == lw)).all(axis=1)
         lu, lv, lw = nu, nv, nw
         row_sweeps += np.bincount(live // n_rows, minlength=n_states)

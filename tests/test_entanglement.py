@@ -26,7 +26,7 @@ from trimodal.entanglement import (
     ProductState,
     _cavity_runs,
     _half_step,
-    _overlaps,
+    _normalize_rows,
     _starts,
     closed_form_overlap_n2,
     max_product_overlap,
@@ -62,9 +62,17 @@ def test_product_state_overlap_agrees_with_embedding():
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
     amps = rng.normal(size=MAN2.dim) + 1j * rng.normal(size=MAN2.dim)
     state = StateVector(MAN2, amps / np.linalg.norm(amps))
+    overlaps, sweep = _gather_kernel(state)
+    u, v, w = vecs[:, None]
     tensor = np.einsum("i,j,k->ijk", *vecs)
-    assert _overlaps(MAN2.coords, state.amplitudes[None], *vecs[:, None]) == \
-        pytest.approx([abs(np.vdot(tensor, embed(state)))])
+    assert overlaps(u, v, w) == pytest.approx([abs(np.vdot(tensor, embed(state)))])
+    # a sweep's overlap is the norm of its raw w half-step
+    u, v, w, sigma = sweep(v, w)
+    tensor = np.einsum("i,j,k->ijk", u[0], v[0], w[0])
+    assert sigma == pytest.approx([abs(np.vdot(tensor, embed(state)))])
+    # a basis start (i, j, k) reads |psi_ijk| exactly
+    u, v, w = _starts(d, 1, seed=0)
+    assert np.array_equal(overlaps(u, v, w)[:d ** 3], np.abs(embed(state)).ravel())
 
 
 def _random_rows(rng, rows, size):
@@ -76,8 +84,8 @@ def _random_rows(rng, rows, size):
 @settings(max_examples=10)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_gather_kernel_equals_the_dense_contraction(n_total, seed):
-    # the sweep's half-steps and overlap contract over the manifold's dim
-    # amplitudes; on the dense (d, d, d) tensor they are plain einsums
+    # the sweep's half-steps contract over the manifold's dim amplitudes; on
+    # the dense (d, d, d) tensor they are plain einsums
     man = enumerate_manifold(n_total)
     rng = np.random.default_rng(seed)
     state = _seeded_state(n_total, seed)
@@ -96,19 +104,25 @@ def test_gather_kernel_equals_the_dense_contraction(n_total, seed):
         2: _half_step(a[2], others[2], starts[2], u, v),
     }
     for cav, want in dense.items():
-        want = want / np.linalg.norm(want, axis=1, keepdims=True)
-        assert np.all(np.linalg.norm(gathered[cav] - want, axis=1) <= 1e-14)
+        assert np.all(np.linalg.norm(gathered[cav] - want, axis=1)
+                      <= 1e-14 * np.linalg.norm(want, axis=1))
+    # the w half-step's norm is the overlap with the w it returns
+    nw, norms = _normalize_rows(gathered[2])
+    want = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), nw.conj()))
+    assert np.all(np.abs(norms - want) <= 1e-14 * want)
+    # the initial overlap: w's conjugate against the raw w half-step
+    overlaps, _ = _gather_kernel(state)
+    got = overlaps(u, v, w)
     want = np.abs(np.einsum("ijk,si,sj,sk->s", t, u.conj(), v.conj(), w.conj()))
-    got = _overlaps(man.coords[orders[0]], a[0], u, v, w)
     assert np.all(np.abs(got - want) <= 1e-14 * want)
     # each row's bits are its own: a one-row call gives the same bits
     for r in range(5):
-        assert np.array_equal(
-            _half_step(a[0][r:r + 1], others[0], starts[0], v[r:r + 1], w[r:r + 1]),
-            gathered[0][r:r + 1])
-        assert np.array_equal(
-            _overlaps(man.coords[orders[0]], a[0][r:r + 1], u[r:r + 1], v[r:r + 1],
-                      w[r:r + 1]), got[r:r + 1])
+        one = slice(r, r + 1)
+        for cav, (x, y) in enumerate([(v, w), (u, w), (u, v)]):
+            alone = _half_step(a[cav][one], others[cav], starts[cav], x[one], y[one])
+            assert np.array_equal(alone, gathered[cav][one])
+        assert np.array_equal(_normalize_rows(gathered[2][one])[1], norms[one])
+        assert np.array_equal(overlaps(u[one], v[one], w[one]), got[one])
 
 
 def test_product_state_validation():
@@ -244,8 +258,10 @@ def test_overlap_is_invariant_under_relabeling_and_local_phases(n_total, seed):
 
 
 def _gather_kernel(state):
-    """The sweep's gather contraction on one state: the three half-steps
-    and the overlap, every row against the state's amplitudes."""
+    """The sweep's gather contraction on one state, every row against the
+    state's amplitudes: the initial overlap (w's conjugate against the raw w
+    half-step from (u, v)), and one sweep from (v, w), returning the new
+    (u, v, w) and the norms of the raw w half-step as the overlaps."""
     man = state.manifold
     orders, others, starts = _cavity_runs(man.coords, man.qudit_dim)
     a = [state.amplitudes[order] for order in orders]
@@ -254,23 +270,25 @@ def _gather_kernel(state):
         return _half_step(a[cav], others[cav], starts[cav], x, y)
 
     def overlaps(u, v, w):
-        return _overlaps(man.coords[orders[0]], a[0], u, v, w)
+        return np.abs((w.conj() * half_step(2, u, v)).sum(axis=1))
 
-    return half_step, overlaps
+    def sweep(v, w):
+        u = _normalize_rows(half_step(0, v, w))[0]
+        v = _normalize_rows(half_step(1, u, w))[0]
+        return (u, v, *_normalize_rows(half_step(2, u, v)))
+
+    return overlaps, sweep
 
 
 def _all_start_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
     """The sweep run on every start row, without collapsing duplicates."""
-    half_step, overlaps = _gather_kernel(state)
+    overlaps, sweep = _gather_kernel(state)
     u, v, w = _starts(state.manifold.qudit_dim, restarts, seed)
     sigma = overlaps(u, v, w)
     settled = np.zeros(sigma.shape, dtype=bool)
     sweeps = 0
     while sweeps < max_sweeps and not settled.all():
-        u = half_step(0, v, w)
-        v = half_step(1, u, w)
-        w = half_step(2, u, v)
-        new = overlaps(u, v, w)
+        u, v, w, new = sweep(v, w)
         settled = np.abs(new - sigma) <= tol
         sigma = new
         sweeps += 1
@@ -306,7 +324,7 @@ def test_collapsed_sweep_equals_the_all_start_reference(n_total, init, phase, re
 def _per_state_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
     """The one-state sweep loop before batching: duplicate basis starts
     collapsed to one row, every row against the one state."""
-    half_step, overlaps = _gather_kernel(state)
+    overlaps, sweep = _gather_kernel(state)
     d = state.manifold.qudit_dim
     u, v, w = _starts(d, restarts, seed)
     sigma = overlaps(u, v, w)
@@ -317,10 +335,8 @@ def _per_state_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
     settled = np.zeros(sigma.shape, dtype=bool)
     sweeps = 0
     while sweeps < max_sweeps and not settled.all():
-        u = half_step(0, v, w)
-        v = half_step(1, u, w)
-        w = half_step(2, u, v)
-        new = overlaps(u, v, w)[row_of]
+        u, v, w, new = sweep(v, w)
+        new = new[row_of]
         settled = np.abs(new - sigma) <= tol
         sigma = new
         sweeps += 1
