@@ -160,8 +160,10 @@ def sector_block(generator: Generator, excited_count: int) -> Block:
     """Restriction of a generator to one excited-count sector.
 
     Exactly invariant for the large-hopping mode, which cannot change any
-    atomic flag.
+    atomic flag.  `excited_count` must be an int in 0-3.
     """
+    if not isinstance(excited_count, (int, np.integer)) or not 0 <= excited_count <= 3:
+        raise ValueError(f"excited_count must be an int in 0-3, got {excited_count!r}")
     manifold = generator.manifold
     idx = manifold.sectors[excited_count]
     if not idx:

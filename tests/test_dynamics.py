@@ -233,6 +233,14 @@ def test_sector_block_invariance_in_large_hopping_mode():
         sector_block(build_large_xi_generator(MAN4), 3)
 
 
+@pytest.mark.parametrize("count", [-1, 4, 1.0, "1", None])
+def test_sector_block_takes_an_excited_count_in_0_to_3(count):
+    # -1 used to index from the end and return the three-excited block, and
+    # 4 raised IndexError
+    with pytest.raises(ValueError, match="excited_count must be an int in 0-3"):
+        sector_block(build_large_xi_generator(MAN6), count)
+
+
 def test_symmetry_blocks_split_dimensions_and_spectrum():
     gen = build_large_xi_generator(MAN2)
     sym, asym = symmetry_blocks(gen, (2, 3))
