@@ -109,8 +109,11 @@ def _golden(fn: Callable[[float], float], a: float, b: float,
 
 def default_grid(lo: float, hi: float) -> int:
     """Bracketing grid for a scan of [lo, hi]: GRID_PER_PI points per pi of
-    window, at least 16."""
-    return max(16, int(round(GRID_PER_PI * (hi - lo) / math.pi)))
+    window, at least 16; ValueError when that count is not finite."""
+    count = GRID_PER_PI * (hi - lo) / math.pi
+    if not math.isfinite(count):
+        raise ValueError(f"grid count for the window [{lo}, {hi}] is not finite")
+    return max(16, int(round(count)))
 
 
 def scan_extrema(objective: Callable, lo: float, hi: float, *,

@@ -81,6 +81,8 @@ def test_parse_phase_rejects_non_finite_values(bad):
     ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:pi/0"],
     ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:1e400"],
     ["evolve", "--N", "2", "--init", "g0|g0|g2", "--times", "0:pi/0:3"],
+    # a finite window whose default grid count overflows
+    ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:1e308"],
 ])
 def test_non_finite_phases_exit_with_a_message(argv, capsys):
     assert main(argv) == 1

@@ -184,6 +184,13 @@ def test_default_grid_is_4096_points_per_pi_and_at_least_16():
     assert default_grid(0.0, 1e-3) == 16
 
 
+def test_default_grid_rejects_a_window_too_wide_to_count():
+    # 4096 points per pi of [0, 1e308] overflow to inf, which int() refused
+    # with OverflowError
+    with pytest.raises(ValueError, match="not finite"):
+        default_grid(0.0, 1e308)
+
+
 def test_scan_rejects_non_finite_samples():
     # NaN samples used to pass silently: this came back as two endpoint
     # rows, the one at 2.0 with value NaN
