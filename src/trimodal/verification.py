@@ -119,11 +119,12 @@ def _set(values) -> str:
 
 
 def _stated(text: str) -> list[float] | None:
-    """The numbers an expected text states, such as "0.107", "5/9" or
-    "{18/25, 7/25}", or None when the text is prose."""
+    """The numbers an expected text states, such as "0.107", "5/9", "pi/6"
+    or "{18/25, 7/25}", or None when the text is prose."""
     words = (word.partition("/") for word in text.strip("{}").split(", "))
     try:
-        return [float(num) / float(den or 1) for num, _, den in words]
+        return [(math.pi if num == "pi" else float(num)) / float(den or 1)
+                for num, _, den in words]
     except ValueError:
         return None
 
@@ -760,12 +761,14 @@ def _extrema() -> tuple[dict, dict]:
 
     fam = FAMILIES["n4_single_cavity"]
     obj = family_objective(fam, "|K|^2", a=0.0, b=1.0)
-    e = _nearest(_minima(obj, math.pi, below=0.5), math.pi / 6)
+    words = map(_stated, _ROW["c5.excited_pair_min"].expected.split())
+    value, phase, spread = (num[0] for num in words if num)
+    e = _nearest(_minima(obj, math.pi, below=0.5), phase)
     amps = fam.evaluate(1.0, e.phase, a=0.0, b=1.0)
     two_e = 2 * abs(amps["E"]) ** 2
     vtol, ttol = _bounds("c5.excited_pair_min")
-    ok = (abs(e.phase - math.pi / 6) <= ttol
-          and abs(e.value - 1 / 9) <= vtol and abs(two_e - 8 / 9) <= vtol)
+    ok = (abs(e.phase - phase) <= ttol
+          and abs(e.value - value) <= vtol and abs(two_e - spread) <= vtol)
     out["c5.excited_pair_min"] = _Measured(
         text=f"{_fmt(e.value)} at {_fmt(e.phase)}, spread {_fmt(two_e)}", ok=ok)
 
@@ -811,8 +814,9 @@ def _special_times() -> dict:
     out = {"c6.pair_return": abs(sym["B"])}
 
     amps = FAMILIES["n4_single_cavity"].evaluate(1.0, t, a=1.0, b=0.0)
-    errs = (abs(abs(amps["C"]) ** 2 - 18 / 25),
-            abs(abs(amps["F"]) ** 2 - 7 / 25),
+    shared, stay = _stated(_ROW["c6.single_cavity_pi3"].expected.partition(" with ")[0])
+    errs = (abs(abs(amps["C"]) ** 2 - shared),
+            abs(abs(amps["F"]) ** 2 - stay),
             abs(amps["A"]), abs(amps["B"]))
     out["c6.single_cavity_pi3"] = _Measured(_worst(errs), "errors " + _list(errs))
 

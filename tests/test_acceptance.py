@@ -8,6 +8,7 @@ starts to hold, the suite flips that row to ``FAIL`` (stale analysis) and the
 test fails loudly instead of silently going green.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -115,3 +116,19 @@ def test_a_non_finite_measurement_fails_a_claim_row():
     for check_id in ("c4.sym_photon_triplet", "c4.sym_single_quartet",
                      "c4.sym_pair_doublet", "c4.pair_start"):
         assert statuses[check_id] == FAIL, check_id
+
+
+def test_stated_values_are_read_from_the_expected_text(monkeypatch):
+    # c5.excited_pair_min and c6.single_cavity_pi3 test the numbers their
+    # expected texts state, so editing the text moves the test
+    assert verification._stated("pi/6") == [math.pi / 6]
+    rows = dict(verification._ROW)
+    for check_id, old, new in [
+            ("c5.excited_pair_min", "min 1/9", "min 1/8"),
+            ("c6.single_cavity_pi3", "{18/25, 7/25}", "{17/25, 8/25}")]:
+        row = rows[check_id]
+        rows[check_id] = dataclasses.replace(row, expected=row.expected.replace(old, new))
+    monkeypatch.setattr(verification, "_ROW", rows)
+    assert not verification._extrema()[0]["c5.excited_pair_min"].ok
+    assert verification._special_times()["c6.single_cavity_pi3"].value == \
+        pytest.approx(1 / 25)
