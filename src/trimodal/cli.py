@@ -25,7 +25,7 @@ from .dressed import DressedParams
 from .dynamics import build_full_generator, build_large_xi_generator
 from .entanglement import max_product_overlap
 from .evolve import propagate, spectrum
-from .scan import GRID_PER_PI, default_grid, family_objective, scan_extrema
+from .scan import GRID_PER_PI, MAX_SAMPLES, family_objective, scan_extrema
 from .verification import run_suite, render_table
 
 MODES = ("full", "large_hopping")
@@ -285,6 +285,8 @@ class RunConfig:
             lo, hi, count = float(self.times[0]), float(self.times[1]), self.times[2]
             if count < 2:
                 raise CliError(f"times count must be at least 2, got {count}")
+            if count > MAX_SAMPLES:
+                raise CliError(f"times count must be at most {MAX_SAMPLES}, got {count}")
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise CliError(f"times window is not finite: {lo} .. {hi}")
             if not hi > lo:
@@ -471,8 +473,7 @@ def _cmd_scan(config: RunConfig, initial=None) -> int:
     if not hi > lo:
         raise CliError(f"scan window is empty: {lo} .. {hi}")
     objective = family_objective(family, config.objective)
-    grid = default_grid(lo, hi) if config.grid is None else config.grid
-    extrema = scan_extrema(objective, lo, hi, grid=grid)
+    extrema = scan_extrema(objective, lo, hi, grid=config.grid)
     with _output(config) as out:
         writer = csv.writer(out)
         writer.writerow(["kind", "xi_t", "value", "at_endpoint"])
@@ -592,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='label weights, e.g. "|C|^2+|F|^2" or "2*|B|^2"')
     p.add_argument("--window", default=None, help="lo:hi in xi*t (default 0:pi)")
     p.add_argument("--grid", type=int, default=None,
-                   help=f"grid points (default {GRID_PER_PI} per pi of window)")
+                   help=f"grid points, at most {MAX_SAMPLES} "
+                        f"(default {GRID_PER_PI} per pi of window)")
     _add_output(p)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

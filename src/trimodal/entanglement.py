@@ -248,45 +248,3 @@ def closed_form_overlap_n2(a: complex, b: complex, xi: float, t) -> float | np.n
     phase = 6.0 * xi * np.asarray(t, dtype=float)
     out = (5.0 + 4.0 * np.cos(phase)) / 9.0 * abs(a) ** 2 + abs(b) ** 2
     return float(out) if np.ndim(t) == 0 else out
-
-
-@dataclass(frozen=True, eq=False)
-class QuarterTurnCheck:
-    """Anchored entanglement probe at an odd quarter turn of the symmetric
-    family's photon block."""
-
-    tau: float
-    amplitudes_ok: bool
-    basis_overlap: float
-    optimizer_overlap: float
-    matches_basis: bool
-
-
-def symmetric_quarter_turn_check(l: int = 0, *, seed) -> QuarterTurnCheck:
-    """Build the all-photon symmetric-family state at
-    t = (l + 1/2) pi / (2 sqrt(66)), verify its three amplitudes, and compare
-    the sweep optimizer against the best product-basis overlap 25/121.
-
-    The reference expectation is `basis_overlap == 25/121` (the weight on the
-    triple-pair basis state, itself a product state); `matches_basis` records
-    whether the optimizer agrees to 1e-6 — it reproducibly finds a better
-    non-basis product state, so False is the honest outcome.
-    """
-    from .analytic import FAMILIES
-
-    fam = FAMILIES["n6_symmetric"]
-    tau = (l + 0.5) * math.pi / (2.0 * math.sqrt(66.0))
-    aset = fam.evaluate(1.0, tau, a=1.0, b=0.0)
-    amplitudes_ok = (
-        abs(aset["A"] - 5.0 / 11.0) < 1e-9
-        and abs(abs(aset["F"]) - math.sqrt(66.0) / 11.0) < 1e-9
-        and abs(aset["K"] + math.sqrt(30.0) / 11.0) < 1e-9
-    )
-    state = fam.state_vector(aset)
-    result = max_product_overlap(state, seed=seed)
-    basis = 25.0 / 121.0
-    return QuarterTurnCheck(
-        tau=tau, amplitudes_ok=amplitudes_ok, basis_overlap=basis,
-        optimizer_overlap=result.overlap,
-        matches_basis=abs(result.overlap - basis) < 1e-6,
-    )

@@ -26,6 +26,7 @@ from .analytic import Family
 
 GOLDEN_TOL = 1e-10
 GRID_PER_PI = 4096
+MAX_SAMPLES = 1 << 20    # most points a scan grid or a CLI time grid may hold
 PERIOD_TOL = 1e-9         # relative tolerance of a commensuration ratio
 MAX_DENOMINATOR = 1000    # largest denominator a commensuration ratio may have
 SUPPORT_TOL = 1e-12       # a smaller mode coefficient feeds no label
@@ -109,18 +110,24 @@ def _golden(fn: Callable[[float], float], a: float, b: float,
 
 def default_grid(lo: float, hi: float) -> int:
     """Bracketing grid for a scan of [lo, hi]: GRID_PER_PI points per pi of
-    window, at least 16; ValueError when that count is not finite."""
+    window, at least 16; ValueError when that count is not finite or is
+    above MAX_SAMPLES."""
     count = GRID_PER_PI * (hi - lo) / math.pi
     if not math.isfinite(count):
         raise ValueError(f"grid count for the window [{lo}, {hi}] is not finite")
-    return max(16, int(round(count)))
+    count = max(16, round(count))
+    if count > MAX_SAMPLES:
+        raise ValueError(f"the window [{lo}, {hi}] needs {count} grid points, "
+                         f"more than {MAX_SAMPLES}")
+    return count
 
 
 def scan_extrema(objective: Callable, lo: float, hi: float, *,
-                 grid: int = 256) -> list[Extremum]:
+                 grid: int | None = None) -> list[Extremum]:
     """All local extrema of `objective` on [lo, hi].
 
-    A uniform `grid`-point pass brackets every slope sign change; each
+    A uniform `grid`-point pass, `default_grid(lo, hi)` points unless given
+    (16 to MAX_SAMPLES), brackets every slope sign change; each
     bracket is refined by golden-section search to phase tolerance
     GOLDEN_TOL.
     A run of equal samples counts as one point: it is an extremum when it
@@ -130,8 +137,11 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     `at_endpoint` set and no refinement.  Results are sorted by phase.
     A non-finite grid sample raises ValueError rather than hiding extrema.
     """
-    if not isinstance(grid, (int, np.integer)) or grid < 16:
-        raise ValueError(f"grid must be an integer of at least 16 points, got {grid!r}")
+    if grid is None:
+        grid = default_grid(lo, hi)
+    if not isinstance(grid, (int, np.integer)) or not 16 <= grid <= MAX_SAMPLES:
+        raise ValueError(f"grid must be an integer of 16 to {MAX_SAMPLES} points, "
+                         f"got {grid!r}")
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid)

@@ -52,8 +52,7 @@ from .analytic import (
     pattern_compression,
 )
 from .entanglement import closed_form_overlap_n2, max_product_overlaps
-from .scan import (Extremum, default_grid, dwell_time, dwell_times, family_objective,
-                   scan_extrema)
+from .scan import Extremum, dwell_time, dwell_times, family_objective, scan_extrema
 
 PASS = "pass"
 FAIL = "FAIL"
@@ -717,7 +716,7 @@ def _oracle() -> dict:
 
 
 def _minima(objective, window: float, below: float):
-    ext = scan_extrema(objective, 0.0, window, grid=default_grid(0.0, window))
+    ext = scan_extrema(objective, 0.0, window)
     return [e for e in ext if e.kind == "min" and not e.at_endpoint
             and e.value < below]
 
@@ -752,11 +751,9 @@ def _extrema() -> tuple[dict, dict]:
     two = family_objective(FAMILIES["n4_two_cavity"], "|A|^2+|P|^2",
                            a=1.0, b=0.0)
     concentrated = family_objective(FAMILIES["n6_concentrated"], "|A|^2+|F|^2")
-    window = 2 * math.pi
     landmarks = {"single_cavity": _minima(single, math.pi, below=0.3),
                  "two_cavity": _minima(two, math.pi, below=0.25),
-                 "concentrated": scan_extrema(concentrated, 0.0, window,
-                                              grid=default_grid(0.0, window))}
+                 "concentrated": scan_extrema(concentrated, 0.0, 2 * math.pi)}
     out, matched = {}, {}
 
     fam = FAMILIES["n4_single_cavity"]
@@ -791,7 +788,8 @@ def _extrema() -> tuple[dict, dict]:
     interior = [e for e in landmarks["concentrated"] if not e.at_endpoint]
     matched["concentrated"], out["c5.concentrated_min"] = _stated_extrema(
         "c5.concentrated_min", [e for e in interior if e.kind == "min"])
-    amps = fam.evaluate(1.0, 1.7500)
+    [quoted] = _stated(_ROW["c5.concentrated_min"].expected.partition(" at ")[2])
+    amps = fam.evaluate(1.0, quoted)
     comp = [2 * abs(amps[la]) ** 2 for la in ("B", "E", "G", "K")]
     out["c5.concentrated_min_components"] = _Measured(tuple(comp), _set(comp))
     emax, out["c5.concentrated_max"] = _stated_extrema(

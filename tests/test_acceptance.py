@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from trimodal import verification
+from trimodal.analytic import FAMILIES
 from trimodal.verification import (
     FAIL,
     KNOWN,
@@ -120,15 +121,21 @@ def test_a_non_finite_measurement_fails_a_claim_row():
 
 def test_stated_values_are_read_from_the_expected_text(monkeypatch):
     # c5.excited_pair_min and c6.single_cavity_pi3 test the numbers their
-    # expected texts state, so editing the text moves the test
+    # expected texts state, and c5.concentrated_min_components is measured
+    # at the time c5.concentrated_min states, so editing the text moves them
     assert verification._stated("pi/6") == [math.pi / 6]
     rows = dict(verification._ROW)
     for check_id, old, new in [
             ("c5.excited_pair_min", "min 1/9", "min 1/8"),
+            ("c5.concentrated_min", "at 1.7500", "at 1.7600"),
             ("c6.single_cavity_pi3", "{18/25, 7/25}", "{17/25, 8/25}")]:
         row = rows[check_id]
         rows[check_id] = dataclasses.replace(row, expected=row.expected.replace(old, new))
     monkeypatch.setattr(verification, "_ROW", rows)
-    assert not verification._extrema()[0]["c5.excited_pair_min"].ok
+    measured = verification._extrema()[0]
+    assert not measured["c5.excited_pair_min"].ok
+    amps = FAMILIES["n6_concentrated"].evaluate(1.0, 1.76)
+    assert measured["c5.concentrated_min_components"].value == tuple(
+        2 * abs(amps[label]) ** 2 for label in ("B", "E", "G", "K"))
     assert verification._special_times()["c6.single_cavity_pi3"].value == \
         pytest.approx(1 / 25)

@@ -23,6 +23,7 @@ from trimodal.verification import (
     _N6_CONC_SCALE,
     PAPER_FORMS,
     n6_concentrated_AF,
+    n6_symmetric_printed,
 )
 
 SOLVING = [name for name, fam in FAMILIES.items() if fam.solves_hopping]
@@ -229,6 +230,19 @@ def test_symmetric_family_compression_gap_is_diagonal():
     expected.update({"F": 14.0, "G": 2.0, "H": 2.0})
     assert np.real(np.diag(gap)) == pytest.approx(
         [expected[lab] for lab in fam.labels])
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.6, 0.8)])
+def test_symmetric_family_matches_its_printed_closed_forms(a, b):
+    # A, F, K (the all-photon block), C, H (the pair doublet) and D (the
+    # stationary state) have exact printed forms; B, E, G, J are rounded
+    fam = FAMILIES["n6_symmetric"]
+    phases = np.linspace(0.0, math.pi, 401)
+    table = fam.evaluate_phases(phases, a=a, b=b)
+    printed = n6_symmetric_printed(a, b, 1.0, phases)
+    for label in ("A", "F", "K", "C", "H", "D"):
+        got = table[:, fam.labels.index(label)]
+        assert np.abs(got - printed[label]).max() <= 1e-12, label
 
 
 @pytest.mark.parametrize("name", SOLVING)

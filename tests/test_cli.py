@@ -24,6 +24,7 @@ from trimodal.cli import (
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import build_full_generator
 from trimodal.evolve import propagate
+from trimodal.scan import MAX_SAMPLES
 from trimodal.verification import CheckResult
 
 
@@ -451,6 +452,20 @@ def test_library_value_errors_exit_one_with_a_message(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("trimodal: error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:1e9"],
+    ["scan", "--family", "n2_general", "--objective", "|A|^2",
+     "--grid", "1000000000000"],
+    ["evolve", "--N", "2", "--init", "g0|g0|g2", "--times", "0:1:1000000000000"],
+])
+def test_sample_counts_above_the_bound_exit_one_before_sampling(argv, capsys, monkeypatch):
+    monkeypatch.setattr(np, "linspace", lambda *args: pytest.fail("sampled"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trimodal: error: ")
+    assert str(MAX_SAMPLES) in err
 
 
 def test_verify_runs_clean_and_deterministically(capsys, monkeypatch):

@@ -31,7 +31,6 @@ from trimodal.entanglement import (
     closed_form_overlap_n2,
     max_product_overlap,
     max_product_overlaps,
-    symmetric_quarter_turn_check,
 )
 from trimodal.evolve import propagate
 
@@ -515,27 +514,3 @@ def test_seeded_sweep_is_reproducible():
     assert first.overlap == second.overlap
     other = max_product_overlap(state, restarts=8, seed=43)
     assert other.overlap == pytest.approx(first.overlap, abs=1e-9)
-
-
-def test_quarter_turn_probe_beats_the_basis_reading():
-    check = symmetric_quarter_turn_check(l=0, seed=0)
-    assert check.tau == pytest.approx(0.5 * math.pi / (2.0 * math.sqrt(66.0)))
-    assert check.amplitudes_ok
-    assert check.basis_overlap == pytest.approx(25.0 / 121.0)
-    # the sweep reproducibly finds a better product state than any basis one
-    assert check.optimizer_overlap > check.basis_overlap + 1e-3
-    assert not check.matches_basis
-    # the probe's overlap is a converged 64-restart sweep of its state
-    fam = FAMILIES["n6_symmetric"]
-    result = max_product_overlap(
-        fam.state_vector(fam.evaluate(1.0, check.tau, a=1.0, b=0.0)), 64, seed=0)
-    assert result.converged
-    assert result.overlap == check.optimizer_overlap
-
-
-def test_quarter_turn_probe_is_periodic_in_the_odd_index():
-    a = symmetric_quarter_turn_check(l=0, seed=0)
-    b = symmetric_quarter_turn_check(l=1, seed=0)
-    assert b.tau == pytest.approx(3.0 * a.tau)
-    assert b.amplitudes_ok
-    assert b.optimizer_overlap == pytest.approx(a.optimizer_overlap, abs=1e-9)

@@ -20,6 +20,9 @@ benchmark in `perfbench/`.  Three rules:
 
 A name, member or keyword the README documents only in prose sits in
 ALLOWED, with the phrase that documents it.
+
+The same parse checks the package's layering: a module imports its
+siblings at module level only.
 """
 
 import ast
@@ -337,3 +340,19 @@ def test_every_reader_entry_names_an_ambiguous_member_its_reader_loads():
                 and node is not members[key][1] and _loads(node)[name] > 0):
             wrong.append(key)
     assert wrong == []
+
+
+def _sibling_import(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").partition(".")[0] == "trimodal"
+    return isinstance(node, ast.Import) and any(
+        alias.name.partition(".")[0] == "trimodal" for alias in node.names)
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    # the package's layering is its module-level imports: a sibling import
+    # run at call time hides an edge of that graph
+    inner = {f"{stem}.py:{node.lineno}" for stem, tree in _modules().items()
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if _sibling_import(node)}
+    assert sorted(inner) == []

@@ -171,7 +171,7 @@ def test_scan_window_validation():
         scan_extrema(lambda p: np.asarray(p), 1.0, 1.0)
 
 
-@pytest.mark.parametrize("grid", [8, 15, 16.0, 256.5, "256", None])
+@pytest.mark.parametrize("grid", [8, 15, 16.0, 256.5, "256"])
 def test_scan_rejects_a_grid_that_is_not_an_integer_of_at_least_16(grid):
     with pytest.raises(ValueError, match="grid must be an integer"):
         scan_extrema(lambda p: np.asarray(p), 0.0, 1.0, grid=grid)
@@ -182,6 +182,26 @@ def test_default_grid_is_4096_points_per_pi_and_at_least_16():
     assert default_grid(0.0, 2 * math.pi) == 8192
     assert default_grid(math.pi, 1.5 * math.pi) == 2048
     assert default_grid(0.0, 1e-3) == 16
+
+
+def test_scan_grid_defaults_to_the_window_rule(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(scan.np, "linspace",
+                        lambda lo, hi, num: sizes.append(num) or np.zeros(num))
+    scan_extrema(lambda p: np.asarray(p), 0.0, 2.0)
+    assert sizes == [default_grid(0.0, 2.0)]
+
+
+def test_grids_above_max_samples_are_refused_before_sampling(monkeypatch):
+    # the 1e9 window would have asked for 1 303 797 293 809 samples
+    assert default_grid(0.0, scan.MAX_SAMPLES * math.pi / scan.GRID_PER_PI) == \
+        scan.MAX_SAMPLES
+    with pytest.raises(ValueError, match="more than 1048576"):
+        default_grid(0.0, 1e9)
+    monkeypatch.setattr(scan.np, "linspace", lambda *args: pytest.fail("sampled"))
+    for window, grid in (((0.0, 1e9), None), ((0.0, 1.0), scan.MAX_SAMPLES + 1)):
+        with pytest.raises(ValueError):
+            scan_extrema(lambda p: p, *window, grid=grid)
 
 
 def test_default_grid_rejects_a_window_too_wide_to_count():
