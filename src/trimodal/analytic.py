@@ -323,7 +323,7 @@ def pattern_compression(family: Family, generator: Generator) -> np.ndarray:
     if generator.xi == 0:
         raise ValueError("pattern compression divides by xi, which is 0")
     idx = family._index
-    terms = generator.matrix.real[np.ix_(idx.rows[idx.firsts], idx.rows)] * idx.weights
+    terms = generator.matrix[np.ix_(idx.rows[idx.firsts], idx.rows)] * idx.weights
     sums = np.add.reduceat(terms, idx.firsts, axis=1)
     return sums / (idx.weights[idx.firsts, np.newaxis] * generator.xi)
 

@@ -33,22 +33,36 @@ HERMITICITY_TOL = 1e-12
 _CAVITY_STEP = np.eye(3, dtype=np.intp)
 
 
+def _require_hermitian(mat: np.ndarray) -> None:
+    """Raise ValueError unless `mat` is a finite square matrix equal to its
+    conjugate transpose within HERMITICITY_TOL, relative to its largest entry
+    (or to 1, whichever is larger)."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
+    scale = max(1.0, np.max(np.abs(mat), initial=0.0))
+    if not np.max(np.abs(mat - mat.conj().T), initial=0.0) <= HERMITICITY_TOL * scale:
+        raise ValueError("matrix must be Hermitian")
+
+
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """Hermitian matrix generating i d/dt psi = M psi on a manifold."""
+    """Real symmetric matrix generating i d/dt psi = M psi on a manifold,
+    stored as a read-only float64 copy of the matrix it is given."""
 
     manifold: Manifold
     matrix: np.ndarray
     xi: float
 
     def __post_init__(self):
-        # checked as given: a real matrix needs no complex temporaries
         mat = np.asarray(self.matrix)
+        if np.iscomplexobj(mat):
+            raise ValueError("generator matrix must be real symmetric, got a complex one")
         if mat.shape != (self.manifold.dim, self.manifold.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {self.manifold.dim}")
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERMITICITY_TOL * max(1.0, np.max(np.abs(mat))):
-            raise ValueError("generator must be Hermitian")
-        mat = np.ascontiguousarray(mat, dtype=complex)
+        _require_hermitian(mat)
+        mat = np.array(mat, dtype=np.float64)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

@@ -1,9 +1,10 @@
 """Exact time evolution by spectral decomposition.
 
-The manifolds are small (dimension <= 38), so the propagator is always the
-exact exp(-i M t) built from one Hermitian eigendecomposition; there is no
-step-based integration and no accumulation of local error.  Frequencies are
-reported in the same dimensionless units as the generator.
+The generators are real symmetric and small (dimension 38 at N = 6, 402 at
+N = 20), so the propagator is always the exact exp(-i M t) built from one
+real eigendecomposition M = V diag(f) V^T; there is no step-based
+integration and no accumulation of local error.  Frequencies are reported
+in the same dimensionless units as the generator.
 """
 
 from __future__ import annotations
@@ -38,25 +39,32 @@ class Spectrum:
 
 
 def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
-    """Eigenfrequencies (ascending) and orthonormal modes of a generator."""
+    """Eigenfrequencies (ascending) and orthonormal modes of a generator.
+
+    A Generator's modes are real, as its matrix is; a Block or raw array
+    keeps its own dtype.
+    """
     mat = _matrix_of(generator)
     freqs, modes = np.linalg.eigh(mat)
     return Spectrum(frequencies=freqs, modes=modes)
 
 
-def _evolve(generator: Generator | Block, initial: np.ndarray,
+def _evolve(generator: Generator, initial: np.ndarray,
             times: np.ndarray) -> np.ndarray:
-    """Rows exp(-i M t) @ initial, one per entry of times, which must be finite."""
+    """Rows exp(-i M t) @ initial, one per entry of times, which must be
+    finite, for the real symmetric M of `generator`."""
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     spec = spectrum(generator)
-    coeffs = spec.modes.conj().T @ initial
-    # one (times, modes) buffer, updated in place: same values as
-    # exp(-i f t) * c built from temporaries, one dense array fewer at peak
-    osc = -1j * times[:, None] * spec.frequencies[None, :]
-    np.exp(osc, out=osc)
-    osc *= coeffs[None, :]
-    return osc @ spec.modes.T
+    coeffs = spec.modes.T @ initial
+    # one (modes, times) buffer exp(-i f t) * c, updated in place; read as
+    # (re, im) float pairs it is a (modes, 2 times) real matrix, so the
+    # real modes multiply it in one real GEMM and the product reads back
+    # as complex (dim, times), returned transposed
+    buf = (-1j * times)[None, :] * spec.frequencies[:, None]
+    np.exp(buf, out=buf)
+    buf *= coeffs[:, None]
+    return (spec.modes @ buf.view(float)).view(complex).T
 
 
 def _modes(spec: Spectrum, initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -91,7 +91,7 @@ def test_large_hopping_generator_total_two():
 
 def test_full_generator_total_two_reference_entries():
     gen = build_full_generator(MAN2, DressedParams(r=1.0), xi=1.0)
-    mat = gen.matrix.real
+    mat = gen.matrix
     t0 = 1.0 / math.sqrt(2.0)
     assert np.allclose(np.diag(mat)[:3], 1.0)
     assert mat[0, 1] == pytest.approx(2.0)
@@ -103,7 +103,7 @@ def test_full_generator_total_two_reference_entries():
 
 
 def test_full_generator_sideband_weakens_with_r():
-    strong = build_full_generator(MAN2, DressedParams(r=4.0)).matrix.real
+    strong = build_full_generator(MAN2, DressedParams(r=4.0)).matrix
     assert strong[0, 3] == pytest.approx(1.0 / (4.0 * math.sqrt(2.0)))
 
 

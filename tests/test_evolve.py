@@ -94,17 +94,19 @@ def test_initial_norm_check_fails_closed_on_nan():
 
 
 def test_propagate_equals_the_formula_built_from_temporaries():
-    # the evolution body updates one buffer in place; the rows must keep the
-    # bits of exp(-i f t) * c @ V^T written with fresh temporaries
+    # the evolution body updates one (modes, times) buffer in place and
+    # multiplies it by the real modes as a float (re, im) matrix; the rows
+    # must keep the bits of that formula written with fresh temporaries
     gen = build_full_generator(MAN6, DressedParams(r=1.3, delta=0.2), xi=3.0)
     rng = np.random.default_rng(4)
     amps = rng.normal(size=MAN6.dim) + 1j * rng.normal(size=MAN6.dim)
     x0 = StateVector(MAN6, amps / np.linalg.norm(amps))
     times = np.linspace(0.0, 2.3, 301)
     spec = spectrum(gen)
-    coeffs = spec.modes.conj().T @ x0.amplitudes
-    reference = (np.exp(-1j * times[:, None] * spec.frequencies[None, :])
-                 * coeffs[None, :]) @ spec.modes.T
+    assert spec.modes.dtype == np.float64
+    coeffs = spec.modes.T @ x0.amplitudes
+    osc = np.exp((-1j * times)[None, :] * spec.frequencies[:, None]) * coeffs[:, None]
+    reference = (spec.modes @ osc.view(float)).view(complex).T
     assert np.array_equal(propagate(gen, x0, times).amplitudes, reference)
 
 
