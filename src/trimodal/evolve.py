@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Manifold, StateVector
-from .dynamics import Block, Generator
+from .dynamics import Block, Generator, _require_hermitian
 
 
 class NumericalContractError(ArithmeticError):
@@ -22,12 +22,6 @@ class NumericalContractError(ArithmeticError):
 
 
 NORM_TOL = 1e-10
-
-
-def _matrix_of(generator) -> np.ndarray:
-    if isinstance(generator, np.ndarray):
-        return generator
-    return generator.matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +36,14 @@ def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
     """Eigenfrequencies (ascending) and orthonormal modes of a generator.
 
     A Generator's modes are real, as its matrix is; a Block or raw array
-    keeps its own dtype.
+    keeps its own dtype.  A Block or raw array that is not square, finite
+    and Hermitian raises ValueError (a Generator was checked when built).
     """
-    mat = _matrix_of(generator)
+    if isinstance(generator, Generator):
+        mat = generator.matrix
+    else:
+        mat = np.asarray(getattr(generator, "matrix", generator))
+        _require_hermitian(mat)
     freqs, modes = np.linalg.eigh(mat)
     return Spectrum(frequencies=freqs, modes=modes)
 

@@ -116,9 +116,20 @@ def test_generator_validation():
         Generator(manifold=MAN2, matrix=np.zeros((5, 5)), xi=1.0)
     with pytest.raises(ValueError):
         Generator(manifold=MAN2, matrix=np.full((6, 6), np.nan), xi=1.0)
+    one_inf = np.zeros((6, 6))
+    one_inf[0, 1] = np.inf  # the relative symmetry test alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        Generator(manifold=MAN2, matrix=one_inf, xi=1.0)
     gen = build_large_xi_generator(MAN2)
+    with pytest.raises(ValueError, match="real symmetric"):
+        Generator(manifold=MAN2, matrix=gen.matrix.astype(complex), xi=1.0)
     with pytest.raises(ValueError):
         gen.matrix[0, 0] = 5.0
+    for built in (gen, build_full_generator(MAN2, DressedParams(r=1.0))):
+        assert built.matrix.dtype == np.float64
+    given = np.zeros((6, 6))
+    Generator(manifold=MAN2, matrix=given, xi=1.0)
+    assert given.flags.writeable   # the generator froze a copy, not the input
 
 
 def _all_pairs_hopping(manifold, xi):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from trimodal.basis import StateVector, enumerate_manifold
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import (
+    Block,
     build_full_generator,
     build_large_xi_generator,
     sector_block,
@@ -20,7 +21,6 @@ from trimodal.dynamics import (
 from trimodal.evolve import (
     NumericalContractError,
     Trajectory,
-    _evolve,
     mode_expansion,
     propagate,
     sector_probabilities,
@@ -43,6 +43,24 @@ def test_spectrum_is_an_eigendecomposition():
                        gen.matrix)
     assert np.allclose(spec.modes.conj().T @ spec.modes, np.eye(len(spec.frequencies)))
     assert np.allclose(spec.frequencies, np.linalg.eigvalsh(gen.matrix))
+
+
+@pytest.mark.parametrize("mat", [
+    np.array([[1.0, 2.0], [0.0, 1.0]]),          # one triangle only
+    np.array([[1.0, 1j], [1j, 1.0]]),            # symmetric, not Hermitian
+    np.array([[1.0, math.nan], [math.nan, 1.0]]),
+    np.array([[1.0, math.inf], [math.inf, 1.0]]),
+    np.array([[1.0, math.inf], [0.0, 1.0]]),     # passes a relative test alone
+    np.ones((2, 3)),
+], ids=["triangle", "complex-symmetric", "nan", "inf", "one-inf", "not-square"])
+def test_spectrum_fails_closed_on_a_raw_matrix_or_block(mat):
+    with pytest.raises(ValueError):
+        spectrum(mat)
+    block = sector_block(build_large_xi_generator(MAN2), 0)
+    with pytest.raises(ValueError):
+        spectrum(Block(matrix=mat, embedding=block.embedding, manifold=MAN2))
+    with pytest.raises(ValueError):
+        mode_expansion(mat, np.ones(mat.shape[1]) / math.sqrt(mat.shape[1]))
 
 
 def test_propagate_preserves_norm_and_inner_products():
@@ -162,21 +180,34 @@ def test_propagation_keeps_the_norm_and_the_group_law(n_total, xi, r, delta,
         assert np.max(np.abs(again - traj.amplitudes[1])) <= 1e-10
 
 
+@pytest.mark.parametrize("n_total", [2, 4, 6, 8, 10])
+def test_real_storage_matches_the_complex_solve(n_total):
+    # the real eigh and the real GEMM of propagate against the complex
+    # route the generators took before they were stored real
+    man = enumerate_manifold(n_total)
+    rng = np.random.default_rng(n_total)
+    for gen in _drawn_generators(man, xi=1.3, r=0.8, delta=0.4):
+        assert gen.matrix.dtype == np.float64
+        ref_f, ref_v = np.linalg.eigh(gen.matrix.astype(complex))
+        scale = np.linalg.norm(gen.matrix, 2)
+        spec = spectrum(gen)
+        assert spec.modes.dtype == np.float64
+        assert np.max(np.abs(spec.frequencies - ref_f)) <= 1e-12 * scale
+        for seed in rng.integers(0, 2**32, size=3):
+            x0 = _drawn_state(man, seed)
+            times = rng.uniform(-3.0, 3.0, size=7)
+            ref = (np.exp(-1j * times[:, None] * ref_f[None, :])
+                   * (ref_v.conj().T @ x0.amplitudes)[None, :]) @ ref_v.T
+            got = propagate(gen, x0, times).amplitudes
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
 def test_trajectory_state_accessor():
     gen = build_large_xi_generator(MAN2)
     traj = propagate(gen, corner_state(MAN2), np.linspace(0.0, 1.0, 5))
     st = traj.state(3)
     assert isinstance(st, StateVector)
     assert np.allclose(st.amplitudes, traj.amplitudes[3])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_evolve_block_rejects_non_finite_phases(bad):
-    # block coordinates evolve through the same body as propagate
-    block = sector_block(build_large_xi_generator(MAN6), 0)
-    x0 = np.eye(len(block.matrix), dtype=complex)[0]
-    with pytest.raises(ValueError, match="finite"):
-        _evolve(block, x0, np.array([0.1, bad]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
