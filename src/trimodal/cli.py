@@ -23,7 +23,7 @@ from .analytic import FAMILIES
 from .basis import StateVector, enumerate_manifold, parse_level, product_state
 from .dressed import DressedParams
 from .dynamics import build_full_generator, build_large_xi_generator
-from .entanglement import max_product_overlap
+from .entanglement import MAX_RESTARTS, max_product_overlap
 from .evolve import propagate, spectrum
 from .scan import GRID_PER_PI, MAX_SAMPLES, family_objective, scan_extrema
 from .verification import run_suite, render_table
@@ -581,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manifold(p)
     p.add_argument("--init", default=None)
     p.add_argument("--state-file", default=None)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None,
+                   help=f"seeded random sweep starts, 1 to {MAX_RESTARTS}")
     p.add_argument("--seed", type=int, default=None)
     _add_output(p)
 

@@ -42,6 +42,7 @@ from .basis import Manifold, StateVector
 
 MAX_SWEEPS = 10_000
 SETTLE_TOL = 1e-12        # a start settles once a sweep moves its overlap by at most this
+MAX_RESTARTS = 1 << 16    # most seeded random starts one call may draw
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,13 +143,14 @@ def max_product_overlaps(states, restarts: int = 64, *,
     alone, so the row could only repeat itself, and its starts keep their
     overlaps.  Each result is never below the state's largest squared basis
     amplitude, never above 1, and is monotone in `restarts` at fixed seed.
-    `seed` is required, and may not be None, so repeated calls are
+    `restarts` must lie in 1 to MAX_RESTARTS, checked before any start is
+    drawn.  `seed` is required, and may not be None, so repeated calls are
     reproducible.
     """
     if seed is None:
         raise ValueError("seed must be given; None would draw fresh starts every call")
-    if restarts < 1:
-        raise ValueError(f"restarts must be positive, got {restarts}")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must be in 1-{MAX_RESTARTS}, got {restarts}")
     states = list(states)
     if not states:
         raise ValueError("need at least one state")

@@ -24,6 +24,7 @@ from trimodal.cli import (
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import build_full_generator
 from trimodal.evolve import propagate
+from trimodal.entanglement import MAX_RESTARTS
 from trimodal.scan import MAX_SAMPLES
 from trimodal.verification import CheckResult
 
@@ -466,6 +467,16 @@ def test_sample_counts_above_the_bound_exit_one_before_sampling(argv, capsys, mo
     err = capsys.readouterr().err
     assert err.startswith("trimodal: error: ")
     assert str(MAX_SAMPLES) in err
+
+
+def test_restarts_above_the_bound_exit_one_before_drawing(capsys, monkeypatch):
+    # 10^12 restarts would ask numpy for about 1.4e14 bytes of starts
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew starts"))
+    assert main(["entangle", "--N", "2", "--init", "g0|g0|g2",
+                 "--restarts", "1000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trimodal: error: ")
+    assert str(MAX_RESTARTS) in err
 
 
 def test_verify_runs_clean_and_deterministically(capsys, monkeypatch):

@@ -23,6 +23,7 @@ from trimodal.basis import (
 from trimodal.cli import parse_init
 from trimodal.dynamics import build_large_xi_generator
 from trimodal.entanglement import (
+    MAX_RESTARTS,
     ProductState,
     _cavity_runs,
     _half_step,
@@ -192,6 +193,8 @@ def test_sweep_input_validation():
     state = StateVector(MAN2, np.eye(6)[0])
     with pytest.raises(ValueError):
         max_product_overlap(state, restarts=0, seed=0)
+    with pytest.raises(ValueError, match=str(MAX_RESTARTS)):
+        max_product_overlap(state, restarts=MAX_RESTARTS + 1, seed=0)
     with pytest.raises(ValueError):
         max_product_overlap(StateVector(MAN2, 0.7 * np.eye(6)[0]), seed=0)
 
