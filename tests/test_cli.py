@@ -23,8 +23,8 @@ from trimodal.cli import (
 )
 from trimodal.dressed import DressedParams
 from trimodal.dynamics import build_full_generator
-from trimodal.evolve import propagate
 from trimodal.entanglement import MAX_RESTARTS
+from trimodal.evolve import propagate
 from trimodal.scan import MAX_SAMPLES
 from trimodal.verification import CheckResult
 
