@@ -3,12 +3,13 @@
 Objectives are weighted sums of squared amplitude moduli over a family's
 labels, evaluated from the exponential-sum representation.  Extrema come
 from a uniform bracketing grid refined by golden-section search; dwell
-averages are computed twice (mode cross-terms in closed form, and composite
-Simpson quadrature) so the two routes can be checked against each other;
+averages are computed twice (mode cross-terms in closed form, and
+Gauss-Legendre quadrature, exact up to rounding for these trigonometric
+polynomials) so the two routes can be checked against each other;
 periods come from rational-commensuration analysis of the mode frequencies.
 `dwell_times` serves several labels from one representation, and its
-quadrature, which shares one exp(-i f phase) table per frequency across the
-labels, runs only when a result's `quadrature` is first read.
+quadrature, which shares one (nodes, modes) exp(-i f phase) table across
+the labels, runs only when a result's `quadrature` is first read.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ MAX_SAMPLES = 1 << 20    # most points a scan grid or a CLI time grid may hold
 PERIOD_TOL = 1e-9         # relative tolerance of a commensuration ratio
 MAX_DENOMINATOR = 1000    # largest denominator a commensuration ratio may have
 SUPPORT_TOL = 1e-12       # a smaller mode coefficient feeds no label
-_CHUNK = 1 << 16          # phases per quadrature chunk
+MAX_NODES = 1024          # most Gauss-Legendre nodes of a dwell route (leggauss is O(n^3))
+EXTRA_NODES = 24          # nodes beyond the half-bandwidth, for exactness up to rounding
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 Representation = tuple[np.ndarray, np.ndarray]
@@ -175,55 +177,47 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     return found
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
-    """Composite Simpson over an even number of intervals.
-
-    Term for term the rule scipy.integrate.simpson applies to an odd number
-    of samples, so both give the same bits.
-    """
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
-    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
-                                + y[1::2] * (hsum * (hsum / hprod))
-                                + y[2::2] * (2.0 - h0divh1)))
+def _exact_nodes(freqs: np.ndarray, span: float) -> int:
+    """Gauss-Legendre nodes that integrate |sum_f c_f exp(-i f phase)|^2
+    over [0, span] exactly up to rounding: the integrand is a trigonometric
+    polynomial of highest frequency max f - min f, so after the map onto
+    [-1, 1] it oscillates at most (max f - min f) * span / 2 radians per
+    unit, and EXTRA_NODES more nodes than that settle the rule.  A count
+    above MAX_NODES reads MAX_NODES + 1."""
+    half = (freqs.max() - freqs.min()) * span / 2.0
+    return math.ceil(half) + EXTRA_NODES if half <= MAX_NODES else MAX_NODES + 1
 
 
 @dataclass(frozen=True, eq=False)
-class _SimpsonRoute:
-    """The quadrature route of one `dwell_times` call: composite Simpson of
-    every label's |X(phase)|^2 on `points` intervals of [0, span]."""
+class _GaussRoute:
+    """The quadrature route of one `dwell_times` call: Gauss-Legendre on
+    `nodes` nodes of every label's |X(phase)|^2 over [0, span]."""
 
     freqs: np.ndarray
     coeffs: np.ndarray      # (mode, label) columns, in `labels` order
     labels: tuple[str, ...]
     span: float
-    points: int
+    nodes: int
 
     @cached_property
     def averages(self) -> dict[str, float]:
         """Average per label, computed on first read for all labels at once.
 
-        One exp(-i f phase) table per frequency serves every label.  It is
-        built chunk by chunk along the phases, and each element takes the
-        same operations as a whole-array table would, so the averages keep
-        the same bits at a fraction of the memory.
+        One (nodes, modes) exp(-i f phase) table serves every label; each
+        label's column is its own matrix-vector product, so its bits do not
+        depend on which labels share the call.
         """
-        phases = np.linspace(0.0, self.span, self.points + 1)
-        squares = np.empty((len(self.labels), phases.size))
-        used = (self.coeffs != 0).any(axis=1)  # a zero mode would only add +-0
-        for lo in range(0, phases.size, _CHUNK):
-            ph = phases[lo:lo + _CHUNK]
-            tables = {m: np.exp(-1j * self.freqs[m] * ph)
-                      for m in np.flatnonzero(used)}
-            for y, col in zip(squares, self.coeffs.T):
-                acc = np.zeros(ph.size, dtype=complex)
-                for m, table in tables.items():
-                    if col[m] != 0:
-                        acc += col[m] * table
-                y[lo:lo + _CHUNK] = np.abs(acc) ** 2
-        return {lab: float(_simpson(y, phases) / self.span)
-                for lab, y in zip(self.labels, squares)}
+        if self.nodes > MAX_NODES:
+            raise ValueError(f"a span of {self.span} needs more than {MAX_NODES} "
+                             "Gauss-Legendre nodes")
+        # numpy.polynomial costs ~10 ms to import; only a quadrature read needs it
+        from numpy.polynomial.legendre import leggauss
+        x, weights = leggauss(self.nodes)
+        table = np.exp(-1j * np.multiply.outer(0.5 * self.span * (x + 1.0),
+                                               self.freqs))
+        # the mean over [0, span] is (1/span) * (span/2) * sum_k w_k y_k
+        return {lab: float(0.5 * (weights @ (np.abs(table @ col) ** 2)))
+                for lab, col in zip(self.labels, np.ascontiguousarray(self.coeffs.T))}
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,7 @@ class DwellTime:
 
     label: str
     closed_form: float
-    _route: _SimpsonRoute = field(repr=False, compare=False)
+    _route: _GaussRoute = field(repr=False, compare=False)
 
     @property
     def value(self) -> float:
@@ -252,16 +246,19 @@ class DwellTime:
 
 
 def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
-                quadrature_points: int = 1_000_000, **params) -> list[DwellTime]:
+                quadrature_points: int | None = None, **params) -> list[DwellTime]:
     """Average of |X_label(phase)|^2 over phases [0, span], both ways, for
     each of `labels` (in order), from one read of the representation.
 
     The closed form evaluates the mode cross-terms exactly:
         sum_fg c_f conj(c_g) * E((f - g) * span),  E(z) = (exp(-iz) - 1)/(-iz).
-    The quadrature route is composite Simpson on `quadrature_points`
-    intervals, an even integer >= 2, computed only when a result's
-    `quadrature` is read; the two agree to ~1e-9 by construction, so a
-    larger gap signals a representation bug.
+    The quadrature route is Gauss-Legendre on `quadrature_points` nodes, an
+    integer of 1 to MAX_NODES; by default ceil((max f - min f) * span / 2)
+    + EXTRA_NODES, which is exact up to rounding (34 nodes for n2_general
+    over pi).  It is computed only when a result's `quadrature` is read,
+    and a default count above MAX_NODES raises ValueError there.  The two
+    routes agree to rounding, so a gap above ~1e-12 signals a
+    representation bug.
     """
     labels = tuple(labels)
     if not labels:
@@ -271,17 +268,21 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
             raise ValueError(f"{family.name} has no label {label!r}")
     if not (span > 0 and math.isfinite(span)):
         raise ValueError(f"span must be positive and finite, got {span}")
-    if not (isinstance(quadrature_points, (int, np.integer))
-            and quadrature_points >= 2 and quadrature_points % 2 == 0):
-        raise ValueError("quadrature_points must be an even integer >= 2, "
-                         f"got {quadrature_points!r}")
+    if quadrature_points is not None and not (
+            isinstance(quadrature_points, (int, np.integer))
+            and not isinstance(quadrature_points, bool)
+            and 1 <= quadrature_points <= MAX_NODES):
+        raise ValueError(f"quadrature_points must be an integer of 1 to {MAX_NODES} "
+                         f"nodes, got {quadrature_points!r}")
     freqs, coeffs = family.representation(**params)
     cols = coeffs[:, [family.labels.index(lab) for lab in labels]]
     delta = np.subtract.outer(freqs, freqs) * span
     safe = np.where(delta == 0.0, 1.0, delta)
     kernel = np.where(delta == 0.0, 1.0,
                       (np.exp(-1j * safe) - 1.0) / (-1j * safe))
-    route = _SimpsonRoute(freqs, cols, labels, span, int(quadrature_points))
+    nodes = (_exact_nodes(freqs, span) if quadrature_points is None
+             else int(quadrature_points))
+    route = _GaussRoute(freqs, cols, labels, span, nodes)
     return [DwellTime(label=lab,
                       closed_form=float(np.real(col @ kernel @ col.conj())),
                       _route=route)
@@ -289,7 +290,7 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
 
 
 def dwell_time(family: Family, label: str, span: float = math.pi, *,
-               quadrature_points: int = 1_000_000, **params) -> DwellTime:
+               quadrature_points: int | None = None, **params) -> DwellTime:
     """Average of |X_label(phase)|^2 over phases [0, span]: the one-label
     call of `dwell_times`."""
     return dwell_times(family, [label], span,

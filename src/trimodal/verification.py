@@ -302,7 +302,7 @@ _ROWS = (
     _Row("c8.dwell_each", "2/9", "1e-9", "per-receiving-cavity fraction"),
     _Row("c8.dwell_moved", "4/9", "1e-9", "combined exchange-symmetric fraction"),
     _Row("c8.dwell_dual_route", "0", "1e-9",
-         "closed form vs composite-Simpson quadrature"),
+         "closed form vs Gauss-Legendre quadrature"),
     _Row("c8.dwell_bound", "dwell <= 2/9 + |start|^2/3", "1e-9",
          "100 random product starts; worst margin shown"),
     _Row("c8.dwell_bound_needs_product", "> 2/9 (bound with |start|^2 = 0)",
@@ -905,7 +905,7 @@ def _dwell(seed: int) -> dict:
     margins = []
     for _ in range(100):
         a, b = _unit_pair(rng)
-        d = dwell_time(fam, "A", quadrature_points=4096, a=a, b=b)
+        d = dwell_time(fam, "A", quadrature_points=64, a=a, b=b)
         margins.append(d.value - (2 / 9 + abs(a) ** 2 / 3))
     out["c8.dwell_bound"] = _worst(margins)
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from trimodal.analytic import FAMILIES
 from trimodal import scan
 from trimodal.scan import (
-    _simpson,
+    MAX_NODES,
     default_grid,
     detect_period,
     dwell_time,
@@ -226,11 +226,11 @@ def test_scan_rejects_non_finite_samples():
 
 def test_dwell_averages_of_the_exchange_family():
     fam = FAMILIES["n2_general"]
-    stay = dwell_time(fam, "A", quadrature_points=20000)
+    stay = dwell_time(fam, "A")
     assert stay.value == pytest.approx(5.0 / 9.0, abs=1e-12)
-    assert stay.route_gap < 1e-9
+    assert stay.route_gap < 1e-12
     for label in ("B", "C"):
-        moved = dwell_time(fam, label, quadrature_points=20000)
+        moved = dwell_time(fam, label)
         assert moved.value == pytest.approx(2.0 / 9.0, abs=1e-12)
 
 
@@ -238,34 +238,56 @@ def test_dwell_span_controls_the_average():
     fam = FAMILIES["n2_general"]
     # over a twelfth of a turn the cosine has not yet averaged out:
     # mean of (5 + 4 cos 6phi)/9 on [0, pi/12] is 5/9 + 8/(9 pi)
-    short = dwell_time(fam, "A", span=math.pi / 12.0, quadrature_points=20000)
+    short = dwell_time(fam, "A", span=math.pi / 12.0)
     assert short.value == pytest.approx(5.0 / 9.0 + 8.0 / (9.0 * math.pi), abs=1e-10)
-    assert short.route_gap < 1e-9
+    assert short.route_gap < 1e-12
+
+
+@pytest.mark.parametrize("span", [math.pi / 12.0, math.pi, 2.0 * math.pi],
+                         ids=["pi/12", "pi", "2pi"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_dwell_quadrature_matches_the_closed_form(name, span):
+    # the integrand is a trigonometric polynomial, so the default node
+    # count makes Gauss-Legendre exact up to rounding, for every label
+    fam = FAMILIES[name]
+    for got in dwell_times(fam, fam.labels, span):
+        assert got.route_gap <= 1e-12, got.label
+
+
+def test_too_few_nodes_miss_the_closed_form():
+    # the property above can fail: n2_general over pi oscillates ~9.4
+    # radians per unit of the Legendre interval, which 8 nodes cannot follow
+    fam = FAMILIES["n2_general"]
+    batch = dwell_times(fam, fam.labels, quadrature_points=8, a=1.0, b=0.0)
+    assert max(d.route_gap for d in batch) > 1e-6
+    exact = dwell_times(fam, fam.labels, a=1.0, b=0.0)
+    assert max(d.route_gap for d in exact) <= 1e-12
 
 
 def test_dwell_quadrature_equals_the_all_mode_sum():
-    # modes with an exact zero coefficient are skipped; they only add +-0.
-    # With an excited admixture the photon labels carry an exact zero on
-    # the frozen excited-sector mode.  The reference builds each table
-    # over all phases at once, the library chunk by chunk (one chunk at
-    # 4096 intervals, several at 200 000).
+    # the Gauss-Legendre sum written out node by node and mode by mode,
+    # modes with an exact zero coefficient included: with an excited
+    # admixture the photon labels carry one on the frozen excited-sector
+    # mode.  At 8 nodes the rule is not exact, so the count is the one used.
+    from numpy.polynomial.legendre import leggauss
+
     fam = FAMILIES["n2_general"]
     freqs, coeffs = fam.representation(a=0.6, b=0.8)
-    for (k, label), points in itertools.product(enumerate(fam.labels[:3]),
-                                                (4096, 200_000)):
+    for (k, label), nodes in itertools.product(enumerate(fam.labels[:3]), (8, 34)):
         col = coeffs[:, k]
         assert (col == 0).any()
-        phases = np.linspace(0.0, math.pi, points + 1)
-        acc = np.zeros(phases.size, dtype=complex)
-        for c, f in zip(col, freqs):
-            acc += c * np.exp(-1j * f * phases)
-        ref = float(_simpson(np.abs(acc) ** 2, phases) / math.pi)
-        got = dwell_time(fam, label, quadrature_points=points, a=0.6, b=0.8)
-        assert got.quadrature == ref
+        x, w = leggauss(nodes)
+        ref = 0.0
+        for xk, wk in zip(x, w):
+            phase = 0.5 * math.pi * (xk + 1.0)
+            amp = sum(c * np.exp(-1j * f * phase) for c, f in zip(col, freqs))
+            ref += 0.5 * wk * abs(amp) ** 2
+        got = dwell_time(fam, label, quadrature_points=nodes, a=0.6, b=0.8)
+        assert got.quadrature == pytest.approx(ref, rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("params", [dict(a=1.0, b=0.0), dict(a=0.6, b=0.8)])
-@pytest.mark.parametrize("points", [4096, 200_000])
+@pytest.mark.parametrize("points", [None, 8])
 def test_dwell_times_equal_the_one_label_calls(params, points):
     fam = FAMILIES["n2_general"]
     batch = dwell_times(fam, fam.labels, math.pi / 5.0,
@@ -278,25 +300,28 @@ def test_dwell_times_equal_the_one_label_calls(params, points):
 
 
 def test_dwell_value_does_not_compute_the_quadrature(monkeypatch):
+    import numpy.polynomial.legendre as legendre
+
     calls = []
+    leggauss = legendre.leggauss
 
-    def counting_simpson(y, x):
-        calls.append(y.size)
-        return _simpson(y, x)
+    def counting_leggauss(nodes):
+        calls.append(nodes)
+        return leggauss(nodes)
 
-    monkeypatch.setattr(scan, "_simpson", counting_simpson)
+    monkeypatch.setattr(legendre, "leggauss", counting_leggauss)
     fam = FAMILIES["n2_general"]
-    one = dwell_time(fam, "A", quadrature_points=4096, a=0.6, b=0.8)
+    one = dwell_time(fam, "A", quadrature_points=64, a=0.6, b=0.8)
     assert one.value == one.closed_form
     assert calls == []
-    batch = dwell_times(fam, ("A", "B", "C"), quadrature_points=4096,
-                        a=0.6, b=0.8)
+    batch = dwell_times(fam, ("A", "B", "C"), a=0.6, b=0.8)
     assert [d.value for d in batch] and calls == []
-    # the first read computes every label of the call, once
+    # the first read computes every label of the call, once, on the exact
+    # count: max f - min f = 6 over pi, so ceil(3 pi) + 24 nodes
     batch[1].quadrature
-    assert calls == [4097] * 3
-    assert max(d.route_gap for d in batch) < 1e-9
-    assert calls == [4097] * 3
+    assert calls == [34]
+    assert max(d.route_gap for d in batch) < 1e-12
+    assert calls == [34]
 
 
 def test_dwell_validation():
@@ -317,23 +342,37 @@ def test_dwell_rejects_a_non_finite_or_empty_span(span):
         dwell_time(FAMILIES["n2_general"], "A", span=span)
 
 
-@pytest.mark.parametrize("points", [0, 1, 3, 4097, 4096.0, True])
-def test_dwell_rejects_a_non_even_interval_count(points):
-    with pytest.raises(ValueError, match="even integer"):
+@pytest.mark.parametrize("points", [0, -2, MAX_NODES + 1, 1_000_000, 34.0, True, "34"])
+def test_dwell_rejects_a_bad_node_count(points):
+    with pytest.raises(ValueError, match=f"integer of 1 to {MAX_NODES} nodes"):
         dwell_time(FAMILIES["n2_general"], "A", quadrature_points=points)
 
 
-@pytest.mark.parametrize("intervals", [4096, 20000])
-@pytest.mark.parametrize("span", [math.pi, math.pi / 12.0])
-def test_simpson_matches_scipy_bit_for_bit(intervals, span):
-    scipy_integrate = pytest.importorskip("scipy.integrate")
-    x = np.linspace(0.0, span, intervals + 1)
-    y = np.cos(3.0 * x) ** 2 + np.random.default_rng(intervals).random(x.size)
-    assert _simpson(y, x) == scipy_integrate.simpson(y, x=x)
+@pytest.mark.parametrize("points", [1, np.int64(MAX_NODES)])
+def test_dwell_accepts_node_counts_at_the_bounds(points):
+    d = dwell_time(FAMILIES["n2_general"], "A", quadrature_points=points)
+    assert math.isfinite(d.quadrature)
+
+
+def test_a_span_past_the_node_cap_keeps_its_closed_form():
+    # n2_general spreads its frequencies over 6, so a span of 400 needs
+    # 1224 nodes: the closed form still reads, the quadrature refuses
+    d = dwell_time(FAMILIES["n2_general"], "A", span=400.0)
+    assert d.value == pytest.approx(5.0 / 9.0, abs=1e-3)
+    with pytest.raises(ValueError, match=f"more than {MAX_NODES}"):
+        d.quadrature
 
 
 def test_import_pulls_in_no_scipy():
     code = "import sys, trimodal; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_import_pulls_in_no_numpy_polynomial():
+    # numpy.polynomial costs ~10 ms to import; only a dwell quadrature read needs it
+    code = "import sys, trimodal; print('numpy.polynomial' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
