@@ -3,7 +3,8 @@
 The generators and cavity relabelings are filled by index arithmetic on a
 manifold's coordinate table, and the product-overlap sweep contracts over
 that table; these state-by-state and dense definitions are what that
-arithmetic must reproduce.
+arithmetic must reproduce.  The suite's return distance, read off the
+return amplitude, is compared against the dense trajectory it replaces.
 """
 
 import math
@@ -11,6 +12,8 @@ import math
 import numpy as np
 
 from trimodal.basis import BasisState, StateVector
+from trimodal.dynamics import build_large_xi_generator
+from trimodal.evolve import propagate
 
 
 def hopping_element(bra: BasisState, ket: BasisState, xi: float = 1.0) -> float:
@@ -61,3 +64,12 @@ def embed(state: StateVector) -> np.ndarray:
     out = np.zeros((man.qudit_dim,) * 3, dtype=complex)
     out[tuple(man.coords.T)] = state.amplitudes
     return out
+
+
+def return_distance(fam, phases: np.ndarray) -> np.ndarray:
+    """||x(t) - x0|| row by row from the propagated large-hopping trajectory
+    of the family's start at `phases`."""
+    gen = build_large_xi_generator(fam.manifold, xi=1.0)
+    x0 = fam.initial_state()
+    traj = propagate(gen, x0, phases, times_are_phase=True)
+    return np.linalg.norm(traj.amplitudes - x0.amplitudes, axis=1)

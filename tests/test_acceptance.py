@@ -13,8 +13,10 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from references import return_distance
 from trimodal import verification
 from trimodal.analytic import FAMILIES
 from trimodal.verification import (
@@ -109,6 +111,17 @@ def test_a_nan_in_a_running_worst_fails_its_row():
         return SimpleNamespace(value=math.nan)
 
     assert _statuses(dwell_time=nan_dwell)["c8.dwell_bound"] == FAIL
+
+
+def test_return_distance_equals_the_trajectory_route():
+    # c9.aperiodic_no_return reads ||x(t) - x0|| off the return amplitude;
+    # over its 50 000 times it is the norm of the propagated trajectory's
+    # departure from the start
+    fam = FAMILIES["n6_concentrated"]
+    ts = np.arange(1, 50_001) * (math.pi / 1000.0)
+    got = verification._return_distance(fam, ts)
+    assert got.shape == ts.shape
+    assert np.max(np.abs(got - return_distance(fam, ts))) <= 1e-12
 
 
 def test_a_non_finite_measurement_fails_a_claim_row():
