@@ -259,7 +259,7 @@ _ROWS = (
          "window [0, 2*pi]; aperiodic dynamics"),
     _Row("c5.concentrated_min_components",
          _set((0.140493, 0.055394, 0.459478, 0.342801)), "5e-5",
-         "orbit-pattern probabilities at the quoted minimum time 1.7500; "
+         "orbit-pattern probabilities at the quoted minimum time {quoted}; "
          "individual components have order-one slope there, so the 5e-5 "
          "match needs that exact time"),
     _Row("c5.concentrated_max", "0.95166 at 3.0318", "5e-5 / 1e-3",
@@ -788,10 +788,12 @@ def _extrema() -> tuple[dict, dict]:
     interior = [e for e in landmarks["concentrated"] if not e.at_endpoint]
     matched["concentrated"], out["c5.concentrated_min"] = _stated_extrema(
         "c5.concentrated_min", [e for e in interior if e.kind == "min"])
-    [quoted] = _stated(_ROW["c5.concentrated_min"].expected.partition(" at ")[2])
-    amps = fam.evaluate(1.0, quoted)
+    quoted = _ROW["c5.concentrated_min"].expected.partition(" at ")[2]
+    [time] = _stated(quoted)
+    amps = fam.evaluate(1.0, time)
     comp = [2 * abs(amps[la]) ** 2 for la in ("B", "E", "G", "K")]
-    out["c5.concentrated_min_components"] = _Measured(tuple(comp), _set(comp))
+    out["c5.concentrated_min_components"] = _Measured(
+        tuple(comp), _set(comp), fields=dict(quoted=quoted))
     emax, out["c5.concentrated_max"] = _stated_extrema(
         "c5.concentrated_max", [e for e in interior if e.kind == "max"])
     amps = fam.evaluate(1.0, emax.phase)

@@ -135,7 +135,8 @@ def test_a_non_finite_measurement_fails_a_claim_row():
 def test_stated_values_are_read_from_the_expected_text(monkeypatch):
     # c5.excited_pair_min and c6.single_cavity_pi3 test the numbers their
     # expected texts state, and c5.concentrated_min_components is measured
-    # at the time c5.concentrated_min states, so editing the text moves them
+    # at the time c5.concentrated_min states and names it in its detail, so
+    # editing the text moves them
     assert verification._stated("pi/6") == [math.pi / 6]
     rows = dict(verification._ROW)
     for check_id, old, new in [
@@ -148,7 +149,10 @@ def test_stated_values_are_read_from_the_expected_text(monkeypatch):
     measured = verification._extrema()[0]
     assert not measured["c5.excited_pair_min"].ok
     amps = FAMILIES["n6_concentrated"].evaluate(1.0, 1.76)
-    assert measured["c5.concentrated_min_components"].value == tuple(
+    components = measured["c5.concentrated_min_components"]
+    assert components.value == tuple(
         2 * abs(amps[label]) ** 2 for label in ("B", "E", "G", "K"))
+    detail = verification._result(rows["c5.concentrated_min_components"], components).detail
+    assert "minimum time 1.7600;" in detail
     assert verification._special_times()["c6.single_cavity_pi3"].value == \
         pytest.approx(1 / 25)
