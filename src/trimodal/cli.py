@@ -3,7 +3,8 @@
 Subcommands: basis, dynamics, evolve, entangle, scan, verify.  Numeric
 output carries 17 significant digits so trajectory CSVs re-parse to the
 exact binary doubles that produced them.  Exit codes: 0 success, 1 usage
-or input-file problem, 2 verification failure.
+or input-file problem or a stdout closed by its reader, 2 verification
+failure.
 """
 from __future__ import annotations
 
@@ -637,6 +638,19 @@ def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, StateVector 
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (`trimodal evolve ... | head -1`):
+        # point stdout at devnull, as the Python signal docs do, so the
+        # interpreter's final flush cannot raise again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +457,24 @@ def test_library_value_errors_exit_one_with_a_message(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("trimodal: error: ")
     assert "Traceback" not in err
+
+
+def test_a_stdout_closed_early_exits_one_without_a_traceback():
+    # `trimodal evolve ... | head -1`: some 30 MB of rows meet a reader
+    # that leaves after the header
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys; from trimodal.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "evolve", "--N", "6", "--init", "g0|g0|g6",
+         "--times", "0:1:20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"xi_t,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [
