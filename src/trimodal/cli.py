@@ -638,19 +638,6 @@ def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, StateVector 
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        status = _main(argv)
-        sys.stdout.flush()
-        return status
-    except BrokenPipeError:
-        # the reader closed stdout early (`trimodal evolve ... | head -1`):
-        # point stdout at devnull, as the Python signal docs do, so the
-        # interpreter's final flush cannot raise again, and exit quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-
-
-def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -666,8 +653,17 @@ def _main(argv: list[str] | None) -> int:
                 json.dump(emit_config(dataclasses.replace(config, output=None)),
                           out, indent=2)
                 out.write("\n")
-            return 0
-        return run(config, initial)
+            status = 0
+        else:
+            status = run(config, initial)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early (`trimodal evolve ... | head -1`):
+        # point stdout at devnull, as the Python signal docs do, so the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, ValueError) as exc:
         print(f"trimodal: error: {exc}", file=sys.stderr)
         return 1

@@ -177,17 +177,6 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     return found
 
 
-def _exact_nodes(freqs: np.ndarray, span: float) -> int:
-    """Gauss-Legendre nodes that integrate |sum_f c_f exp(-i f phase)|^2
-    over [0, span] exactly up to rounding: the integrand is a trigonometric
-    polynomial of highest frequency max f - min f, so after the map onto
-    [-1, 1] it oscillates at most (max f - min f) * span / 2 radians per
-    unit, and EXTRA_NODES more nodes than that settle the rule.  A count
-    above MAX_NODES reads MAX_NODES + 1."""
-    half = (freqs.max() - freqs.min()) * span / 2.0
-    return math.ceil(half) + EXTRA_NODES if half <= MAX_NODES else MAX_NODES + 1
-
-
 @dataclass(frozen=True, eq=False)
 class _GaussRoute:
     """The quadrature route of one `dwell_times` call: Gauss-Legendre on
@@ -201,12 +190,9 @@ class _GaussRoute:
 
     @cached_property
     def averages(self) -> dict[str, float]:
-        """Average per label, computed on first read for all labels at once.
-
-        One (nodes, modes) exp(-i f phase) table serves every label; each
-        label's column is its own matrix-vector product, so its bits do not
-        depend on which labels share the call.
-        """
+        """Average per label, computed on first read for all labels at once,
+        from one (nodes, modes) exp(-i f phase) table.  Each label is its own
+        matrix-vector product, so its bits do not depend on the others."""
         if self.nodes > MAX_NODES:
             raise ValueError(f"a span of {self.span} needs more than {MAX_NODES} "
                              "Gauss-Legendre nodes")
@@ -252,13 +238,11 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
 
     The closed form evaluates the mode cross-terms exactly:
         sum_fg c_f conj(c_g) * E((f - g) * span),  E(z) = (exp(-iz) - 1)/(-iz).
-    The quadrature route is Gauss-Legendre on `quadrature_points` nodes, an
-    integer of 1 to MAX_NODES; by default ceil((max f - min f) * span / 2)
-    + EXTRA_NODES, which is exact up to rounding (34 nodes for n2_general
-    over pi).  It is computed only when a result's `quadrature` is read,
-    and a default count above MAX_NODES raises ValueError there.  The two
-    routes agree to rounding, so a gap above ~1e-12 signals a
-    representation bug.
+    The quadrature route is Gauss-Legendre on `quadrature_points` nodes, 1
+    to MAX_NODES, by default the count exact up to rounding (34 for
+    n2_general over pi), computed only when a result's `quadrature` is read
+    (a default count above MAX_NODES raises there); a route gap above
+    ~1e-12 signals a representation bug.
     """
     labels = tuple(labels)
     if not labels:
@@ -280,9 +264,14 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
     safe = np.where(delta == 0.0, 1.0, delta)
     kernel = np.where(delta == 0.0, 1.0,
                       (np.exp(-1j * safe) - 1.0) / (-1j * safe))
-    nodes = (_exact_nodes(freqs, span) if quadrature_points is None
-             else int(quadrature_points))
-    route = _GaussRoute(freqs, cols, labels, span, nodes)
+    if quadrature_points is None:
+        # the integrand's highest frequency is max f - min f, so mapped onto
+        # [-1, 1] it turns `half` radians per unit; EXTRA_NODES more nodes
+        # than that make the rule exact up to rounding
+        half = (freqs.max() - freqs.min()) * span / 2.0
+        quadrature_points = (math.ceil(half) + EXTRA_NODES if half <= MAX_NODES
+                             else MAX_NODES + 1)
+    route = _GaussRoute(freqs, cols, labels, span, int(quadrature_points))
     return [DwellTime(label=lab,
                       closed_form=float(np.real(col @ kernel @ col.conj())),
                       _route=route)

@@ -931,12 +931,9 @@ def _dwell(seed: int) -> dict:
 
 def _return_distance(fam, phases: np.ndarray) -> np.ndarray:
     """||x(t) - x0|| of the family's exact large-hopping evolution at
-    `phases`, from the return amplitude alone: with p_k = |<k|x0>|^2 over
-    the generator's modes,
-        ||x(t) - x0||^2 = 2 - 2 Re sum_k p_k exp(-i f_k t)
-                        = 4 sum_k p_k sin^2(f_k t / 2),
-    the second form free of cancellation near a return.  Only modes with
-    p_k above 1e-14 enter the (phases, modes) table."""
+    `phases` from the return amplitude: with p_k = |<k|x0>|^2 over the modes
+    with p_k > 1e-14, 2 - 2 Re sum_k p_k exp(-i f_k t), written as
+    4 sum_k p_k sin^2(f_k t / 2) to avoid cancellation near a return."""
     spec = spectrum(build_large_xi_generator(fam.manifold, xi=1.0))
     weights = np.abs(spec.modes.T @ fam.initial_state().amplitudes) ** 2
     live = weights > 1e-14

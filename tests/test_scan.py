@@ -342,13 +342,13 @@ def test_dwell_rejects_a_non_finite_or_empty_span(span):
         dwell_time(FAMILIES["n2_general"], "A", span=span)
 
 
-@pytest.mark.parametrize("points", [0, -2, MAX_NODES + 1, 1_000_000, 34.0, True, "34"])
+@pytest.mark.parametrize("points", [0, -2, MAX_NODES + 1, 4097, 4096.0, True, "34"])
 def test_dwell_rejects_a_bad_node_count(points):
     with pytest.raises(ValueError, match=f"integer of 1 to {MAX_NODES} nodes"):
         dwell_time(FAMILIES["n2_general"], "A", quadrature_points=points)
 
 
-@pytest.mark.parametrize("points", [1, np.int64(MAX_NODES)])
+@pytest.mark.parametrize("points", [1, np.int64(MAX_NODES)], ids=["1", "int64-1024"])
 def test_dwell_accepts_node_counts_at_the_bounds(points):
     d = dwell_time(FAMILIES["n2_general"], "A", quadrature_points=points)
     assert math.isfinite(d.quadrature)
