@@ -109,7 +109,7 @@ def _local_levels(n_total: int) -> tuple[CavityLevel, ...]:
 class Manifold:
     """Fixed-total subspace, stored as its canonically ordered coordinate table
     `coords`: the read-only (dim, 3) positions in `levels` of each basis state's
-    levels.  `basis` and `sectors` are derived from it."""
+    levels.  `basis`, `sectors` and `orbits` are derived from it."""
 
     n_total: int
     coords: np.ndarray
@@ -139,6 +139,16 @@ class Manifold:
         count = np.array([lv.excited for lv in self.levels])[self.coords].sum(axis=1)
         return tuple(tuple(np.flatnonzero(count == k).tolist())
                      for k in range(N_CAVITIES + 1))
+
+    @cached_property
+    def orbits(self) -> np.ndarray:
+        """Read-only orbit number of each basis state under the six cavity
+        relabelings, numbered in the basis order of each orbit's lowest
+        member."""
+        lowest = np.min([self.images(perm) for perm in ALL_PERMUTATIONS], axis=0)
+        orbits = np.unique(lowest, return_inverse=True)[1]
+        orbits.flags.writeable = False
+        return orbits
 
     @cached_property
     def _lookup(self) -> np.ndarray:
@@ -261,14 +271,10 @@ def permute_cavities(state: StateVector, perm: tuple[int, int, int]) -> StateVec
 
 
 def symmetrize(state: BasisState) -> StateVector:
-    """Normalized sum of a basis state's images under the six cavity
-    permutations.
-
-    Coinciding images are merged before normalization, so a fully symmetric
-    input comes back with weight 1.
-    """
+    """Normalized sum of a basis state's distinct images under the six
+    cavity permutations: its orbit in `Manifold.orbits`, so a fully
+    symmetric input comes back with weight 1."""
     manifold = enumerate_manifold(state.total)
-    i = manifold.index_of(state)
-    hits = [manifold.images(perm)[i] for perm in ALL_PERMUTATIONS]
-    amplitudes = np.bincount(hits, minlength=manifold.dim).astype(complex)
+    orbit = manifold.orbits == manifold.orbits[manifold.index_of(state)]
+    amplitudes = orbit.astype(complex)
     return StateVector(manifold, amplitudes / np.linalg.norm(amplitudes))

@@ -13,8 +13,9 @@ pair hop or an atom flip shifts a state's level positions, and
 `Manifold.index_at` looks the shifted triples up.
 
 Symmetry reductions (two-cavity exchange blocks, the fully symmetric block,
-sector restrictions) are provided as Block objects that remember how their
-rows embed into the manifold basis; `project_onto` builds every one of them.
+sector restrictions) are provided as Block objects: real orthonormal columns
+over the manifold basis, read from the manifold's tables, and the
+generator compressed onto them once by `project_onto`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ALL_PERMUTATIONS, Manifold
+from .basis import Manifold
 from .dressed import DressedParams, energy_scale, mixing_angle, splitting
 
 HERMITICITY_TOL = 1e-12
@@ -69,14 +70,12 @@ class Generator:
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """A generator compressed onto an orthonormal family of vectors.
+    """A generator compressed onto a real orthonormal family of vectors.
 
-    `matrix` is the compressed Hermitian matrix and the columns of
-    `embedding` (manifold.dim x block size) are the orthonormal vectors
-    written in the basis of `manifold`.  When the family spans an invariant
-    subspace the block evolves autonomously.  A Block handed back to
-    `project_onto` takes its states in the block's own coordinates (one entry
-    per row of `matrix`).
+    The columns of `embedding` (manifold.dim x block size, float64) are the
+    orthonormal vectors written in the basis of `manifold`, and `matrix` is
+    the real symmetric compression emb^T M emb.  When the family spans an
+    invariant subspace the block evolves autonomously.
     """
 
     matrix: np.ndarray
@@ -147,36 +146,46 @@ def build_full_generator(manifold: Manifold, params: DressedParams, xi: float = 
     return Generator(manifold=manifold, matrix=mat, xi=xi)
 
 
-def project_onto(generator: Generator | Block, states: np.ndarray) -> Block:
-    """Compress a generator or block onto orthonormal states, the columns of
-    `states`.
+def _require_generator(generator) -> None:
+    """Blocks are columns over a manifold basis, so only a Generator is split."""
+    if not isinstance(generator, Generator):
+        raise ValueError(f"expected a Generator, got {type(generator).__name__}")
 
-    States are given in the generator's own coordinates: manifold basis
-    amplitudes for a Generator, block coordinates for a Block (whose
-    embedding is then composed into the result's).  They must be
-    orthonormal within 1e-9 (NaN entries are not); they need not span an
-    invariant subspace (the compression is then only the top-left corner of
-    the dynamics in an adapted basis).  An empty (dim x 0) array gives a
-    0 x 0 block.
+
+def project_onto(generator: Generator, states: np.ndarray) -> Block:
+    """Compress a generator onto real orthonormal states, the columns of
+    `states`, written as manifold basis amplitudes.
+
+    The compression is the real emb^T M emb of the generator's matrix M.
+    A Block in place of the generator, or complex states, raise ValueError.
+    The states must be orthonormal within 1e-9 (NaN entries are not); they
+    need not span an invariant subspace (the compression is then only the
+    top-left corner of the dynamics in an adapted basis).  An empty
+    (dim x 0) array gives a 0 x 0 block.
     """
-    emb = np.ascontiguousarray(states, dtype=complex)
-    gram = emb.conj().T @ emb
+    _require_generator(generator)
+    if np.iscomplexobj(states):
+        raise ValueError("projection states must be real")
+    emb = np.ascontiguousarray(states, dtype=np.float64)
+    gram = emb.T @ emb
     if not np.abs(gram - np.eye(emb.shape[1])).max(initial=0.0) <= 1e-9:
         raise ValueError("projection states must be orthonormal")
-    mat = emb.conj().T @ generator.matrix @ emb
-    parent_emb = getattr(generator, "embedding", None)
-    if parent_emb is not None:
-        emb = parent_emb @ emb
+    mat = emb.T @ generator.matrix @ emb
     return Block(matrix=mat, embedding=emb, manifold=generator.manifold)
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def sector_block(generator: Generator, excited_count: int) -> Block:
     """Restriction of a generator to one excited-count sector.
 
     Exactly invariant for the large-hopping mode, which cannot change any
-    atomic flag.  `excited_count` must be an int in 0-3.
+    atomic flag.  `excited_count` must be an int (not a bool) in 0-3.
     """
-    if not isinstance(excited_count, (int, np.integer)) or not 0 <= excited_count <= 3:
+    if not (_is_int(excited_count) and 0 <= excited_count <= 3):
         raise ValueError(f"excited_count must be an int in 0-3, got {excited_count!r}")
     manifold = generator.manifold
     idx = manifold.sectors[excited_count]
@@ -185,84 +194,49 @@ def sector_block(generator: Generator, excited_count: int) -> Block:
     return project_onto(generator, np.eye(manifold.dim)[:, list(idx)])
 
 
-def symmetry_blocks(generator: Generator | Block,
+def symmetry_blocks(generator: Generator,
                     exchange: tuple[int, int]) -> tuple[Block, Block]:
     """Split a generator by a two-cavity exchange into (symmetric, antisymmetric).
 
-    The exchange, read from the manifold's relabeling table and written in
-    the input's own coordinates, must map each row c onto s_c times one row
-    t_c with |s_c| = 1 (to 1e-9; always so for a Generator, where s_c = +1),
-    or a ValueError names the exchange.  A fixed row goes to the block of its
-    sign, a pair to (e_c + s_c e_d)/sqrt(2) and (e_c - s_c e_d)/sqrt(2).  The
+    `exchange` names two distinct cavities by ints (not bools) in 1-3.  The
+    exchange, read from the manifold's relabeling table, maps basis row c to
+    row d_c.  A fixed row goes to the symmetric block, a pair (c, d) to
+    (e_c + e_d)/sqrt(2) and (e_c - e_d)/sqrt(2); columns follow c.  The
     exchange must commute with the generator (checked to 1e-9 relative).
     """
+    _require_generator(generator)
     i, j = exchange
-    if sorted((i, j)) not in ([1, 2], [1, 3], [2, 3]):
+    if not (_is_int(i) and _is_int(j) and sorted((i, j)) in ([1, 2], [1, 3], [2, 3])):
         raise ValueError(f"exchange must name two distinct cavities, got {exchange}")
     perm = [1, 2, 3]
     perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
     rows = generator.manifold.images(tuple(perm))
     mat = generator.matrix
-    n = mat.shape[0]
-    if not n:  # an empty block splits into two empty blocks
-        return (project_onto(generator, np.zeros((0, 0))),
-                project_onto(generator, np.zeros((0, 0))))
-    # the swap in the input's own coordinates; the exchange is an
-    # involution, so P is eye[rows] and P @ parent is parent[rows]
-    parent = getattr(generator, "embedding", None)
-    swap = np.eye(n)[rows] if parent is None else parent.conj().T @ parent[rows]
-    rows = np.argmax(np.abs(swap), axis=0)
-    signs = swap[rows, np.arange(n)]
-    swap[rows, np.arange(n)] = 0.0
-    if not (np.abs(swap).max() <= 1e-9 and np.abs(np.abs(signs) - 1.0).max() <= 1e-9):
-        raise ValueError(f"block rows are not closed under exchange {exchange}")
-    signs = signs / np.abs(signs)
-    # S M S^H == M for S e_c = s_c e_(t_c)
-    moved = mat[np.ix_(rows, rows)] - np.outer(signs, signs.conj()) * mat
-    if not np.max(np.abs(moved)) <= 1e-9 * max(1.0, np.max(np.abs(mat))):
+    if not np.max(np.abs(mat[np.ix_(rows, rows)] - mat)) <= \
+            1e-9 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"exchange {exchange} does not commute with this generator")
-
-    unit = np.eye(n, dtype=complex)
+    c = np.arange(len(rows))
+    # each fixed row and each pair's lower row leads a symmetric column
+    lead, pair = c[rows >= c], c[rows > c]
     rt = 1.0 / math.sqrt(2.0)
-    sym_cols, asym_cols = [], []
-    for c, (d, s) in enumerate(zip(rows, signs)):
-        if d == c:
-            (sym_cols if s.real > 0 else asym_cols).append(unit[c])
-        elif d > c:
-            sym_cols.append((unit[c] + s * unit[d]) * rt)
-            asym_cols.append((unit[c] - s * unit[d]) * rt)
-
-    def _make(cols):
-        states = np.column_stack(cols) if cols else unit[:, :0]
-        return project_onto(generator, states)
-
-    return _make(sym_cols), _make(asym_cols)
+    sym = np.zeros((len(rows), lead.size))
+    col = np.arange(lead.size)
+    sym[lead, col] = sym[rows[lead], col] = np.where(rows[lead] == lead, 1.0, rt)
+    asym = np.zeros((len(rows), pair.size))
+    col = np.arange(pair.size)
+    asym[pair, col], asym[rows[pair], col] = rt, -rt
+    return project_onto(generator, sym), project_onto(generator, asym)
 
 
-def permutation_symmetric_block(generator: Generator | Block) -> Block:
+def permutation_symmetric_block(generator: Generator) -> Block:
     """Compression onto the subspace symmetric under all cavity relabelings.
 
-    Spanned by the normalized permutation sums of basis states; invariant for
-    both modes because relabeling cavities is a symmetry of the dynamics.
-    For a Block input only the sums inside its span are kept, and each must
-    lie in it entirely.
+    Spanned by the normalized orbit sums of basis states, one column per
+    orbit of `Manifold.orbits` in its numbering; invariant for both modes
+    because relabeling cavities is a symmetry of the dynamics.
     """
     manifold = generator.manifold
-    # each state's orbit is labelled by its lowest member; columns follow
-    # the basis order of those representatives
-    orbit_rep = np.min([manifold.images(p) for p in ALL_PERMUTATIONS], axis=0)
-    _, column = np.unique(orbit_rep, return_inverse=True)
-    states = np.zeros((manifold.dim, column.max() + 1), dtype=complex)
-    states[np.arange(manifold.dim), column] = 1.0
+    states = np.zeros((manifold.dim, manifold.orbits.max() + 1))
+    states[np.arange(manifold.dim), manifold.orbits] = 1.0
     states /= np.linalg.norm(states, axis=0)
-    parent = getattr(generator, "embedding", None)
-    if parent is not None:
-        coords = parent.conj().T @ states
-        # NaN coordinates are kept, so the containment check sees them
-        keep = ~(np.linalg.norm(coords, axis=0) <= 1e-12)
-        coords = coords[:, keep]
-        lost = np.linalg.norm(states[:, keep] - parent @ coords, axis=0)
-        if not np.all(lost <= 1e-9):
-            raise ValueError("symmetric states are not contained in the parent block")
-        states = coords
     return project_onto(generator, states)

@@ -35,8 +35,8 @@ class Spectrum:
 def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
     """Eigenfrequencies (ascending) and orthonormal modes of a generator.
 
-    A Generator's modes are real, as its matrix is; a Block or raw array
-    keeps its own dtype.  A Block or raw array that is not square, finite
+    A Generator's or Block's modes are real, as their matrices are; a raw
+    array keeps its own dtype.  A Block or raw array that is not square, finite
     and Hermitian raises ValueError (a Generator was checked when built).
     """
     if isinstance(generator, Generator):

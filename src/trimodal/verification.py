@@ -326,7 +326,7 @@ _ROW = {row.check_id: row for row in _ROWS}
 def _basis(man, *states: str) -> np.ndarray:
     """Unit columns of `man` for basis states written like "g0|g2|g0"."""
     idx = [man.index_of(_state(*s.split("|"))) for s in states]
-    return np.eye(man.dim, dtype=complex)[:, idx]
+    return np.eye(man.dim)[:, idx]
 
 
 def _unit_pair(rng) -> tuple[complex, complex]:
@@ -571,7 +571,8 @@ def _spectrum(mat, negated: bool = False) -> _Measured:
 def _pattern_embedding(family, groups) -> np.ndarray:
     """Orthonormal columns spanning label-combination patterns of a family."""
     indicators = [[label in group for label in family.labels] for group in groups]
-    cols = family.fill_patterns(indicators).T
+    # the patterns are real indicators: the imaginary part is exactly 0
+    cols = family.fill_patterns(indicators).real.T
     return cols / np.linalg.norm(cols, axis=0)
 
 
@@ -616,7 +617,7 @@ def _spectra() -> dict:
     return {"c3.exchange_triangle": _spectrum(triangle),
             "c3.moved_pair_quartet": _Measured(tuple(union), _set(union)),
             "c3.excited_pair_quartet": _spectrum(c9),
-            "c3.asym_symmetric_quartet": _spectrum(blk.matrix.real),
+            "c3.asym_symmetric_quartet": _spectrum(blk.matrix),
             "c3.ground_antisym_quartet": _spectrum(c2, negated=True),
             # the symmetric ground-sector system is the concentrated family's
             "c3.ground_sym_sextet": _spectrum(_N6_CONC_MATRIX),

@@ -5,6 +5,8 @@ manifold's coordinate table, and the product-overlap sweep contracts over
 that table; these state-by-state and dense definitions are what that
 arithmetic must reproduce.  The suite's return distance, read off the
 return amplitude, is compared against the dense trajectory it replaces.
+The product-overlap sweep is checked at N = 2 against the exact W-type
+closed form.
 """
 
 import math
@@ -73,3 +75,36 @@ def return_distance(fam, phases: np.ndarray) -> np.ndarray:
     x0 = fam.initial_state()
     traj = propagate(gen, x0, phases, times_are_phase=True)
     return np.linalg.norm(traj.amplitudes - x0.amplitudes, axis=1)
+
+
+def n2_sides(state: StateVector) -> list:
+    """Squared norms |x_c|^2 of an N = 2 state psi = sum_c |x_c>_c (x) |g0 g0>.
+
+    Every N = 2 basis state has exactly one cavity off g0 (level position 0),
+    so projecting each product factor onto span{g0, x_c / |x_c|} maps the
+    best-overlap problem onto the W-type state a|100> + b|010> + c|001>
+    with these squared sides.
+    """
+    man = state.manifold
+    if man.n_total != 2:
+        raise ValueError(f"the W-type oracle is for N = 2, got {man.n_total}")
+    weights = np.abs(state.amplitudes) ** 2
+    return [float(weights[man.coords[:, cav] != 0].sum()) for cav in range(3)]
+
+
+def w_type_overlap(a2, b2, c2):
+    """Exact best squared product overlap of the unit W-type state with
+    squared sides a2, b2, c2 (floats, or Fractions for exact arithmetic).
+
+    With a the largest side, P_max = a^2 when a^2 >= b^2 + c^2; otherwise
+    P_max = 4 R^2, R the circumradius of the triangle of sides a, b, c:
+    4 R^2 = 4 a^2 b^2 c^2 / ((a+b+c)(-a+b+c)(a-b+c)(a+b-c)), whose
+    denominator is 2(a^2 b^2 + b^2 c^2 + c^2 a^2) - a^4 - b^4 - c^4.
+    Refs: Wei & Goldbart, PRA 68, 042307 (2003); Tamaryan, Park & Tamaryan,
+    PRA 77, 022325 (2008).
+    """
+    a2, b2, c2 = sorted((a2, b2, c2), reverse=True)
+    if a2 >= b2 + c2:
+        return a2
+    return 4 * a2 * b2 * c2 / (2 * (a2 * b2 + b2 * c2 + c2 * a2)
+                               - a2 * a2 - b2 * b2 - c2 * c2)

@@ -16,7 +16,6 @@ from trimodal.basis import (
 )
 from trimodal.dressed import DressedParams, energy_scale, mixing_angle, splitting
 from trimodal.dynamics import (
-    Block,
     Generator,
     build_full_generator,
     build_large_xi_generator,
@@ -213,10 +212,29 @@ def test_project_onto_requires_orthonormal_states():
 
 
 def test_project_onto_gram_check_fails_closed_on_nan():
-    emb = np.eye(6)[:, :2].astype(complex)
+    emb = np.eye(6)[:, :2]
     emb[0, 0] = math.nan
     with pytest.raises(ValueError, match="orthonormal"):
         project_onto(build_large_xi_generator(MAN2), emb)
+
+
+def test_project_onto_refuses_complex_states():
+    # even with a zero imaginary part: every block is real columns
+    with pytest.raises(ValueError, match="real"):
+        project_onto(build_large_xi_generator(MAN2), np.eye(6, dtype=complex)[:, :2])
+
+
+def test_every_builder_refuses_a_block():
+    gen = build_large_xi_generator(MAN4)
+    block = sector_block(gen, 0)
+    with pytest.raises(ValueError, match="expected a Generator, got Block"):
+        project_onto(block, np.eye(len(block.matrix))[:, :1])
+    with pytest.raises(ValueError, match="expected a Generator, got Block"):
+        sector_block(block, 0)
+    with pytest.raises(ValueError, match="expected a Generator, got Block"):
+        symmetry_blocks(block, (1, 2))
+    with pytest.raises(ValueError, match="expected a Generator, got Block"):
+        permutation_symmetric_block(block)
 
 
 def test_project_onto_exchange_symmetric_corner():
@@ -225,7 +243,7 @@ def test_project_onto_exchange_symmetric_corner():
     sym = (e[1] + e[2]) / math.sqrt(2.0)
     block = project_onto(gen, np.column_stack([e[0], sym]))
     rt8 = math.sqrt(8.0)
-    assert np.allclose(block.matrix.real, [[0.0, rt8], [rt8, 2.0]])
+    assert np.allclose(block.matrix, [[0.0, rt8], [rt8, 2.0]])
     assert np.linalg.eigvalsh(block.matrix) == pytest.approx([-2.0, 4.0])
     assert block.embedding.shape == (6, 2)
 
@@ -244,17 +262,17 @@ def test_sector_block_invariance_in_large_hopping_mode():
         sector_block(build_large_xi_generator(MAN4), 3)
 
 
-@pytest.mark.parametrize("count", [-1, 4, 1.0, "1", None])
+@pytest.mark.parametrize("count", [-1, 4, 1.0, "1", None, True, False])
 def test_sector_block_takes_an_excited_count_in_0_to_3(count):
-    # -1 used to index from the end and return the three-excited block, and
-    # 4 raised IndexError
+    # -1 used to index from the end and return the three-excited block, 4
+    # raised IndexError, and a bool was read as 0 or 1
     with pytest.raises(ValueError, match="excited_count must be an int in 0-3"):
         sector_block(build_large_xi_generator(MAN6), count)
 
 
 def test_symmetry_blocks_split_dimensions_and_spectrum():
     gen = build_large_xi_generator(MAN2)
-    sym, asym = symmetry_blocks(gen, (2, 3))
+    sym, asym = symmetry_blocks(gen, (np.int64(2), 3))
     assert (len(sym.matrix), len(asym.matrix)) == (4, 2)
     merged = np.concatenate([
         np.linalg.eigvalsh(sym.matrix), np.linalg.eigvalsh(asym.matrix)])
@@ -263,58 +281,21 @@ def test_symmetry_blocks_split_dimensions_and_spectrum():
 
 def test_symmetry_blocks_reject_bad_exchange():
     gen = build_large_xi_generator(MAN2)
-    with pytest.raises(ValueError):
-        symmetry_blocks(gen, (1, 1))
+    # (1.0, 2.0) used to raise TypeError and (True, 2) to split as (1, 2)
+    for exchange in ((1, 1), (0, 1), (3, 4), (1.0, 2.0), (True, 2), (2, True),
+                     ("1", "2")):
+        with pytest.raises(ValueError, match="two distinct cavities"):
+            symmetry_blocks(gen, exchange)
 
 
-def test_symmetry_blocks_commute_check_fails_closed_on_nan():
-    mat = np.array(build_large_xi_generator(MAN2).matrix)
-    mat[0, 1] = math.nan
-    block = Block(matrix=mat, embedding=np.eye(6, dtype=complex), manifold=MAN2)
-    with pytest.raises(ValueError, match="commute"):
-        symmetry_blocks(block, (2, 3))
-
-
-# Block inputs at N=4: each row's image under the exchange is read as a
-# target row and a sign, one rule for every input.
-
-def test_symmetry_blocks_resplit_the_antisymmetric_block_as_antisymmetric():
-    gen = build_large_xi_generator(MAN4)
-    asym = symmetry_blocks(gen, (1, 2))[1]
-    assert len(asym.matrix) == 7
-    sym, again = symmetry_blocks(asym, (1, 2))
-    assert (len(sym.matrix), len(again.matrix)) == (0, 7)
-    assert np.allclose(again.embedding, asym.embedding)
-
-
-def test_symmetry_blocks_keep_the_fully_symmetric_block_symmetric():
-    full = permutation_symmetric_block(build_large_xi_generator(MAN4))
-    sym, asym = symmetry_blocks(full, (1, 2))
-    assert (len(sym.matrix), len(asym.matrix)) == (5, 0)
-
-
-def test_symmetry_blocks_split_an_empty_block_into_two_empty_blocks():
-    full = permutation_symmetric_block(build_large_xi_generator(MAN4))
-    empty = symmetry_blocks(full, (1, 3))[1]
-    assert empty.matrix.shape == (0, 0)
-    sym, asym = symmetry_blocks(empty, (1, 2))
-    assert sym.matrix.shape == asym.matrix.shape == (0, 0)
-    assert sym.embedding.shape == asym.embedding.shape == (MAN4.dim, 0)
-
-
-def test_symmetry_blocks_reject_a_block_not_closed_under_the_exchange():
-    sym23 = symmetry_blocks(build_large_xi_generator(MAN4), (2, 3))[0]
-    with pytest.raises(ValueError, match=r"not closed under exchange \(1, 2\)"):
-        symmetry_blocks(sym23, (1, 2))
-
-
-def test_permutation_symmetric_block_containment_fails_closed_on_nan():
-    gen = build_large_xi_generator(MAN2)
-    parent = np.eye(6, dtype=complex)
-    parent[0, 0] = math.nan
-    with pytest.raises(ValueError, match="contained"):
-        permutation_symmetric_block(Block(matrix=gen.matrix, embedding=parent,
-                                          manifold=MAN2))
+def test_symmetry_blocks_reject_a_generator_the_exchange_moves():
+    mat = np.zeros((6, 6))
+    mat[0, 0] = 1.0   # on |g0,g0,g2>: only the 1<->2 exchange keeps it
+    gen = Generator(manifold=MAN2, matrix=mat, xi=1.0)
+    with pytest.raises(ValueError, match=r"exchange \(1, 3\) does not commute"):
+        symmetry_blocks(gen, (1, 3))
+    sym, asym = symmetry_blocks(gen, (1, 2))
+    assert (len(sym.matrix), len(asym.matrix)) == (4, 2)
 
 
 def test_permutation_symmetric_block_reproduces_symmetric_dynamics():
@@ -323,14 +304,14 @@ def test_permutation_symmetric_block_reproduces_symmetric_dynamics():
     # orbit sums: one photon orbit, one excited orbit
     assert block.matrix.shape == (2, 2)
     assert np.linalg.eigvalsh(block.matrix) == pytest.approx([0.0, 4.0])
-    gram = block.embedding.conj().T @ block.embedding
+    gram = block.embedding.T @ block.embedding
     assert np.allclose(gram, np.eye(2))
 
 
 # One compression route: every builder must give the blocks of the dedicated
-# builders it replaced, entry for entry.  The reference copies below are those
-# builders: each compresses with its own emb^H M emb and embeds through an
-# explicit parent (the identity for a Generator).
+# complex builders it replaced, entry for entry, in real storage.  The
+# reference copies below are those builders: each compresses with its own
+# complex emb^H M emb.
 
 def _reference_sector(generator, k):
     man = generator.manifold
@@ -341,22 +322,14 @@ def _reference_sector(generator, k):
     return emb.conj().T @ generator.matrix @ emb, emb
 
 
-def _reference_parent(generator):
-    if isinstance(generator, Generator):
-        return np.eye(generator.manifold.dim, dtype=complex)
-    return generator.embedding
-
-
 def _reference_exchange(generator, exchange):
     manifold, mat = generator.manifold, generator.matrix
-    parent = _reference_parent(generator)
     i, j = exchange
     perm = [1, 2, 3]
     perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
     # column c of the relabeling matrix is the basis vector of c's image
-    pm = np.eye(manifold.dim)[:, manifold.images(tuple(perm))]
-    swap = parent.conj().T @ pm @ parent
-    n = parent.shape[1]
+    swap = np.eye(manifold.dim)[:, manifold.images(tuple(perm))]
+    n = manifold.dim
     rt = 1.0 / math.sqrt(2.0)
     sym_cols, asym_cols, seen = [], [], set()
     for c in range(n):
@@ -380,17 +353,15 @@ def _reference_exchange(generator, exchange):
 
     def make(cols):
         if not cols:
-            return (np.zeros((0, 0), dtype=complex),
-                    np.zeros((parent.shape[0], 0), dtype=complex))
+            return np.zeros((0, 0), dtype=complex), np.zeros((n, 0), dtype=complex)
         b = np.column_stack(cols)
-        return b.conj().T @ mat @ b, parent @ b
+        return b.conj().T @ mat @ b, b
 
     return make(sym_cols), make(asym_cols)
 
 
 def _reference_fully_symmetric(generator):
     manifold = generator.manifold
-    parent = _reference_parent(generator)
     sym_states, seen = [], set()
     for b in manifold.basis:
         if b in seen:
@@ -401,49 +372,36 @@ def _reference_fully_symmetric(generator):
         for s in orbit:
             vec[manifold.index_of(s)] = 1.0
         sym_states.append(vec / np.linalg.norm(vec))
-    coords = parent.conj().T @ np.column_stack(sym_states)
-    coords = coords[:, ~(np.linalg.norm(coords, axis=0) <= 1e-12)]
-    return coords.conj().T @ generator.matrix @ coords, parent @ coords
+    emb = np.column_stack(sym_states)
+    return emb.conj().T @ generator.matrix @ emb, emb
 
 
 def _same_block(block, reference):
     mat, emb = reference
+    assert block.matrix.dtype == block.embedding.dtype == np.float64
     assert block.matrix.shape == mat.shape and block.embedding.shape == emb.shape
     assert np.array_equal(block.matrix, mat)
     assert np.array_equal(block.embedding, emb)
 
 
 def _generators(n_total):
-    """Both generators on the manifold, by mode; N = 0 has no full one."""
+    """Both generators on the manifold; N = 0 has no full one."""
     man = enumerate_manifold(n_total)
-    gens = {"large_hopping": build_large_xi_generator(man, xi=0.37)}
+    gens = [build_large_xi_generator(man, xi=0.37)]
     if n_total:
-        gens["full"] = build_full_generator(man, DressedParams(r=0.7, delta=0.3), xi=1.3)
+        gens.append(build_full_generator(man, DressedParams(r=0.7, delta=0.3), xi=1.3))
     return gens
 
 
 @pytest.mark.parametrize("n_total", [0, 2, 4, 6, 8])
 def test_block_builders_equal_the_dedicated_compressions(n_total):
-    for mode, gen in _generators(n_total).items():
+    for gen in _generators(n_total):
         assert sector_block(gen, 0).manifold is gen.manifold
-        sectors = [k for k, idx in enumerate(gen.manifold.sectors) if idx]
-        for k in sectors:
-            _same_block(sector_block(gen, k), _reference_sector(gen, k))
+        for k, idx in enumerate(gen.manifold.sectors):
+            if idx:
+                _same_block(sector_block(gen, k), _reference_sector(gen, k))
         _same_block(permutation_symmetric_block(gen), _reference_fully_symmetric(gen))
         for exchange in ((1, 2), (1, 3), (2, 3)):
             for block, ref in zip(symmetry_blocks(gen, exchange),
                                   _reference_exchange(gen, exchange)):
                 _same_block(block, ref)
-        if mode != "large_hopping":
-            continue
-        # Block inputs: the (invariant) sectors and the 2<->3 symmetric block
-        parents = [sector_block(gen, k) for k in sectors]
-        parents.append(symmetry_blocks(gen, (2, 3))[0])
-        for parent in parents:
-            _same_block(permutation_symmetric_block(parent),
-                        _reference_fully_symmetric(parent))
-        for parent in parents[:-1]:
-            for exchange in ((1, 2), (1, 3), (2, 3)):
-                for block, ref in zip(symmetry_blocks(parent, exchange),
-                                      _reference_exchange(parent, exchange)):
-                    _same_block(block, ref)

@@ -38,9 +38,7 @@ PACKAGE = ROOT / "src" / "trimodal"
 # it: the README names these features in prose, so the scans cannot see them
 ALLOWED = {
     "basis.permute_cavities": "cavity permutations, symmetrization (`trimodal.basis`)",
-    "dynamics.sector_block": "sector and symmetry block extraction (`trimodal.dynamics`",
-    "dynamics.permutation_symmetric_block":
-        "sector and symmetry block extraction (`trimodal.dynamics`",
+    "dynamics.Block.embedding": "keeps its columns as its `embedding`",
     "entanglement.OverlapResult.start_index": "ties still go to the lowest start index",
     "entanglement.OverlapResult.row_sweeps": "`row_sweeps`",
     "entanglement.OverlapResult.unconverged_starts": "`unconverged_starts`",

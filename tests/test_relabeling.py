@@ -50,6 +50,20 @@ def test_coords_table_is_read_only_and_validates_perm():
 
 
 @pytest.mark.parametrize("n_total", EVEN_TOTALS)
+def test_orbits_agree_with_the_per_state_orbits(n_total):
+    man = enumerate_manifold(n_total)
+    # numbered as first met in basis order, i.e. by each orbit's lowest member
+    number, count = {}, 0
+    for b in man.basis:
+        if b not in number:
+            number.update((permuted(b, p), count) for p in ALL_PERMUTATIONS)
+            count += 1
+    assert man.orbits.tolist() == [number[b] for b in man.basis]
+    with pytest.raises(ValueError):
+        man.orbits[0] = 1
+
+
+@pytest.mark.parametrize("n_total", EVEN_TOTALS)
 @settings(max_examples=20)
 @given(xi=st.floats(-100.0, 100.0), r=st.floats(0.05, 20.0),
        delta=st.floats(-10.0, 10.0))
