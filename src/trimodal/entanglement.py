@@ -143,14 +143,16 @@ def max_product_overlaps(states, restarts: int = 64, *,
     alone, so the row could only repeat itself, and its starts keep their
     overlaps.  Each result is never below the state's largest squared basis
     amplitude, never above 1, and is monotone in `restarts` at fixed seed.
-    `restarts` must lie in 1 to MAX_RESTARTS, checked before any start is
-    drawn.  `seed` is required, and may not be None, so repeated calls are
+    `restarts` must be an integer, not a bool, in 1 to MAX_RESTARTS,
+    checked before any start is drawn.  `seed` is required, and may not be None, so repeated calls are
     reproducible.
     """
     if seed is None:
         raise ValueError("seed must be given; None would draw fresh starts every call")
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise ValueError(f"restarts must be in 1-{MAX_RESTARTS}, got {restarts}")
+    if not (isinstance(restarts, (int, np.integer)) and not isinstance(restarts, bool)
+            and 1 <= restarts <= MAX_RESTARTS):
+        raise ValueError(f"restarts must be an integer in 1-{MAX_RESTARTS}, "
+                         f"got {restarts!r}")
     states = list(states)
     if not states:
         raise ValueError("need at least one state")

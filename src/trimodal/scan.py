@@ -2,23 +2,21 @@
 
 Objectives are weighted sums of squared amplitude moduli over a family's
 labels, evaluated from the exponential-sum representation.  Extrema come
-from a uniform bracketing grid refined by golden-section search; dwell
-averages are computed twice (mode cross-terms in closed form, and
-Gauss-Legendre quadrature, exact up to rounding for these trigonometric
-polynomials) so the two routes can be checked against each other;
-periods come from rational-commensuration analysis of the mode frequencies.
-`dwell_times` serves several labels from one representation, and its
-quadrature, which shares one (nodes, modes) exp(-i f phase) table across
-the labels, runs only when a result's `quadrature` is first read.
+from a uniform bracketing grid refined by golden-section search.  Time
+averages come from one closed form over the mode cross-terms,
+`_time_averages`; `dwell_times` computes Gauss-Legendre quadrature in the
+same call, exact up to rounding for these trigonometric polynomials, from
+one (nodes, modes) exp(-i f phase) table shared by its labels, so the two
+routes can be checked against each other.  Periods come from
+rational-commensuration analysis of the mode frequencies.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -137,15 +135,17 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     those two samples, and none when it is a shoulder on a slope.  Endpoint
     runs that locally dominate their neighbor are reported with
     `at_endpoint` set and no refinement.  Results are sorted by phase.
-    A non-finite grid sample raises ValueError rather than hiding extrema.
+    A window that is empty or not finite raises ValueError before anything
+    is sampled; a non-finite grid sample raises ValueError rather than
+    hiding extrema.
     """
     if grid is None:
         grid = default_grid(lo, hi)
     if not isinstance(grid, (int, np.integer)) or not 16 <= grid <= MAX_SAMPLES:
         raise ValueError(f"grid must be an integer of 16 to {MAX_SAMPLES} points, "
                          f"got {grid!r}")
-    if not hi > lo:
-        raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"the window [{lo}, {hi}] must be finite with hi > lo")
     xs = np.linspace(lo, hi, grid)
     ys = np.asarray(objective(xs), dtype=float)
     if not np.isfinite(ys).all():
@@ -177,54 +177,30 @@ def scan_extrema(objective: Callable, lo: float, hi: float, *,
     return found
 
 
-@dataclass(frozen=True, eq=False)
-class _GaussRoute:
-    """The quadrature route of one `dwell_times` call: Gauss-Legendre on
-    `nodes` nodes of every label's |X(phase)|^2 over [0, span]."""
-
-    freqs: np.ndarray
-    coeffs: np.ndarray      # (mode, label) columns, in `labels` order
-    labels: tuple[str, ...]
-    span: float
-    nodes: int
-
-    @cached_property
-    def averages(self) -> dict[str, float]:
-        """Average per label, computed on first read for all labels at once,
-        from one (nodes, modes) exp(-i f phase) table.  Each label is its own
-        matrix-vector product, so its bits do not depend on the others."""
-        if self.nodes > MAX_NODES:
-            raise ValueError(f"a span of {self.span} needs more than {MAX_NODES} "
-                             "Gauss-Legendre nodes")
-        # numpy.polynomial costs ~10 ms to import; only a quadrature read needs it
-        from numpy.polynomial.legendre import leggauss
-        x, weights = leggauss(self.nodes)
-        table = np.exp(-1j * np.multiply.outer(0.5 * self.span * (x + 1.0),
-                                               self.freqs))
-        # the mean over [0, span] is (1/span) * (span/2) * sum_k w_k y_k
-        return {lab: float(0.5 * (weights @ (np.abs(table @ col) ** 2)))
-                for lab, col in zip(self.labels, np.ascontiguousarray(self.coeffs.T))}
+def _time_averages(freqs: np.ndarray, coeffs: np.ndarray, span: float) -> np.ndarray:
+    """Exact mean of |sum_f c_f exp(-i f phase)|^2 over phases [0, span], one
+    per (mode, column) coefficient column, from the mode cross-terms:
+        sum_fg c_f conj(c_g) * E((f - g) * span),  E(z) = (exp(-iz) - 1)/(-iz).
+    """
+    delta = np.subtract.outer(freqs, freqs) * span
+    safe = np.where(delta == 0.0, 1.0, delta)
+    kernel = np.where(delta == 0.0, 1.0,
+                      (np.exp(-1j * safe) - 1.0) / (-1j * safe))
+    return np.array([np.real(col @ kernel @ col.conj()) for col in coeffs.T])
 
 
 @dataclass(frozen=True)
 class DwellTime:
-    """Time-averaged squared modulus of one amplitude over a phase span.
+    """Time-averaged squared modulus of one amplitude over a phase span, by
+    two routes: the `closed_form` of the mode cross-terms and Gauss-Legendre
+    `quadrature`."""
 
-    `quadrature` is computed only when read, for every label of the call
-    that made this result at once.
-    """
-
-    label: str
     closed_form: float
-    _route: _GaussRoute = field(repr=False, compare=False)
+    quadrature: float
 
     @property
     def value(self) -> float:
         return self.closed_form
-
-    @property
-    def quadrature(self) -> float:
-        return self._route.averages[self.label]
 
     @property
     def route_gap(self) -> float:
@@ -236,12 +212,10 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
     """Average of |X_label(phase)|^2 over phases [0, span], both ways, for
     each of `labels` (in order), from one read of the representation.
 
-    The closed form evaluates the mode cross-terms exactly:
-        sum_fg c_f conj(c_g) * E((f - g) * span),  E(z) = (exp(-iz) - 1)/(-iz).
-    The quadrature route is Gauss-Legendre on `quadrature_points` nodes, 1
-    to MAX_NODES, by default the count exact up to rounding (34 for
-    n2_general over pi), computed only when a result's `quadrature` is read
-    (a default count above MAX_NODES raises there); a route gap above
+    The closed form is `_time_averages`.  The quadrature route is
+    Gauss-Legendre on `quadrature_points` nodes, 1 to MAX_NODES, by default
+    the count exact up to rounding (34 for n2_general over pi); a span whose
+    default count is above MAX_NODES raises ValueError.  A route gap above
     ~1e-12 signals a representation bug.
     """
     labels = tuple(labels)
@@ -260,22 +234,26 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
                          f"nodes, got {quadrature_points!r}")
     freqs, coeffs = family.representation(**params)
     cols = coeffs[:, [family.labels.index(lab) for lab in labels]]
-    delta = np.subtract.outer(freqs, freqs) * span
-    safe = np.where(delta == 0.0, 1.0, delta)
-    kernel = np.where(delta == 0.0, 1.0,
-                      (np.exp(-1j * safe) - 1.0) / (-1j * safe))
     if quadrature_points is None:
         # the integrand's highest frequency is max f - min f, so mapped onto
         # [-1, 1] it turns `half` radians per unit; EXTRA_NODES more nodes
         # than that make the rule exact up to rounding
         half = (freqs.max() - freqs.min()) * span / 2.0
-        quadrature_points = (math.ceil(half) + EXTRA_NODES if half <= MAX_NODES
-                             else MAX_NODES + 1)
-    route = _GaussRoute(freqs, cols, labels, span, int(quadrature_points))
-    return [DwellTime(label=lab,
-                      closed_form=float(np.real(col @ kernel @ col.conj())),
-                      _route=route)
-            for lab, col in zip(labels, cols.T)]
+        if half > MAX_NODES - EXTRA_NODES:
+            raise ValueError(f"a span of {span} needs more than MAX_NODES = "
+                             f"{MAX_NODES} Gauss-Legendre nodes")
+        quadrature_points = math.ceil(half) + EXTRA_NODES
+    # numpy.polynomial costs ~10 ms to import; only the quadrature needs it
+    from numpy.polynomial.legendre import leggauss
+    x, weights = leggauss(int(quadrature_points))
+    table = np.exp(-1j * np.multiply.outer(0.5 * span * (x + 1.0), freqs))
+    # the mean over [0, span] is (1/span) * (span/2) * sum_k w_k y_k; each
+    # label is its own matrix-vector product, so its bits do not depend on
+    # the others
+    return [DwellTime(closed_form=float(closed),
+                      quadrature=float(0.5 * (weights @ (np.abs(table @ col) ** 2))))
+            for closed, col in zip(_time_averages(freqs, cols, span),
+                                   np.ascontiguousarray(cols.T))]
 
 
 def dwell_time(family: Family, label: str, span: float = math.pi, *,

@@ -11,7 +11,6 @@ test fails loudly instead of silently going green.
 import dataclasses
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,10 +106,25 @@ def _statuses(**patches):
 def test_a_nan_in_a_running_worst_fails_its_row():
     # a NaN dwell among the 100 random starts must not vanish from the worst
     # margin (the builtin max drops a NaN that is not its first argument)
-    def nan_dwell(*args, **kwargs):
-        return SimpleNamespace(value=math.nan)
+    def nan_average(*args, **kwargs):
+        return np.array([math.nan])
 
-    assert _statuses(dwell_time=nan_dwell)["c8.dwell_bound"] == FAIL
+    assert _statuses(_time_averages=nan_average)["c8.dwell_bound"] == FAIL
+
+
+def test_dwell_bound_margins_are_exact_at_the_suite_starts():
+    # from (a, b) the n2_general stay average over [0, pi] is exactly
+    # 5|a|^2/9, so each c8.dwell_bound margin 5|a|^2/9 - 2/9 - |a|^2/3 is
+    # -2|b|^2/9; checked on the suite's 100 seed-0 starts
+    fam = FAMILIES["n2_general"]
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        a, b = verification._unit_pair(rng)
+        freqs, coeffs = fam.representation(a=a, b=b)
+        [stay] = verification._time_averages(
+            freqs, coeffs[:, [fam.labels.index("A")]], math.pi)
+        margin = stay - (2 / 9 + abs(a) ** 2 / 3)
+        assert abs(margin + 2 * abs(b) ** 2 / 9) <= 1e-14
 
 
 def test_return_distance_equals_the_trajectory_route():

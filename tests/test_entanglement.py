@@ -197,6 +197,11 @@ def test_sweep_input_validation():
         max_product_overlap(state, restarts=0, seed=0)
     with pytest.raises(ValueError, match=str(MAX_RESTARTS)):
         max_product_overlap(state, restarts=MAX_RESTARTS + 1, seed=0)
+    # each of these used to fail inside numpy or the range comparison
+    for restarts in (True, 2.5, "3"):
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            max_product_overlaps([state], restarts=restarts, seed=0)
+    assert max_product_overlaps([state], restarts=np.int64(2), seed=0)[0].overlap == 1.0
     with pytest.raises(ValueError):
         max_product_overlap(StateVector(MAN2, 0.7 * np.eye(6)[0]), seed=0)
 

@@ -43,6 +43,8 @@ ALLOWED = {
     "entanglement.OverlapResult.row_sweeps": "`row_sweeps`",
     "entanglement.OverlapResult.unconverged_starts": "`unconverged_starts`",
     "evolve.sector_probabilities(by)": "per-pattern sector probabilities",
+    "scan.dwell_time(quadrature_points)": "`quadrature_points` sets another count, 1 to 1024",
+    "scan.dwell_times(quadrature_points)": "`quadrature_points` sets another count, 1 to 1024",
 }
 
 # module.Class.member -> "path::qualified name" of a reader that loads it,

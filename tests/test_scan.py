@@ -171,6 +171,16 @@ def test_scan_window_validation():
         scan_extrema(lambda p: np.asarray(p), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0),
+                                    (math.nan, 1.0), (0.0, math.nan)])
+def test_scan_refuses_a_non_finite_window_before_sampling(monkeypatch, lo, hi):
+    # with an explicit grid no grid count is taken from the window, so
+    # linspace would have sampled NaN phases
+    monkeypatch.setattr(scan.np, "linspace", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match=r"the window \[.*\] must be finite"):
+        scan_extrema(lambda p: np.asarray(p), lo, hi, grid=64)
+
+
 @pytest.mark.parametrize("grid", [8, 15, 16.0, 256.5, "256"])
 def test_scan_rejects_a_grid_that_is_not_an_integer_of_at_least_16(grid):
     with pytest.raises(ValueError, match="grid must be an integer"):
@@ -250,8 +260,8 @@ def test_dwell_quadrature_matches_the_closed_form(name, span):
     # the integrand is a trigonometric polynomial, so the default node
     # count makes Gauss-Legendre exact up to rounding, for every label
     fam = FAMILIES[name]
-    for got in dwell_times(fam, fam.labels, span):
-        assert got.route_gap <= 1e-12, got.label
+    for label, got in zip(fam.labels, dwell_times(fam, fam.labels, span)):
+        assert got.route_gap <= 1e-12, label
 
 
 def test_too_few_nodes_miss_the_closed_form():
@@ -290,14 +300,14 @@ def test_dwell_times_equal_the_one_label_calls(params, points):
     fam = FAMILIES["n2_general"]
     batch = dwell_times(fam, fam.labels, math.pi / 5.0,
                         quadrature_points=points, **params)
-    assert [d.label for d in batch] == list(fam.labels)
-    for got in batch:
-        one = dwell_time(fam, got.label, math.pi / 5.0,
+    assert len(batch) == len(fam.labels)
+    for label, got in zip(fam.labels, batch):
+        one = dwell_time(fam, label, math.pi / 5.0,
                          quadrature_points=points, **params)
         assert (got.closed_form, got.quadrature) == (one.closed_form, one.quadrature)
 
 
-def test_dwell_value_does_not_compute_the_quadrature(monkeypatch):
+def test_a_dwell_call_builds_its_nodes_once_for_every_label(monkeypatch):
     import numpy.polynomial.legendre as legendre
 
     calls = []
@@ -309,17 +319,12 @@ def test_dwell_value_does_not_compute_the_quadrature(monkeypatch):
 
     monkeypatch.setattr(legendre, "leggauss", counting_leggauss)
     fam = FAMILIES["n2_general"]
-    one = dwell_time(fam, "A", quadrature_points=64, a=0.6, b=0.8)
-    assert one.value == one.closed_form
-    assert calls == []
+    # one node set for the three labels, on the exact count: max f - min f
+    # = 6 over pi, so ceil(3 pi) + 24 nodes
     batch = dwell_times(fam, ("A", "B", "C"), a=0.6, b=0.8)
-    assert [d.value for d in batch] and calls == []
-    # the first read computes every label of the call, once, on the exact
-    # count: max f - min f = 6 over pi, so ceil(3 pi) + 24 nodes
-    batch[1].quadrature
     assert calls == [34]
+    assert [d.value for d in batch] == [d.closed_form for d in batch]
     assert max(d.route_gap for d in batch) < 1e-12
-    assert calls == [34]
 
 
 def test_dwell_validation():
@@ -352,13 +357,15 @@ def test_dwell_accepts_node_counts_at_the_bounds(points):
     assert math.isfinite(d.quadrature)
 
 
-def test_a_span_past_the_node_cap_keeps_its_closed_form():
+def test_a_span_past_the_node_cap_is_refused_but_averages_in_closed_form():
     # n2_general spreads its frequencies over 6, so a span of 400 needs
-    # 1224 nodes: the closed form still reads, the quadrature refuses
-    d = dwell_time(FAMILIES["n2_general"], "A", span=400.0)
-    assert d.value == pytest.approx(5.0 / 9.0, abs=1e-3)
-    with pytest.raises(ValueError, match=f"more than {MAX_NODES}"):
-        d.quadrature
+    # 1224 nodes: dwell_times refuses it, the closed form still serves it
+    fam = FAMILIES["n2_general"]
+    with pytest.raises(ValueError, match=f"more than MAX_NODES = {MAX_NODES}"):
+        dwell_time(fam, "A", span=400.0)
+    freqs, coeffs = fam.representation()
+    [stay] = scan._time_averages(freqs, coeffs[:, [fam.labels.index("A")]], 400.0)
+    assert stay == pytest.approx(5.0 / 9.0, abs=1e-3)
 
 
 def test_import_pulls_in_no_scipy():
@@ -369,7 +376,7 @@ def test_import_pulls_in_no_scipy():
 
 
 def test_import_pulls_in_no_numpy_polynomial():
-    # numpy.polynomial costs ~10 ms to import; only a dwell quadrature read needs it
+    # numpy.polynomial costs ~10 ms to import; only a dwell_times call needs it
     code = "import sys, trimodal; print('numpy.polynomial' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
