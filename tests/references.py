@@ -4,7 +4,8 @@ The generators and cavity relabelings are filled by index arithmetic on a
 manifold's coordinate table, and the product-overlap sweep contracts over
 that table; these state-by-state and dense definitions are what that
 arithmetic must reproduce.  The suite's return distance, read off the
-return amplitude, is compared against the dense trajectory it replaces.
+return amplitude, and its closed-form stay average of an entangled start
+are compared against the dense trajectories they replace.
 The product-overlap sweep is checked at N = 2 against the exact W-type
 closed form.
 """
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from trimodal.basis import BasisState, StateVector
+from trimodal.basis import BasisState, StateVector, enumerate_manifold, parse_level
 from trimodal.dynamics import build_large_xi_generator
 from trimodal.evolve import propagate
 
@@ -75,6 +76,22 @@ def return_distance(fam, phases: np.ndarray) -> np.ndarray:
     x0 = fam.initial_state()
     traj = propagate(gen, x0, phases, times_are_phase=True)
     return np.linalg.norm(traj.amplitudes - x0.amplitudes, axis=1)
+
+
+def symmetric_start_stay_average() -> float:
+    """Mean of |<g0|g0|g2 | x(t)>|^2 over phases [0, pi] from the entangled
+    start (|g0|g2|g0> + |g2|g0|g0>)/sqrt(2) under the large-hopping
+    generator at N = 2: a 20 001-point trapezoid over the propagated
+    trajectory."""
+    man = enumerate_manifold(2)
+    gen = build_large_xi_generator(man, xi=1.0)
+    stay, b1, b2 = (man.index_of(BasisState(tuple(map(parse_level, s.split("|")))))
+                    for s in ("g0|g0|g2", "g0|g2|g0", "g2|g0|g0"))
+    amps = np.zeros(man.dim)
+    amps[[b1, b2]] = 1.0 / math.sqrt(2.0)
+    ts = np.linspace(0.0, math.pi, 20001)
+    traj = propagate(gen, StateVector(man, amps), ts, times_are_phase=True)
+    return float(np.trapezoid(np.abs(traj.amplitudes[:, stay]) ** 2, ts) / math.pi)
 
 
 def n2_sides(state: StateVector) -> list:

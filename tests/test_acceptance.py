@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from references import return_distance
+from references import return_distance, symmetric_start_stay_average
 from trimodal import verification
 from trimodal.analytic import FAMILIES
 from trimodal.verification import (
@@ -136,6 +136,14 @@ def test_return_distance_equals_the_trajectory_route():
     got = verification._return_distance(fam, ts)
     assert got.shape == ts.shape
     assert np.max(np.abs(got - return_distance(fam, ts))) <= 1e-12
+
+
+def test_needs_product_average_equals_the_trapezoid_route():
+    # c8.dwell_bound_needs_product averages the stay amplitude over the
+    # start's modes in closed form, in place of a 20 001-point trapezoid
+    # over its propagated trajectory
+    [row] = [r for r in ROWS if r.check_id == "c8.dwell_bound_needs_product"]
+    assert abs(float(row.measured) - symmetric_start_stay_average()) <= 1e-12
 
 
 def test_a_non_finite_measurement_fails_a_claim_row():
