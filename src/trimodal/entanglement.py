@@ -144,8 +144,8 @@ def max_product_overlaps(states, restarts: int = 64, *,
     overlaps.  Each result is never below the state's largest squared basis
     amplitude, never above 1, and is monotone in `restarts` at fixed seed.
     `restarts` must be an integer, not a bool, in 1 to MAX_RESTARTS,
-    checked before any start is drawn.  `seed` is required, and may not be None, so repeated calls are
-    reproducible.
+    checked before any start is drawn.  `seed` is required, and may not be
+    None, so repeated calls are reproducible.
     """
     if seed is None:
         raise ValueError("seed must be given; None would draw fresh starts every call")

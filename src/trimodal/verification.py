@@ -52,13 +52,7 @@ from .analytic import (
     pattern_compression,
 )
 from .entanglement import closed_form_overlap_n2, max_product_overlaps
-from .scan import (
-    Extremum,
-    _time_averages,
-    dwell_times,
-    family_objective,
-    scan_extrema,
-)
+from .scan import Extremum, _time_averages, dwell_times, family_objective, scan_extrema
 
 PASS = "pass"
 FAIL = "FAIL"

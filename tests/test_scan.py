@@ -357,7 +357,7 @@ def test_dwell_accepts_node_counts_at_the_bounds(points):
     assert math.isfinite(d.quadrature)
 
 
-def test_a_span_past_the_node_cap_is_refused_but_averages_in_closed_form():
+def test_a_span_past_the_node_cap_keeps_its_closed_form():
     # n2_general spreads its frequencies over 6, so a span of 400 needs
     # 1224 nodes: dwell_times refuses it, the closed form still serves it
     fam = FAMILIES["n2_general"]
