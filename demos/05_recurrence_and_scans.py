@@ -1,7 +1,7 @@
 """Extrema, dwell averages, and recurrence structure.
 
-A bracketing grid plus golden-section refinement locates every local
-extremum of any weighted-probability objective.  Dwell averages come out
+Every local extremum of a weighted-probability objective is a root of its
+exact derivative, found from Chebyshev proxies and polished by Newton steps.  Dwell averages come out
 both in closed form and by quadrature, and the period detector tells apart
 families that recur exactly from the one whose frequency gaps are
 irrational.

@@ -26,7 +26,7 @@ from .dressed import DressedParams
 from .dynamics import build_full_generator, build_large_xi_generator
 from .entanglement import MAX_RESTARTS, max_product_overlap
 from .evolve import propagate, spectrum
-from .scan import GRID_PER_PI, MAX_SAMPLES, family_objective, scan_extrema
+from .scan import MAX_SAMPLES, family_objective, scan_extrema
 from .verification import run_suite, render_table
 
 MODES = ("full", "large_hopping")
@@ -227,7 +227,7 @@ _REAL = (int, float)
 _FIELD_TYPES = {
     "command": (str,), "r": _REAL, "delta": _REAL, "xi": _REAL,
     "init": (tuple, _NONE), "objective": (str, _NONE), "family": (str, _NONE),
-    "grid": (int, _NONE), "restarts": (int,), "suite": (str,), "seed": (int,),
+    "restarts": (int,), "suite": (str,), "seed": (int,),
     "output": (str, _NONE), "spectrum": (bool,),
 }
 
@@ -257,7 +257,6 @@ class RunConfig:
     objective: str | None = None
     family: str | None = None
     window: tuple[float, float] | None = None
-    grid: int | None = None
     restarts: int = 64
     suite: str = "paper"
     seed: int = DEFAULT_SEED
@@ -474,7 +473,7 @@ def _cmd_scan(config: RunConfig, initial=None) -> int:
     if not hi > lo:
         raise CliError(f"scan window is empty: {lo} .. {hi}")
     objective = family_objective(family, config.objective)
-    extrema = scan_extrema(objective, lo, hi, grid=config.grid)
+    extrema = scan_extrema(objective, lo, hi)
     with _output(config) as out:
         writer = csv.writer(out)
         writer.writerow(["kind", "xi_t", "value", "at_endpoint"])
@@ -587,16 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     _add_output(p)
 
-    p = sub.add_parser("scan",
-                       help="extrema of a family objective over a window")
+    about = "extrema of a family objective over a window, as roots of its exact derivative"
+    p = sub.add_parser("scan", help=about, description=about)
     p.add_argument("--family", default=None,
                    help=f"one of {sorted(FAMILIES)}")
     p.add_argument("--objective", default=None,
                    help='label weights, e.g. "|C|^2+|F|^2" or "2*|B|^2"')
     p.add_argument("--window", default=None, help="lo:hi in xi*t (default 0:pi)")
-    p.add_argument("--grid", type=int, default=None,
-                   help=f"grid points, at most {MAX_SAMPLES} "
-                        f"(default {GRID_PER_PI} per pi of window)")
     _add_output(p)
 
     p = sub.add_parser("verify", help="run the acceptance suite")

@@ -1,8 +1,9 @@
 """Extremum scans, dwell averages, and periodicity of amplitude curves.
 
 Objectives are weighted sums of squared amplitude moduli over a family's
-labels, evaluated from the exponential-sum representation.  Extrema come
-from a uniform bracketing grid refined by golden-section search.  Time
+labels, held as their exponential-sum data.  Extrema are the roots of the
+objective's exact derivative, found from piecewise Chebyshev proxies whose
+degree the frequency bandwidth sets, and polished by Newton steps.  Time
 averages come from one closed form over the mode cross-terms,
 `_time_averages`; `dwell_times` computes Gauss-Legendre quadrature in the
 same call, exact up to rounding for these trigonometric polynomials, from
@@ -17,21 +18,21 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .analytic import Family
 
-GOLDEN_TOL = 1e-10
-GRID_PER_PI = 4096
-MAX_SAMPLES = 1 << 20    # most points a scan grid or a CLI time grid may hold
+MAX_SAMPLES = 1 << 20    # most samples a scan or a CLI time grid may hold
+PIECE_RADIANS = 8.0      # most radians g' turns over one scan piece mapped onto [-1, 1]
+NEWTON_STEPS = 3         # polishing steps on each root of a scan proxy
+ROOT_TOL = 1e-9          # polished scan roots closer than this are one root
 PERIOD_TOL = 1e-9         # relative tolerance of a commensuration ratio
 MAX_DENOMINATOR = 1000    # largest denominator a commensuration ratio may have
 SUPPORT_TOL = 1e-12       # a smaller mode coefficient feeds no label
 MAX_NODES = 1024          # most Gauss-Legendre nodes of a dwell route (leggauss is O(n^3))
 EXTRA_NODES = 24          # nodes beyond the half-bandwidth, for exactness up to rounding
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 Representation = tuple[np.ndarray, np.ndarray]
 
@@ -68,9 +69,29 @@ def parse_objective(expr: str) -> dict[str, float]:
     return weights
 
 
+@dataclass(frozen=True, eq=False)
+class Objective:
+    """phase -> sum_l w_l |X_l(phase)|^2 with X_l = sum_f c_fl exp(-i f phase).
+
+    `coeffs` holds one (mode,) column per weighted label and
+    `label_weights` its weight w_l.  `scan_extrema` reads these fields, not
+    methods, so a wrapper that copies the instance's `__dict__` scans too.
+    """
+
+    freqs: np.ndarray
+    coeffs: np.ndarray
+    label_weights: np.ndarray
+
+    def __call__(self, phases):
+        ph = np.atleast_1d(np.asarray(phases, dtype=float))
+        table = np.exp(-1j * np.multiply.outer(ph, self.freqs)) @ self.coeffs
+        out = (np.abs(table) ** 2) @ self.label_weights
+        return out if np.ndim(phases) else float(out[0])
+
+
 def family_objective(family: Family, weights: Mapping[str, float] | str,
-                     **params) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized phase -> sum_l w_l |X_l|^2 for one family."""
+                     **params) -> Objective:
+    """phase -> sum_l w_l |X_l|^2 for one family, vectorized over phases."""
     if isinstance(weights, str):
         weights = parse_objective(weights)
     unknown = set(weights) - set(family.labels)
@@ -78,103 +99,107 @@ def family_objective(family: Family, weights: Mapping[str, float] | str,
         raise ValueError(f"{family.name} has no label(s) {sorted(unknown)}")
     freqs, coeffs = family.representation(**params)
     cols = np.array([family.labels.index(lab) for lab in weights])
-    w = np.array([weights[lab] for lab in weights], dtype=float)
-    sub = coeffs[:, cols]
-
-    def objective(phases):
-        ph = np.atleast_1d(np.asarray(phases, dtype=float))
-        table = np.exp(-1j * np.multiply.outer(ph, freqs)) @ sub
-        out = (np.abs(table) ** 2) @ w
-        return out if np.ndim(phases) else float(out[0])
-
-    return objective
+    return Objective(freqs=freqs, coeffs=coeffs[:, cols],
+                     label_weights=np.array([weights[lab] for lab in weights], dtype=float))
 
 
-def _golden(fn: Callable[[float], float], a: float, b: float,
-            tol: float) -> float:
-    """Golden-section minimum of fn on [a, b] to absolute phase tolerance."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def default_grid(lo: float, hi: float) -> int:
-    """Bracketing grid for a scan of [lo, hi]: GRID_PER_PI points per pi of
-    window, at least 16; ValueError when that count is not finite or is
-    above MAX_SAMPLES."""
-    count = GRID_PER_PI * (hi - lo) / math.pi
-    if not math.isfinite(count):
-        raise ValueError(f"grid count for the window [{lo}, {hi}] is not finite")
-    count = max(16, round(count))
-    if count > MAX_SAMPLES:
-        raise ValueError(f"the window [{lo}, {hi}] needs {count} grid points, "
-                         f"more than {MAX_SAMPLES}")
-    return count
-
-
-def scan_extrema(objective: Callable, lo: float, hi: float, *,
-                 grid: int | None = None) -> list[Extremum]:
-    """All local extrema of `objective` on [lo, hi].
-
-    A uniform `grid`-point pass, `default_grid(lo, hi)` points unless given
-    (16 to MAX_SAMPLES), brackets every slope sign change; each
-    bracket is refined by golden-section search to phase tolerance
-    GOLDEN_TOL.
-    A run of equal samples counts as one point: it is an extremum when it
-    sits below (or above) the samples on both sides of it, bracketed by
-    those two samples, and none when it is a shoulder on a slope.  Endpoint
-    runs that locally dominate their neighbor are reported with
-    `at_endpoint` set and no refinement.  Results are sorted by phase.
-    A window that is empty or not finite raises ValueError before anything
-    is sampled; a non-finite grid sample raises ValueError rather than
-    hiding extrema.
+def _slopes(freqs: np.ndarray, coeffs: np.ndarray, weights: np.ndarray,
+            phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g' and g'' of g = sum_l w_l |X_l|^2 at `phases` (any shape):
+        g' = sum_l w_l 2 Re(conj(X_l) X_l'),
+        g'' = sum_l w_l 2 (|X_l'|^2 + Re(conj(X_l) X_l'')).
     """
-    if grid is None:
-        grid = default_grid(lo, hi)
-    if not isinstance(grid, (int, np.integer)) or not 16 <= grid <= MAX_SAMPLES:
-        raise ValueError(f"grid must be an integer of 16 to {MAX_SAMPLES} points, "
-                         f"got {grid!r}")
+    table = np.exp(-1j * np.multiply.outer(phases, freqs))
+    x, dx, ddx = (table @ (k[:, None] * coeffs)
+                  for k in (np.ones_like(freqs), -1j * freqs, -freqs * freqs))
+    return (2.0 * np.real(x.conj() * dx) @ weights,
+            2.0 * (np.abs(dx) ** 2 + np.real(x.conj() * ddx)) @ weights)
+
+
+def scan_extrema(objective: Objective, lo: float, hi: float) -> list[Extremum]:
+    """All local extrema of a `family_objective` on [lo, hi], sorted by phase.
+
+    The extrema are the roots of g', an exponential sum whose frequencies
+    span at most the bandwidth D = max f - min f.  The window is cut into
+    pieces over which g' turns at most PIECE_RADIANS radians, mapped onto
+    [-1, 1]; on each, g' is sampled at the Chebyshev points of a proxy of
+    EXTRA_NODES degrees more than that, exact up to rounding, and the real
+    roots of its colleague matrix are polished by NEWTON_STEPS Newton steps
+    on g'/g''.  Roots closer than ROOT_TOL are one root.  A root is a
+    minimum when g' turns from negative to positive across it and a
+    maximum when it turns back; one where g' keeps its sign (a flat
+    shoulder on a slope) is none.  Each endpoint is reported with
+    `at_endpoint` set, a minimum when g' beside it leads uphill into the
+    window, and is never an interior extremum even where g' vanishes on it.
+    A constant objective has no extrema.  A window that is empty or not
+    finite, non-finite objective data, or a window needing more than
+    MAX_SAMPLES samples of g' raises ValueError before anything is sampled.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"the window [{lo}, {hi}] must be finite with hi > lo")
-    xs = np.linspace(lo, hi, grid)
-    ys = np.asarray(objective(xs), dtype=float)
-    if not np.isfinite(ys).all():
-        raise ValueError(f"objective is not finite at phase {xs[~np.isfinite(ys)][0]!r}")
-    found: list[Extremum] = []
+    freqs, coeffs = objective.freqs, objective.coeffs
+    weights = objective.label_weights
+    if not all(np.isfinite(a).all() for a in (freqs, coeffs, weights)):
+        raise ValueError("objective frequencies, coefficients and weights must be finite")
+    live = np.abs(coeffs).max(axis=1, initial=0.0) > 0.0
+    if not live.any():
+        return []
+    # g depends on frequency differences only: centring them on their
+    # midrange keeps the derivative factors f and f^2 small
+    freqs, coeffs = freqs[live], coeffs[live]
+    freqs = freqs - 0.5 * (freqs.max() + freqs.min())
+    turn = float(freqs.max() - freqs.min()) * (hi - lo) / 2.0
+    if not math.isfinite(turn):
+        raise ValueError(f"the sample count of the window [{lo}, {hi}] is not finite")
+    if turn == 0.0:
+        return []
+    pieces = math.ceil(turn / PIECE_RADIANS)
+    degree = math.ceil(turn / pieces) + EXTRA_NODES
+    if pieces * (degree + 1) > MAX_SAMPLES:
+        raise ValueError(f"the window [{lo}, {hi}] needs {pieces * (degree + 1)} samples, "
+                         f"more than {MAX_SAMPLES}")
+    # numpy.polynomial costs ~10 ms to import; only a scan or a dwell needs it
+    from numpy.polynomial import chebyshev
 
-    def scalar(x: float) -> float:
-        return float(np.asarray(objective(np.array([x])))[0])
+    def slope(at):
+        return _slopes(freqs, coeffs, weights, at)[0]
 
-    # runs of equal samples: run r covers samples starts[r] .. starts[r+1]-1
-    starts = np.concatenate([[0], np.flatnonzero(ys[1:] != ys[:-1]) + 1, [grid]])
-    for a, b in zip(starts[1:-2], starts[2:-1]):
-        left, mid, right = ys[a - 1], ys[a], ys[b]
-        if mid < left and mid < right:
-            kind, sgn = "min", 1.0
-        elif mid > left and mid > right:
-            kind, sgn = "max", -1.0
-        else:
-            continue
-        x_star = _golden(lambda x: sgn * scalar(x), xs[a - 1], xs[b], GOLDEN_TOL)
-        found.append(Extremum(phase=x_star, value=scalar(x_star), kind=kind,
-                              at_endpoint=False))
-    if starts.size > 2:
-        for end, beside in ((0, starts[1]), (grid - 1, starts[-2] - 1)):
-            found.append(Extremum(phase=float(xs[end]), value=float(ys[end]),
-                                  kind="max" if ys[end] > ys[beside] else "min",
-                                  at_endpoint=True))
-    found.sort(key=lambda e: e.phase)
-    return found
+    edges = lo + (hi - lo) * np.arange(pieces + 1) / pieces
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    proxies = chebyshev.chebinterpolate(lambda x: slope(mid + np.outer(x, half)), degree)
+    # g' is a sum of terms of at most this size, so coefficients below a few
+    # roundings of it are noise
+    noise = 16.0 * np.finfo(float).eps * float(
+        2.0 * np.abs(weights) @ (np.abs(coeffs).sum(axis=0)
+                                 * np.abs(freqs[:, None] * coeffs).sum(axis=0)))
+    if not (np.abs(proxies) > noise).any():
+        return []
+    roots = []
+    for k in range(pieces):
+        x = chebyshev.chebroots(chebyshev.chebtrim(proxies[:, k], noise))
+        # a double root can come out as a pair split by ~sqrt(eps)
+        x = x[(np.abs(x.imag) <= 1e-6) & (np.abs(x.real) <= 1.0 + 1e-6)].real
+        roots.append(mid[k] + half[k] * x)
+    roots = np.concatenate(roots)
+    for _ in range(NEWTON_STEPS):
+        d1, d2 = _slopes(freqs, coeffs, weights, roots)
+        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0.0)
+        roots = np.clip(roots - step, lo, hi)
+    roots = np.sort(roots)
+    roots = roots[(roots > lo + ROOT_TOL) & (roots < hi - ROOT_TOL)]
+    roots = roots[np.diff(roots, prepend=lo) > ROOT_TOL]
+    cuts = np.concatenate([[lo], roots, [hi]])
+    # the sign of g' on each stretch between consecutive roots
+    signs = np.sign(slope(0.5 * (cuts[1:] + cuts[:-1])))
+    turns = signs[:-1] * signs[1:] < 0.0
+    phases = np.concatenate([[lo], roots[turns], [hi]])
+    values = np.asarray(objective(phases), dtype=float)
+    kinds = ["min" if signs[0] > 0.0 else "max",
+             *("min" if s < 0.0 else "max" for s in signs[:-1][turns]),
+             "max" if signs[-1] > 0.0 else "min"]
+    last = phases.size - 1
+    return [Extremum(phase=float(p), value=float(v), kind=kind, at_endpoint=k in (0, last))
+            for k, (p, v, kind) in enumerate(zip(phases, values, kinds))]
 
 
 def _time_averages(freqs: np.ndarray, coeffs: np.ndarray, span: float) -> np.ndarray:

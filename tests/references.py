@@ -125,3 +125,35 @@ def w_type_overlap(a2, b2, c2):
         return a2
     return 4 * a2 * b2 * c2 / (2 * (a2 * b2 + b2 * c2 + c2 * a2)
                                - a2 * a2 - b2 * b2 - c2 * c2)
+
+
+def objective_slope(freqs, coeffs, weights, phases) -> np.ndarray:
+    """g'(phases) of g = sum_l w_l |sum_f c_fl exp(-i f phase)|^2, summed
+    mode pair by mode pair:
+        g' = sum_l w_l sum_fg Re(-i (f - g) c_fl conj(c_gl) exp(-i (f - g) phase)).
+    """
+    phases = np.asarray(phases, dtype=float)
+    out = np.zeros(phases.shape)
+    for w, col in zip(weights, np.asarray(coeffs).T):
+        for f, cf in zip(freqs, col):
+            for g, cg in zip(freqs, col):
+                out += w * np.real(-1j * (f - g) * cf * np.conj(cg)
+                                   * np.exp(-1j * (f - g) * phases))
+    return out
+
+
+def bisect_root(fn, a: float, b: float) -> float:
+    """A root of `fn` between a and b, where it changes sign, halved down
+    to adjacent doubles."""
+    fa = fn(a)
+    while True:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            return m
+        fm = fn(m)
+        if fm == 0.0:
+            return m
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
+        else:
+            b = m

@@ -178,3 +178,11 @@ def test_stated_values_are_read_from_the_expected_text(monkeypatch):
     assert "minimum time 1.7600;" in detail
     assert verification._special_times()["c6.single_cavity_pi3"].value == \
         pytest.approx(1 / 25)
+
+
+def test_the_excited_pair_minimum_sits_at_pi_over_6():
+    # the row prints "value at phase, spread ...": the phase is a root of
+    # the objective's derivative, placed to rounding
+    [row] = [r for r in ROWS if r.check_id == "c5.excited_pair_min"]
+    phase = float(row.measured.split(" at ")[1].split(",")[0])
+    assert abs(phase - math.pi / 6.0) <= 1e-12

@@ -87,7 +87,7 @@ def test_parse_phase_rejects_non_finite_values(bad):
     ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:pi/0"],
     ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:1e400"],
     ["evolve", "--N", "2", "--init", "g0|g0|g2", "--times", "0:pi/0:3"],
-    # a finite window whose default grid count overflows
+    # a finite window whose sample count overflows
     ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:1e308"],
 ])
 def test_non_finite_phases_exit_with_a_message(argv, capsys):
@@ -447,7 +447,7 @@ def test_scan_errors(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["entangle", "--N", "2", "--init", "g0|g0|g2", "--restarts", "0"],
-    ["scan", "--family", "n2_general", "--objective", "|A|^2", "--grid", "8"],
+    ["scan", "--family", "n2_general", "--objective", "|Z|^2"],
     ["dynamics", "--N", "2", "--mode", "full", "--r", "0"],
     ["evolve", "--N", "2", "--mode", "full", "--delta", "inf",
      "--init", "g0|g0|g2", "--times", "0:1:3"],
@@ -457,6 +457,21 @@ def test_library_value_errors_exit_one_with_a_message(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("trimodal: error: ")
     assert "Traceback" not in err
+
+
+def test_the_scan_takes_no_grid(tmp_path, capsys):
+    # extrema are roots of the objective's derivative: there is no grid to set
+    with pytest.raises(SystemExit):
+        main(["scan", "--help"])
+    assert "--grid" not in capsys.readouterr().out
+    assert main(["scan", "--family", "n2_general", "--objective", "|A|^2",
+                 "--grid", "4096"]) == 1
+    assert "unrecognized arguments: --grid 4096" in capsys.readouterr().err
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"command": "scan", "family": "n2_general",
+                                "objective": "|A|^2", "grid": 4096}))
+    assert main(["evolve", "--config", str(conf)]) == 1
+    assert "unknown field(s) ['grid']" in capsys.readouterr().err
 
 
 def test_a_stdout_closed_early_exits_one_without_a_traceback():
@@ -479,8 +494,8 @@ def test_a_stdout_closed_early_exits_one_without_a_traceback():
 
 @pytest.mark.parametrize("argv", [
     ["scan", "--family", "n2_general", "--objective", "|A|^2", "--window", "0:1e9"],
-    ["scan", "--family", "n2_general", "--objective", "|A|^2",
-     "--grid", "1000000000000"],
+    # n6_concentrated spreads its frequencies over ~41: ~8.5e6 samples
+    ["scan", "--family", "n6_concentrated", "--objective", "|A|^2", "--window", "0:1e5"],
     ["evolve", "--N", "2", "--init", "g0|g0|g2", "--times", "0:1:1000000000000"],
 ])
 def test_sample_counts_above_the_bound_exit_one_before_sampling(argv, capsys, monkeypatch):

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import bisect_root, objective_slope
 from trimodal.analytic import FAMILIES
 from trimodal import scan
 from trimodal.scan import (
     MAX_NODES,
-    default_grid,
+    Objective,
     detect_period,
     dwell_time,
     dwell_times,
@@ -58,54 +59,78 @@ def test_family_objective_rejects_unknown_labels():
         family_objective(FAMILIES["n2_general"], {"Z": 1.0})
 
 
+def test_family_objective_holds_its_exponential_sum():
+    fam = FAMILIES["n4_single_cavity"]
+    obj = family_objective(fam, "2*|C|^2+|F|^2", a=0.6, b=0.8)
+    freqs, coeffs = fam.representation(a=0.6, b=0.8)
+    cols = coeffs[:, [fam.labels.index("C"), fam.labels.index("F")]]
+    assert np.array_equal(obj.freqs, freqs)
+    assert np.array_equal(obj.coeffs, cols)
+    assert obj.label_weights.tolist() == [2.0, 1.0]
+    phases = np.linspace(0.0, 3.0, 50)
+    table = np.exp(-1j * np.multiply.outer(phases, freqs)) @ cols
+    assert np.array_equal(obj(phases), (np.abs(table) ** 2) @ np.array([2.0, 1.0]))
+    assert obj(0.7) == obj(np.array([0.7]))[0]
+
+
+def test_objective_slopes_match_the_mode_pair_sum():
+    # g' against the mode-pair expansion, g'' against a central difference of it
+    fam = FAMILIES["n6_concentrated"]
+    obj = family_objective(fam, "|A|^2+2*|F|^2")
+    phases = np.linspace(0.0, 2.0 * math.pi, 41)
+    d1, d2 = scan._slopes(obj.freqs, obj.coeffs, obj.label_weights, phases)
+    args = (obj.freqs, obj.coeffs, obj.label_weights)
+    assert np.allclose(d1, objective_slope(*args, phases), rtol=0.0, atol=1e-12)
+    h = 1e-5
+    diff = (objective_slope(*args, phases + h) - objective_slope(*args, phases - h)) / (2 * h)
+    assert np.abs(d2 - diff).max() <= 1e-7 * np.abs(d2).max()
+
+
 # ------------------------------------------------------------------- scans
 
+def _sum(freqs, cols, weights=(1.0,)):
+    """An Objective over raw exponential-sum data, one column per weight."""
+    return Objective(freqs=np.array(freqs, dtype=float),
+                     coeffs=np.array(cols, dtype=complex).reshape(len(freqs), -1),
+                     label_weights=np.array(weights, dtype=float))
+
+
 def test_scan_finds_interior_extrema_of_a_cosine():
-    found = scan_extrema(lambda p: np.cos(np.asarray(p)), 0.0, 2.0 * math.pi,
-                         grid=512)
+    # |1 + exp(-i phase)|^2 / 2 = 1 + cos(phase)
+    found = scan_extrema(_sum([0.0, 1.0], [1.0, 1.0], [0.5]), 0.0, 2.0 * math.pi)
     interior = [e for e in found if not e.at_endpoint]
     assert len(interior) == 1
     assert interior[0].kind == "min"
-    # value comparisons go flat within ~sqrt(eps) of a quadratic minimum,
-    # so the refined phase is only good to ~1e-8 regardless of GOLDEN_TOL
-    assert interior[0].phase == pytest.approx(math.pi, abs=1e-6)
-    assert interior[0].value == pytest.approx(-1.0, abs=1e-12)
+    # a root of g' is placed to rounding, where values alone go flat
+    # within ~sqrt(eps) of a quadratic minimum
+    assert interior[0].phase == pytest.approx(math.pi, abs=1e-15)
+    assert interior[0].value == pytest.approx(0.0, abs=1e-15)
     ends = [e for e in found if e.at_endpoint]
     assert {e.kind for e in ends} == {"max"}
-    assert sorted(e.phase for e in ends) == pytest.approx([0.0, 2.0 * math.pi])
+    assert sorted(e.phase for e in ends) == [0.0, 2.0 * math.pi]
 
 
-@settings(max_examples=5)
+@settings(max_examples=10)
 @given(st.integers(0, 2**32 - 1))
 def test_scan_finds_every_extremum_of_a_dense_grid_and_nothing_else(seed):
-    # a seeded |sum_k c_k exp(-i f_k phase)|^2, the form of a one-label objective
+    # a seeded |sum_k c_k exp(-i f_k phase)|^2, the form of a one-label
+    # objective: every sign change of its g' on a dense grid, bisected on
+    # the mode-pair sum, is one extremum of the scan
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(-8.0, 8.0, 4)
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-
-    def objective(phases):
-        return np.abs(np.exp(-1j * np.outer(phases, freqs)) @ coeffs) ** 2
-
+    args = (freqs, coeffs[:, None], np.ones(1))
     window = 2.0 * math.pi
     xs = np.linspace(0.0, window, 100_000)
-    ys = objective(xs)
-    step = xs[1] - xs[0]
-    found = [e for e in scan_extrema(objective, 0.0, window,
-                                     grid=default_grid(0.0, window))
+    slope = objective_slope(*args, xs)
+    at = np.flatnonzero(np.sign(slope[:-1]) * np.sign(slope[1:]) < 0.0)
+    roots = [bisect_root(lambda p: float(objective_slope(*args, p)), xs[k], xs[k + 1])
+             for k in at]
+    found = [e for e in scan_extrema(_sum(freqs, coeffs), 0.0, window)
              if not e.at_endpoint]
-    for kind, sign in (("min", 1.0), ("max", -1.0)):
-        inner = sign * ys[1:-1]
-        at = 1 + np.flatnonzero((inner < sign * ys[:-2]) & (inner < sign * ys[2:]))
-        got = [e for e in found if e.kind == kind]
-        assert len(got) == at.size, kind
-        for e, k in zip(got, at):
-            # the vertex of the parabola through the three dense samples;
-            # value comparisons resolve a quadratic extremum's phase only to
-            # ~sqrt(eps), hence 1e-6 here rather than tol
-            y0, y1, y2 = ys[k - 1:k + 2]
-            vertex = xs[k] + 0.5 * step * (y0 - y2) / (y0 - 2.0 * y1 + y2)
-            assert abs(e.phase - vertex) <= 1e-6, (kind, vertex)
-            assert sign * e.value <= sign * y1 + 1e-12
+    assert [e.kind for e in found] == ["min" if slope[k] < 0.0 else "max" for k in at]
+    for e, root in zip(found, roots):
+        assert abs(e.phase - root) <= 1e-12, (e.kind, root)
 
 
 def test_scan_reproduces_exchange_family_landmarks():
@@ -114,122 +139,123 @@ def test_scan_reproduces_exchange_family_landmarks():
     minima = [e for e in found if e.kind == "min" and not e.at_endpoint]
     maxima = [e for e in found if e.kind == "max" and not e.at_endpoint]
     assert [e.phase for e in minima] == pytest.approx(
-        [math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0], abs=1e-6)
+        [math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0], abs=1e-12)
     assert all(e.value == pytest.approx(1.0 / 9.0) for e in minima)
     assert [e.phase for e in maxima] == pytest.approx(
-        [math.pi / 3.0, 2.0 * math.pi / 3.0], abs=1e-6)
+        [math.pi / 3.0, 2.0 * math.pi / 3.0], abs=1e-12)
 
 
-def test_scan_reports_a_grid_tie_once():
-    # samples 7 and 8 tie on a plateau wider than one grid step; their two
-    # brackets refine to different plateau points, 0.1 apart
-    plateau = scan_extrema(lambda p: np.maximum(np.abs(np.asarray(p) - 7.5), 0.6),
-                           0.0, 15.0, grid=16)
-    assert [e.kind for e in plateau] == ["max", "min", "max"]
-    # the same tie in a family objective: two refinements 4.4e-9 apart
+@pytest.mark.parametrize("name, expr, params, window, interior, ends", [
+    ("n4_single_cavity", "|C|^2+|F|^2", dict(a=1.0, b=0.0), math.pi, 17, ("max", "max")),
+    ("n4_two_cavity", "|A|^2+|P|^2", dict(a=1.0, b=0.0), math.pi, 17, ("max", "max")),
+    ("n6_concentrated", "|A|^2+|F|^2", {}, 2.0 * math.pi, 44, ("max", "min")),
+], ids=["single_cavity", "two_cavity", "concentrated"])
+def test_landmark_scans_keep_their_extrema(name, expr, params, window, interior, ends):
+    # the suite's three landmark scans: their interior counts and endpoint
+    # kinds as the bracketing grid found them, with kinds alternating
+    found = scan_extrema(family_objective(FAMILIES[name], expr, **params), 0.0, window)
+    assert [e.at_endpoint for e in found] == [True] + [False] * interior + [True]
+    assert (found[0].kind, found[-1].kind) == ends
+    assert all(a.kind != b.kind for a, b in zip(found[:-2], found[1:-1]))
+
+
+def test_scan_reports_a_root_on_a_piece_boundary_once():
+    # n4_single_cavity over pi turns its g' 10 pi radians: four pieces,
+    # and the minimum at pi/2 sits on the boundary of the middle two
     fam = FAMILIES["n4_single_cavity"]
-    found = scan_extrema(family_objective(fam, "|C|^2+|F|^2"), 0.0, math.pi, grid=4096)
+    found = scan_extrema(family_objective(fam, "|C|^2+|F|^2"), 0.0, math.pi)
     near = [e for e in found if abs(e.phase - math.pi / 2.0) < 1e-3]
     assert len(near) == 1 and near[0].kind == "min"
+    assert near[0].phase == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
-def _sampled(values):
-    """Piecewise-linear objective through samples at phases 0, 1, 2, ..."""
-    xs = np.arange(len(values), dtype=float)
-    return lambda p: np.interp(np.asarray(p, dtype=float), xs, values)
-
-
-def test_scan_reports_one_extremum_per_flat_run():
-    # max(|x - 7|, 1): samples 6, 7 and 8 tie at the minimum
-    found = scan_extrema(lambda p: np.maximum(np.abs(np.asarray(p) - 7.0), 1.0),
-                         0.0, 15.0, grid=16)
-    interior = [e for e in found if not e.at_endpoint]
+def test_scan_reports_one_extremum_at_a_flat_minimum():
+    # -4 cos(phase) + cos(2 phase) - 3 = 8 sin(phase/2)^4 - 6: g' has a
+    # triple root at 0, which the proxy may split into three, and Newton
+    # steps close in on it only linearly
+    flat = _sum([0.0, 1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [-2.0, 0.5])
+    interior = [e for e in scan_extrema(flat, -1.0, 2.0) if not e.at_endpoint]
     assert len(interior) == 1
     assert interior[0].kind == "min"
-    assert interior[0].value == 1.0
-    assert 6.0 <= interior[0].phase <= 8.0
+    assert interior[0].value == pytest.approx(-6.0, abs=1e-14)
+    assert abs(interior[0].phase) <= 1e-4
+
+
+# 0.5 + sin(phase) - sin(2 phase)/2: g' = cos(phase) - cos(2 phase) keeps
+# its sign across its double root at 0
+SHOULDER = _sum([0.0, 1.0, 2.0], [[1.0, 1.0], [1j, 0.0], [0.0, 1j]], [0.5, -0.25])
 
 
 def test_scan_skips_a_flat_shoulder_on_a_slope():
-    values = [5.0, 1.0, 1.0, 0.8, 0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1,
-              0.08, 0.06, 0.04, 0.02, 0.0]
-    found = scan_extrema(_sampled(values), 0.0, 15.0, grid=16)
-    assert [e for e in found if not e.at_endpoint] == []
-    assert [(e.kind, e.phase) for e in found] == [("max", 0.0), ("min", 15.0)]
+    phases = np.linspace(-1.0, 1.0, 9)
+    assert np.allclose(SHOULDER(phases), 0.5 + np.sin(phases) - np.sin(2.0 * phases) / 2.0)
+    found = scan_extrema(SHOULDER, -1.0, 1.0)
+    assert [(e.kind, e.phase) for e in found] == [("min", -1.0), ("max", 1.0)]
+    wide = scan_extrema(SHOULDER, -3.0, 3.0)
+    assert [e.kind for e in wide] == ["max", "min", "max", "min"]
+    assert [e.phase for e in wide[1:3]] == pytest.approx(
+        [-2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0], abs=1e-12)
 
 
-def test_scan_reports_a_flat_endpoint_run_at_the_endpoint():
-    values = [1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0,
-              11.0, 12.0, 13.0, 13.0, 13.0]
-    found = scan_extrema(_sampled(values), 0.0, 15.0, grid=16)
-    assert [(e.kind, e.phase, e.at_endpoint) for e in found] == \
-        [("min", 0.0, True), ("max", 15.0, True)]
+def test_scan_reports_a_stationary_endpoint_only_at_the_endpoint():
+    # the stay probability of n2_general is even in the phase: g' is 0 at
+    # both ends of [0, pi/3], and each end is a maximum beside a minimum
+    found = scan_extrema(family_objective(FAMILIES["n2_general"], "|A|^2"),
+                         0.0, math.pi / 3.0)
+    assert [(e.kind, e.at_endpoint) for e in found] == \
+        [("max", True), ("min", False), ("max", True)]
+    assert found[1].phase == pytest.approx(math.pi / 6.0, abs=1e-12)
+
+
+def test_a_constant_objective_has_no_extrema():
+    # each label rides one mode, so each modulus is constant up to rounding
+    assert scan_extrema(_sum([0.0, 3.0], [[0.6, 0.0], [0.0, 0.8j]], [1.0, 2.0]),
+                        0.0, 10.0) == []
+    assert scan_extrema(_sum([2.0], [0.6 + 0.8j]), 0.0, 10.0) == []
 
 
 def test_scan_window_validation():
     with pytest.raises(ValueError):
-        scan_extrema(lambda p: np.asarray(p), 1.0, 1.0)
+        scan_extrema(_sum([0.0, 1.0], [1.0, 1.0]), 1.0, 1.0)
+
+
+def _refuse_sampling(monkeypatch):
+    monkeypatch.setattr(scan, "_slopes", lambda *args: pytest.fail("sampled"))
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0),
                                     (math.nan, 1.0), (0.0, math.nan)])
 def test_scan_refuses_a_non_finite_window_before_sampling(monkeypatch, lo, hi):
-    # with an explicit grid no grid count is taken from the window, so
-    # linspace would have sampled NaN phases
-    monkeypatch.setattr(scan.np, "linspace", lambda *args: pytest.fail("sampled"))
+    _refuse_sampling(monkeypatch)
     with pytest.raises(ValueError, match=r"the window \[.*\] must be finite"):
-        scan_extrema(lambda p: np.asarray(p), lo, hi, grid=64)
-
-
-@pytest.mark.parametrize("grid", [8, 15, 16.0, 256.5, "256"])
-def test_scan_rejects_a_grid_that_is_not_an_integer_of_at_least_16(grid):
-    with pytest.raises(ValueError, match="grid must be an integer"):
-        scan_extrema(lambda p: np.asarray(p), 0.0, 1.0, grid=grid)
-
-
-def test_default_grid_is_4096_points_per_pi_and_at_least_16():
-    assert default_grid(0.0, math.pi) == 4096
-    assert default_grid(0.0, 2 * math.pi) == 8192
-    assert default_grid(math.pi, 1.5 * math.pi) == 2048
-    assert default_grid(0.0, 1e-3) == 16
-
-
-def test_scan_grid_defaults_to_the_window_rule(monkeypatch):
-    sizes = []
-    monkeypatch.setattr(scan.np, "linspace",
-                        lambda lo, hi, num: sizes.append(num) or np.zeros(num))
-    scan_extrema(lambda p: np.asarray(p), 0.0, 2.0)
-    assert sizes == [default_grid(0.0, 2.0)]
+        scan_extrema(_sum([0.0, 1.0], [1.0, 1.0]), lo, hi)
 
 
 def test_grids_above_max_samples_are_refused_before_sampling(monkeypatch):
-    # the 1e9 window would have asked for 1 303 797 293 809 samples
-    assert default_grid(0.0, scan.MAX_SAMPLES * math.pi / scan.GRID_PER_PI) == \
-        scan.MAX_SAMPLES
-    with pytest.raises(ValueError, match="more than 1048576"):
-        default_grid(0.0, 1e9)
-    monkeypatch.setattr(scan.np, "linspace", lambda *args: pytest.fail("sampled"))
-    for window, grid in (((0.0, 1e9), None), ((0.0, 1.0), scan.MAX_SAMPLES + 1)):
-        with pytest.raises(ValueError):
-            scan_extrema(lambda p: p, *window, grid=grid)
+    # n2_general spreads its frequencies over 6: over [0, 1e9] g' turns
+    # 3e9 radians, some 375 000 000 pieces of 33 Chebyshev samples
+    _refuse_sampling(monkeypatch)
+    objective = family_objective(FAMILIES["n2_general"], "|A|^2")
+    with pytest.raises(ValueError, match=r"needs 12375\d{6} samples, more than 1048576"):
+        scan_extrema(objective, 0.0, 1e9)
 
 
-def test_default_grid_rejects_a_window_too_wide_to_count():
-    # 4096 points per pi of [0, 1e308] overflow to inf, which int() refused
-    # with OverflowError
+def test_scan_rejects_a_window_too_wide_to_count(monkeypatch):
+    # 6 * 1e308 overflows to inf
+    _refuse_sampling(monkeypatch)
     with pytest.raises(ValueError, match="not finite"):
-        default_grid(0.0, 1e308)
+        scan_extrema(family_objective(FAMILIES["n2_general"], "|A|^2"), 0.0, 1e308)
 
 
-def test_scan_rejects_non_finite_samples():
-    # NaN samples used to pass silently: this came back as two endpoint
-    # rows, the one at 2.0 with value NaN
-    def objective(p):
-        p = np.asarray(p)
-        return np.where(p > 1.0, np.nan, np.cos(3.0 * p))
-
-    with pytest.raises(ValueError, match="not finite"):
-        scan_extrema(objective, 0.0, 2.0, grid=64)
+def test_scan_rejects_non_finite_samples(monkeypatch):
+    # a NaN frequency, coefficient or weight would sample a non-finite g':
+    # refused before sampling
+    _refuse_sampling(monkeypatch)
+    for data in (([math.nan, 3.0], [1.0, 0.5j], [1.0]),
+                 ([0.0, 3.0], [math.nan, 0.5j], [1.0]),
+                 ([0.0, 3.0], [1.0, 0.5j], [math.inf])):
+        with pytest.raises(ValueError, match="must be finite"):
+            scan_extrema(_sum(*data), 0.0, 2.0)
 
 
 # ------------------------------------------------------------------- dwell
@@ -376,7 +402,8 @@ def test_import_pulls_in_no_scipy():
 
 
 def test_import_pulls_in_no_numpy_polynomial():
-    # numpy.polynomial costs ~10 ms to import; only a dwell_times call needs it
+    # numpy.polynomial costs ~10 ms to import; only a scan or a dwell_times
+    # call needs it
     code = "import sys, trimodal; print('numpy.polynomial' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
