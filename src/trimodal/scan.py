@@ -205,12 +205,13 @@ def scan_extrema(objective: Objective, lo: float, hi: float) -> list[Extremum]:
 def _time_averages(freqs: np.ndarray, coeffs: np.ndarray, span: float) -> np.ndarray:
     """Exact mean of |sum_f c_f exp(-i f phase)|^2 over phases [0, span], one
     per (mode, column) coefficient column, from the mode cross-terms:
-        sum_fg c_f conj(c_g) * E((f - g) * span),  E(z) = (exp(-iz) - 1)/(-iz).
+        sum_fg c_f conj(c_g) * E((f - g) * span),
+        E(z) = (exp(-iz) - 1)/(-iz) = exp(-iz/2) sin(z/2)/(z/2),
+    the second form free of the cancellation in exp(-iz) - 1 at small z.
     """
     delta = np.subtract.outer(freqs, freqs) * span
-    safe = np.where(delta == 0.0, 1.0, delta)
-    kernel = np.where(delta == 0.0, 1.0,
-                      (np.exp(-1j * safe) - 1.0) / (-1j * safe))
+    # np.sinc(x) = sin(pi x)/(pi x), and 1 at x = 0
+    kernel = np.exp(-0.5j * delta) * np.sinc(delta / (2.0 * np.pi))
     return np.array([np.real(col @ kernel @ col.conj()) for col in coeffs.T])
 
 

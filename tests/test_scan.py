@@ -394,6 +394,15 @@ def test_a_span_past_the_node_cap_keeps_its_closed_form():
     assert stay == pytest.approx(5.0 / 9.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("z", [1e-4, 1e-6, 1e-8])
+def test_time_averages_keep_a_small_mode_gap(z):
+    # |1 + i exp(-i z phase)|^2 = 2 + 2 sin(z phase) averages to
+    # 2 + 4 sin(z/2)^2 / z over [0, 1]; (exp(-iz) - 1)/(-iz) cancels in
+    # cos(z) - 1 and missed it by 5.2e-13 at z = 1e-4 and 1e-8 at z = 1e-8
+    [got] = scan._time_averages(np.array([0.0, z]), np.array([[1.0], [1j]]), 1.0)
+    assert got == pytest.approx(2.0 + 4.0 * math.sin(z / 2.0) ** 2 / z, rel=1e-15, abs=0.0)
+
+
 def test_import_pulls_in_no_scipy():
     code = "import sys, trimodal; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
