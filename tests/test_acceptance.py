@@ -127,6 +127,20 @@ def test_dwell_bound_margins_are_exact_at_the_suite_starts():
         assert abs(margin + 2 * abs(b) ** 2 / 9) <= 1e-14
 
 
+def test_a_complex_spectrum_fails_its_row():
+    # a c3 row documents a real spectrum: eigenvalues -2 +- i and 4 must not
+    # pass as their real parts {-2, -2, 4}, the exchange triangle's set
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.isnan(verification._real_eigs(rotation)).all()
+    spiral = np.zeros((3, 3))
+    spiral[:2, :2] = rotation - 2.0 * np.eye(2)
+    spiral[2, 2] = 4.0
+    triangle = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
+    row = verification._ROW["c3.exchange_triangle"]
+    assert verification._result(row, verification._spectrum(spiral)).status == FAIL
+    assert verification._result(row, verification._spectrum(triangle)).status == PASS
+
+
 def test_return_distance_equals_the_trajectory_route():
     # c9.aperiodic_no_return reads ||x(t) - x0|| off the return amplitude;
     # over its 50 000 times it is the norm of the propagated trajectory's
