@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Manifold, StateVector
+from .dynamics import _is_int
 
 MAX_SWEEPS = 10_000
 SETTLE_TOL = 1e-12        # a start settles once a sweep moves its overlap by at most this
@@ -149,8 +150,7 @@ def max_product_overlaps(states, restarts: int = 64, *,
     """
     if seed is None:
         raise ValueError("seed must be given; None would draw fresh starts every call")
-    if not (isinstance(restarts, (int, np.integer)) and not isinstance(restarts, bool)
-            and 1 <= restarts <= MAX_RESTARTS):
+    if not (_is_int(restarts) and 1 <= restarts <= MAX_RESTARTS):
         raise ValueError(f"restarts must be an integer in 1-{MAX_RESTARTS}, "
                          f"got {restarts!r}")
     states = list(states)

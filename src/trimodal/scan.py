@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analytic import Family
+from .dynamics import _is_int
 
 MAX_SAMPLES = 1 << 20    # most samples a scan or a CLI time grid may hold
 PIECE_RADIANS = 8.0      # most radians g' turns over one scan piece mapped onto [-1, 1]
@@ -253,9 +254,7 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
     if not (span > 0 and math.isfinite(span)):
         raise ValueError(f"span must be positive and finite, got {span}")
     if quadrature_points is not None and not (
-            isinstance(quadrature_points, (int, np.integer))
-            and not isinstance(quadrature_points, bool)
-            and 1 <= quadrature_points <= MAX_NODES):
+            _is_int(quadrature_points) and 1 <= quadrature_points <= MAX_NODES):
         raise ValueError(f"quadrature_points must be an integer of 1 to {MAX_NODES} "
                          f"nodes, got {quadrature_points!r}")
     freqs, coeffs = family.representation(**params)
