@@ -470,8 +470,6 @@ def _cmd_scan(config: RunConfig, initial=None) -> int:
         raise CliError('scan needs --objective, e.g. "|C|^2+|F|^2"')
     family = FAMILIES[config.family]
     lo, hi = config.window if config.window is not None else (0.0, math.pi)
-    if not hi > lo:
-        raise CliError(f"scan window is empty: {lo} .. {hi}")
     objective = family_objective(family, config.objective)
     extrema = scan_extrema(objective, lo, hi)
     with _output(config) as out:

@@ -1,15 +1,14 @@
 """Extremum scans, dwell averages, and periodicity of amplitude curves.
 
 Objectives are weighted sums of squared amplitude moduli over a family's
-labels, held as their exponential-sum data.  Extrema are the roots of the
-objective's exact derivative, found from piecewise Chebyshev proxies whose
-degree the frequency bandwidth sets, and polished by Newton steps.  Time
-averages come from one closed form over the mode cross-terms,
-`_time_averages`; `dwell_times` computes Gauss-Legendre quadrature in the
-same call, exact up to rounding for these trigonometric polynomials, from
-one (nodes, modes) exp(-i f phase) table shared by its labels, so the two
-routes can be checked against each other.  Periods come from
-rational-commensuration analysis of the mode frequencies.
+labels, held as exponential-sum data.  Extrema are the roots of their exact
+derivative, from Chebyshev proxies polished by Newton steps.  Time averages
+come from one closed form over the mode cross-terms, `_time_averages`;
+`dwell_times` computes Gauss-Legendre quadrature in the same call, exact up
+to rounding for these trigonometric polynomials, from one (nodes, modes)
+exp(-i f phase) table shared by its labels, so the two routes can be checked
+against each other.  Periods come from rational-commensuration analysis of
+the mode frequencies.
 """
 
 from __future__ import annotations
@@ -72,12 +71,8 @@ def parse_objective(expr: str) -> dict[str, float]:
 
 @dataclass(frozen=True, eq=False)
 class Objective:
-    """phase -> sum_l w_l |X_l(phase)|^2 with X_l = sum_f c_fl exp(-i f phase).
-
-    `coeffs` holds one (mode,) column per weighted label and
-    `label_weights` its weight w_l.  `scan_extrema` reads these fields, not
-    methods, so a wrapper that copies the instance's `__dict__` scans too.
-    """
+    """phase -> sum_l w_l |X_l(phase)|^2, X_l = sum_f c_fl exp(-i f phase), one
+    `coeffs` column per `label_weights` entry; scans read these fields only."""
 
     freqs: np.ndarray
     coeffs: np.ndarray
@@ -99,17 +94,14 @@ def family_objective(family: Family, weights: Mapping[str, float] | str,
     if unknown:
         raise ValueError(f"{family.name} has no label(s) {sorted(unknown)}")
     freqs, coeffs = family.representation(**params)
-    cols = np.array([family.labels.index(lab) for lab in weights])
-    return Objective(freqs=freqs, coeffs=coeffs[:, cols],
-                     label_weights=np.array([weights[lab] for lab in weights], dtype=float))
+    return Objective(freqs, coeffs[:, [family.labels.index(lab) for lab in weights]],
+                     np.array([weights[lab] for lab in weights], dtype=float))
 
 
 def _slopes(freqs: np.ndarray, coeffs: np.ndarray, weights: np.ndarray,
             phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g' and g'' of g = sum_l w_l |X_l|^2 at `phases` (any shape):
-        g' = sum_l w_l 2 Re(conj(X_l) X_l'),
-        g'' = sum_l w_l 2 (|X_l'|^2 + Re(conj(X_l) X_l'')).
-    """
+    """g' = sum_l w_l 2 Re(conj(X_l) X_l') and g'' = sum_l w_l 2 (|X_l'|^2 +
+    Re(conj(X_l) X_l'')) of g = sum_l w_l |X_l|^2 at `phases` (any shape)."""
     table = np.exp(-1j * np.multiply.outer(phases, freqs))
     x, dx, ddx = (table @ (k[:, None] * coeffs)
                   for k in (np.ones_like(freqs), -1j * freqs, -freqs * freqs))
@@ -120,41 +112,30 @@ def _slopes(freqs: np.ndarray, coeffs: np.ndarray, weights: np.ndarray,
 def scan_extrema(objective: Objective, lo: float, hi: float) -> list[Extremum]:
     """All local extrema of a `family_objective` on [lo, hi], sorted by phase.
 
-    The extrema are the roots of g', an exponential sum whose frequencies
-    span at most the bandwidth D = max f - min f.  The window is cut into
-    pieces over which g' turns at most PIECE_RADIANS radians, mapped onto
-    [-1, 1]; on each, g' is sampled at the Chebyshev points of a proxy of
-    EXTRA_NODES degrees more than that, exact up to rounding, and the real
-    roots of its colleague matrix are polished by NEWTON_STEPS Newton steps
-    on g'/g''.  Roots closer than ROOT_TOL are one root.  A root is a
-    minimum when g' turns from negative to positive across it and a
-    maximum when it turns back; one where g' keeps its sign (a flat
-    shoulder on a slope) is none.  Each endpoint is reported with
-    `at_endpoint` set, a minimum when g' beside it leads uphill into the
-    window, and is never an interior extremum even where g' vanishes on it.
-    A constant objective has no extrema.  A window that is empty or not
-    finite, non-finite objective data, or a window needing more than
-    MAX_SAMPLES samples of g' raises ValueError before anything is sampled.
+    They are the roots of g'.  On pieces of the window mapped onto [-1, 1],
+    where g' turns at most PIECE_RADIANS radians per unit, it is sampled at
+    the Chebyshev points of a proxy EXTRA_NODES degrees above that, exact up
+    to rounding; the real roots of its colleague matrix get NEWTON_STEPS
+    Newton steps on g'/g'', and roots within ROOT_TOL are one.  A root is a
+    minimum where g' turns from - to +, a maximum from + to -, and none
+    where g' keeps its sign.  Both endpoints are reported (`at_endpoint`),
+    with the kind the sign of g' beside them gives.  A constant objective
+    has no extrema.  An empty or non-finite window, non-finite data, or a
+    window needing more than MAX_SAMPLES samples raises ValueError before
+    anything is sampled.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise ValueError(f"the window [{lo}, {hi}] must be finite with hi > lo")
+        raise ValueError(f"the window [{lo}, {hi}] must be finite and not empty")
     freqs, coeffs = objective.freqs, objective.coeffs
     weights = objective.label_weights
     if not all(np.isfinite(a).all() for a in (freqs, coeffs, weights)):
         raise ValueError("objective frequencies, coefficients and weights must be finite")
-    live = np.abs(coeffs).max(axis=1, initial=0.0) > 0.0
-    if not live.any():
-        return []
-    # g depends on frequency differences only: centring them on their
-    # midrange keeps the derivative factors f and f^2 small
-    freqs, coeffs = freqs[live], coeffs[live]
+    # g reads frequency gaps only: centring keeps the factors f and f^2 small
     freqs = freqs - 0.5 * (freqs.max() + freqs.min())
     turn = float(freqs.max() - freqs.min()) * (hi - lo) / 2.0
     if not math.isfinite(turn):
         raise ValueError(f"the sample count of the window [{lo}, {hi}] is not finite")
-    if turn == 0.0:
-        return []
-    pieces = math.ceil(turn / PIECE_RADIANS)
+    pieces = max(1, math.ceil(turn / PIECE_RADIANS))
     degree = math.ceil(turn / pieces) + EXTRA_NODES
     if pieces * (degree + 1) > MAX_SAMPLES:
         raise ValueError(f"the window [{lo}, {hi}] needs {pieces * (degree + 1)} samples, "
@@ -168,11 +149,9 @@ def scan_extrema(objective: Objective, lo: float, hi: float) -> list[Extremum]:
     edges = lo + (hi - lo) * np.arange(pieces + 1) / pieces
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     proxies = chebyshev.chebinterpolate(lambda x: slope(mid + np.outer(x, half)), degree)
-    # g' is a sum of terms of at most this size, so coefficients below a few
-    # roundings of it are noise
-    noise = 16.0 * np.finfo(float).eps * float(
-        2.0 * np.abs(weights) @ (np.abs(coeffs).sum(axis=0)
-                                 * np.abs(freqs[:, None] * coeffs).sum(axis=0)))
+    # g' sums terms of at most half this size: coefficients below it are noise
+    noise = 32.0 * np.finfo(float).eps * float(
+        np.abs(weights) @ (np.abs(coeffs).sum(axis=0) * (np.abs(freqs) @ np.abs(coeffs))))
     if not (np.abs(proxies) > noise).any():
         return []
     roots = []
@@ -186,21 +165,18 @@ def scan_extrema(objective: Objective, lo: float, hi: float) -> list[Extremum]:
         d1, d2 = _slopes(freqs, coeffs, weights, roots)
         step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0.0)
         roots = np.clip(roots - step, lo, hi)
-    roots = np.sort(roots)
-    roots = roots[(roots > lo + ROOT_TOL) & (roots < hi - ROOT_TOL)]
+    roots = np.sort(roots[roots < hi - ROOT_TOL])
     roots = roots[np.diff(roots, prepend=lo) > ROOT_TOL]
     cuts = np.concatenate([[lo], roots, [hi]])
     # the sign of g' on each stretch between consecutive roots
     signs = np.sign(slope(0.5 * (cuts[1:] + cuts[:-1])))
-    turns = signs[:-1] * signs[1:] < 0.0
+    turns = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
     phases = np.concatenate([[lo], roots[turns], [hi]])
-    values = np.asarray(objective(phases), dtype=float)
-    kinds = ["min" if signs[0] > 0.0 else "max",
-             *("min" if s < 0.0 else "max" for s in signs[:-1][turns]),
-             "max" if signs[-1] > 0.0 else "min"]
-    last = phases.size - 1
-    return [Extremum(phase=float(p), value=float(v), kind=kind, at_endpoint=k in (0, last))
-            for k, (p, v, kind) in enumerate(zip(phases, values, kinds))]
+    # lo and each turn are minima when g' rises after them, hi when it falls before
+    rising = np.concatenate([signs[:1], signs[turns + 1], -signs[-1:]]) > 0.0
+    return [Extremum(phase=float(p), value=float(v), kind="min" if up else "max",
+                     at_endpoint=p in (lo, hi))
+            for p, v, up in zip(phases, np.asarray(objective(phases), dtype=float), rising)]
 
 
 def _time_averages(freqs: np.ndarray, coeffs: np.ndarray, span: float) -> np.ndarray:

@@ -556,9 +556,7 @@ def _generators() -> dict:
 
 
 def _real_eigs(mat: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a matrix whose spectrum is documented as real,
-    ascending; all NaN, which fails the row, when one has an imaginary part
-    above 1e-9 of the spectrum's scale."""
+    """A documented real spectrum, ascending; NaN, failing its row, if complex."""
     vals = np.linalg.eigvals(np.asarray(mat, dtype=float))
     if np.abs(vals.imag).max() > 1e-9 * max(1.0, np.abs(vals).max()):
         return np.full(vals.shape, np.nan)
