@@ -1,10 +1,10 @@
 """Extrema, dwell averages, and recurrence structure.
 
 Every local extremum of a weighted-probability objective is a root of its
-exact derivative, found from Chebyshev proxies and polished by Newton steps.  Dwell averages come out
-both in closed form and by quadrature, and the period detector tells apart
-families that recur exactly from the one whose frequency gaps are
-irrational.
+exact derivative, found from Chebyshev proxies and polished by Newton
+steps.  Dwell averages come out both in closed form and by quadrature, and
+the period detector tells apart families that recur exactly from the one
+whose frequency gaps are irrational.
 """
 
 import numpy as np

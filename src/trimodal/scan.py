@@ -149,7 +149,8 @@ def scan_extrema(objective: Objective, lo: float, hi: float) -> list[Extremum]:
     edges = lo + (hi - lo) * np.arange(pieces + 1) / pieces
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     proxies = chebyshev.chebinterpolate(lambda x: slope(mid + np.outer(x, half)), degree)
-    # g' sums terms of at most half this size: coefficients below it are noise
+    # each term of g' is at most 2 |w_l c_fl f c_gl|: proxy coefficients below
+    # 16 roundings of their sum are noise
     noise = 32.0 * np.finfo(float).eps * float(
         np.abs(weights) @ (np.abs(coeffs).sum(axis=0) * (np.abs(freqs) @ np.abs(coeffs))))
     if not (np.abs(proxies) > noise).any():

@@ -159,9 +159,10 @@ def test_landmark_scans_keep_their_extrema(name, expr, params, window, interior,
     assert all(a.kind != b.kind for a, b in zip(found[:-2], found[1:-1]))
 
 
-def test_scan_reports_a_root_on_a_piece_boundary_once():
-    # n4_single_cavity over pi turns its g' 10 pi radians: four pieces,
-    # and the minimum at pi/2 sits on the boundary of the middle two
+def test_scan_reports_a_grid_tie_once():
+    # the minimum at pi/2 tied two samples of the old bracketing grid; over
+    # pi, g' turns 10 pi radians, so it now sits on the boundary of the
+    # middle two of four proxy pieces, and both find it
     fam = FAMILIES["n4_single_cavity"]
     found = scan_extrema(family_objective(fam, "|C|^2+|F|^2"), 0.0, math.pi)
     near = [e for e in found if abs(e.phase - math.pi / 2.0) < 1e-3]
@@ -169,10 +170,10 @@ def test_scan_reports_a_root_on_a_piece_boundary_once():
     assert near[0].phase == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
-def test_scan_reports_one_extremum_at_a_flat_minimum():
-    # -4 cos(phase) + cos(2 phase) - 3 = 8 sin(phase/2)^4 - 6: g' has a
-    # triple root at 0, which the proxy may split into three, and Newton
-    # steps close in on it only linearly
+def test_scan_reports_one_extremum_per_flat_run():
+    # -4 cos(phase) + cos(2 phase) - 3 = 8 sin(phase/2)^4 - 6 is flat at 0:
+    # g' has a triple root there, which the proxy may split into a run of
+    # three roots, and Newton steps close in on it only linearly
     flat = _sum([0.0, 1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [-2.0, 0.5])
     interior = [e for e in scan_extrema(flat, -1.0, 2.0) if not e.at_endpoint]
     assert len(interior) == 1
@@ -197,9 +198,10 @@ def test_scan_skips_a_flat_shoulder_on_a_slope():
         [-2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0], abs=1e-12)
 
 
-def test_scan_reports_a_stationary_endpoint_only_at_the_endpoint():
-    # the stay probability of n2_general is even in the phase: g' is 0 at
-    # both ends of [0, pi/3], and each end is a maximum beside a minimum
+def test_scan_reports_a_flat_endpoint_run_at_the_endpoint():
+    # the stay probability of n2_general is even in the phase: it is flat
+    # (g' = 0) at both ends of [0, pi/3], and each end is reported only as
+    # an endpoint, a maximum beside the minimum
     found = scan_extrema(family_objective(FAMILIES["n2_general"], "|A|^2"),
                          0.0, math.pi / 3.0)
     assert [(e.kind, e.at_endpoint) for e in found] == \
