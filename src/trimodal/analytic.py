@@ -347,8 +347,8 @@ def _symmetrized_spectrum(matrix: np.ndarray, scale: np.ndarray) -> Spectrum:
     if not np.allclose(sym, sym.T, atol=1e-12):
         raise ValueError("matrix is not symmetrizable by the given scale")
     spec = spectrum(sym)
-    spec.frequencies.flags.writeable = False
-    spec.modes.flags.writeable = False
+    for arr in (*spec.frequencies, *spec.modes):
+        arr.flags.writeable = False
     return spec
 
 

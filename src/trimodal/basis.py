@@ -5,8 +5,8 @@ emits a photon pair, so the local excitation-counting operator assigns n to
 |g,n> and n+2 to |e,n>.  Only even photon numbers occur.  The total count is
 conserved, which restricts the dynamics to finite manifolds: dimension 6 for
 a total of 2, 18 for 4, 38 for 6.  A manifold is stored as its coordinate
-table, built by array arithmetic; its `BasisState` objects and excited-count
-sectors are derived from that table.
+table, built by array arithmetic; its `BasisState` objects, excited-count
+sectors and excitation patterns are derived from that table.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def _local_levels(n_total: int) -> tuple[CavityLevel, ...]:
 class Manifold:
     """Fixed-total subspace, stored as its canonically ordered coordinate table
     `coords`: the read-only (dim, 3) positions in `levels` of each basis state's
-    levels.  `basis`, `sectors` and `orbits` are derived from it."""
+    levels.  `basis`, `sectors`, `patterns` and `orbits` are derived from it."""
 
     n_total: int
     coords: np.ndarray
@@ -139,6 +140,20 @@ class Manifold:
         count = np.array([lv.excited for lv in self.levels])[self.coords].sum(axis=1)
         return tuple(tuple(np.flatnonzero(count == k).tolist())
                      for k in range(N_CAVITIES + 1))
+
+    @cached_property
+    def patterns(self) -> MappingProxyType:
+        """Read-only basis indices of each excitation pattern, keyed by the
+        excited cavities (numbered 1-3), in ascending key order: the finer
+        partition of `sectors` that the pair exchange also conserves."""
+        flags = np.array([lv.excited for lv in self.levels])[self.coords]
+        keys, group = np.unique(flags, axis=0, return_inverse=True)
+        out = {}
+        for g, key in enumerate(keys):
+            idx = np.flatnonzero(group == g)
+            idx.flags.writeable = False
+            out[tuple((np.flatnonzero(key) + 1).tolist())] = idx
+        return MappingProxyType(dict(sorted(out.items())))
 
     @cached_property
     def orbits(self) -> np.ndarray:
@@ -202,7 +217,7 @@ def enumerate_manifold(n_total: int) -> Manifold:
     manifold = Manifold(n_total=n_total, coords=coords)
     # derived now: built on a first read among a computation's large
     # temporaries, their small long-lived allocations fragment the heap
-    manifold.basis, manifold.sectors
+    manifold.basis, manifold.sectors, manifold.patterns
     return manifold
 
 

@@ -410,7 +410,7 @@ def _cmd_dynamics(config: RunConfig, initial=None) -> int:
     gen = _generator(config)
     with _output(config) as out:
         if config.spectrum:
-            for v in spectrum(gen).frequencies:
+            for v in np.sort(np.concatenate(spectrum(gen).frequencies)):
                 out.write(_fmt(v) + "\n")
         else:
             writer = csv.writer(out)

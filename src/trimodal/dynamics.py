@@ -3,8 +3,9 @@
 Two modes are built over a manifold's canonical basis.  The large-hopping
 generator keeps only the pair-exchange coupling xi*(a_i^dag^2 a_j^2 + h.c.),
 which freezes each atomic configuration and is block diagonal across the
-excited-count sectors.  The full generator adds, per cavity, the dressed
-two-by-two [[tan^2, tan], [tan, 1]] acting on (|e,n>, |g,n+2>), weighted so
+excitation patterns (`Manifold.patterns`, 8 of them from N = 6 on).  The
+full generator adds, per cavity, the dressed two-by-two
+[[tan^2, tan], [tan, 1]] acting on (|e,n>, |g,n+2>), weighted so
 the reference pair n_total - 2 has weight one; this is the complete slow
 dynamics in units of the manifold's energy scale.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,11 +51,18 @@ def _require_hermitian(mat: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class Generator:
     """Real symmetric matrix generating i d/dt psi = M psi on a manifold,
-    stored as a read-only float64 copy of the matrix it is given."""
+    stored as a read-only float64 copy of the matrix it is given.
+
+    `blocks` are the basis rows of its invariant blocks, derived from the
+    matrix: the manifold's excitation patterns (`Manifold.patterns`) when no
+    nonzero entry couples two of them, as for the large-hopping generator,
+    and otherwise the whole basis, `slice(0, dim)`, as one block.
+    """
 
     manifold: Manifold
     matrix: np.ndarray
     xi: float
+    blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix)
@@ -66,6 +74,12 @@ class Generator:
         mat = np.array(mat, dtype=np.float64)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        # the pattern index arrays are the manifold's own: built once per
+        # manifold, not once per generator
+        patterns = tuple(self.manifold.patterns.values())
+        inside = sum(np.count_nonzero(mat[rows][:, rows]) for rows in patterns)
+        blocks = patterns if inside == np.count_nonzero(mat) else (slice(0, len(mat)),)
+        object.__setattr__(self, "blocks", blocks)
 
 
 @dataclass(frozen=True, eq=False)

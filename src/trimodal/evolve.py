@@ -1,10 +1,13 @@
 """Exact time evolution by spectral decomposition.
 
 The generators are real symmetric and small (dimension 38 at N = 6, 402 at
-N = 20), so the propagator is always the exact exp(-i M t) built from one
-real eigendecomposition M = V diag(f) V^T; there is no step-based
-integration and no accumulation of local error.  Frequencies are reported
-in the same dimensionless units as the generator.
+N = 20), so the propagator is always the exact exp(-i M t) built from a real
+eigendecomposition M = V diag(f) V^T of each invariant block of M (the 8
+excitation patterns of the large-hopping generator, the whole basis for the
+full one); there is no step-based integration and no accumulation of local
+error.  A block on which the initial state is exactly zero is skipped: its
+rows stay exactly 0.  Frequencies are reported in the same dimensionless
+units as the generator.
 """
 
 from __future__ import annotations
@@ -26,26 +29,43 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigendecomposition M = V diag(frequencies) V^dag of a generator."""
+    """Eigendecomposition of a generator, one invariant block at a time: on
+    the basis rows `blocks[k]` (an index array or a slice),
+    M = modes[k] diag(frequencies[k]) modes[k]^dag, and M is zero between
+    blocks."""
 
-    frequencies: np.ndarray
-    modes: np.ndarray
+    blocks: tuple
+    frequencies: tuple[np.ndarray, ...]
+    modes: tuple[np.ndarray, ...]
 
 
 def spectrum(generator: Generator | Block | np.ndarray) -> Spectrum:
-    """Eigenfrequencies (ascending) and orthonormal modes of a generator.
+    """Eigenfrequencies (ascending within each block) and orthonormal modes
+    of a generator, one `eigh` per block of `Generator.blocks`.
 
-    A Generator's or Block's modes are real, as their matrices are; a raw
-    array keeps its own dtype.  A Block or raw array that is not square, finite
-    and Hermitian raises ValueError (a Generator was checked when built).
+    A Block or raw array is one block over all its rows.  A Generator's or
+    Block's modes are real, as their matrices are; a raw array keeps its own
+    dtype.  A Block or raw array that is not square, finite and Hermitian
+    raises ValueError (a Generator was checked when built).
     """
     if isinstance(generator, Generator):
-        mat = generator.matrix
+        mat, blocks = generator.matrix, generator.blocks
     else:
         mat = np.asarray(getattr(generator, "matrix", generator))
         _require_hermitian(mat)
-    freqs, modes = np.linalg.eigh(mat)
-    return Spectrum(frequencies=freqs, modes=modes)
+        blocks = (slice(0, len(mat)),)
+    solved = [np.linalg.eigh(mat[rows][:, rows]) for rows in blocks]
+    return Spectrum(blocks=blocks, frequencies=tuple(f for f, _ in solved),
+                    modes=tuple(v for _, v in solved))
+
+
+def _live_blocks(spec: Spectrum, initial: np.ndarray):
+    """(rows, frequencies, modes, mode coefficients of `initial`) of each
+    block of `spec` on which `initial` is not exactly zero."""
+    for rows, freqs, modes in zip(spec.blocks, spec.frequencies, spec.modes):
+        start = initial[rows]
+        if start.any():
+            yield rows, freqs, modes, modes.conj().T @ start
 
 
 def _evolve(generator: Generator, initial: np.ndarray,
@@ -54,24 +74,36 @@ def _evolve(generator: Generator, initial: np.ndarray,
     finite, for the real symmetric M of `generator`."""
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    spec = spectrum(generator)
-    coeffs = spec.modes.T @ initial
-    # one (modes, times) buffer exp(-i f t) * c, updated in place; read as
-    # (re, im) float pairs it is a (modes, 2 times) real matrix, so the
-    # real modes multiply it in one real GEMM and the product reads back
-    # as complex (dim, times), returned transposed
-    buf = (-1j * times)[None, :] * spec.frequencies[:, None]
-    np.exp(buf, out=buf)
-    buf *= coeffs[:, None]
-    return (spec.modes @ buf.view(float)).view(complex).T
+    out = np.zeros((len(initial), len(times)), dtype=complex)
+    for rows, freqs, modes, coeffs in _live_blocks(spectrum(generator), initial):
+        # one (modes, times) buffer exp(-i f t) * c, updated in place; read
+        # as (re, im) float pairs it is a (modes, 2 times) real matrix, so
+        # the block's real modes multiply it in one real GEMM whose product
+        # reads back as complex (rows, times)
+        buf = (-1j * times)[None, :] * freqs[:, None]
+        np.exp(buf, out=buf)
+        buf *= coeffs[:, None]
+        if isinstance(rows, slice):
+            # written straight into its rows: no third (rows, times) table
+            np.matmul(modes, buf.view(float), out=out.view(float)[rows])
+        else:
+            out[rows] = (modes @ buf.view(float)).view(complex)
+    return out.T
 
 
 def _modes(spec: Spectrum, initial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies and (mode, row) weights of the solution x(t) of
     i dx/dt = M x with x(0) = initial, from the spectrum of M:
-    x(t) = sum_f weights[f] exp(-i f t)."""
-    weights = spec.modes * (spec.modes.conj().T @ initial)[None, :]
-    return spec.frequencies, weights.T
+    x(t) = sum_f weights[f] exp(-i f t), over the blocks `initial` touches."""
+    live = list(_live_blocks(spec, initial))
+    freqs = np.concatenate([np.zeros(0), *(f for _, f, _, _ in live)])
+    weights = np.zeros((len(freqs), len(initial)),
+                       dtype=np.result_type(initial, *spec.modes))
+    start = 0
+    for rows, f, modes, coeffs in live:
+        weights[start:start + len(f), rows] = (modes * coeffs[None, :]).T
+        start += len(f)
+    return freqs, weights
 
 
 def _merge_modes(freqs: np.ndarray, coeffs: np.ndarray,
@@ -149,7 +181,8 @@ def sector_probabilities(trajectory: Trajectory, by: str = "count") -> dict:
 
     by='count' groups basis states by how many atoms are excited (the four
     sectors); by='pattern' groups by which cavities are excited, the finer
-    partition that the pair exchange also conserves.
+    partition that the pair exchange also conserves (`Manifold.patterns`,
+    in its key order).
     """
     man = trajectory.manifold
     probs = np.abs(trajectory.amplitudes) ** 2
@@ -160,12 +193,8 @@ def sector_probabilities(trajectory: Trajectory, by: str = "count") -> dict:
             if idx
         }
     if by == "pattern":
-        flags = np.array([lv.excited for lv in man.levels])[man.coords]
-        patterns, group = np.unique(flags, axis=0, return_inverse=True)
-        groups = {tuple((np.flatnonzero(pat) + 1).tolist()):
-                  probs[:, np.flatnonzero(group == g)].sum(axis=1)
-                  for g, pat in enumerate(patterns)}
-        return dict(sorted(groups.items()))
+        return {pattern: probs[:, idx].sum(axis=1)
+                for pattern, idx in man.patterns.items()}
     raise ValueError(f"by must be 'count' or 'pattern', got {by!r}")
 
 
@@ -182,5 +211,8 @@ def mode_expansion(generator: Generator | Block | np.ndarray,
     freqs, weights = _modes(spectrum(generator), np.asarray(initial, dtype=complex))
     weights[np.abs(weights) < 1e-14] = 0.0
     freqs, weights = _merge_modes(freqs, weights)
-    return [[(complex(c), -float(f)) for f, c in zip(freqs, row) if abs(c) > 1e-14]
-            for row in weights.T]
+    # row-major over (row, mode): each row's terms in ascending frequency
+    row, mode = np.nonzero(np.abs(weights.T) > 1e-14)
+    terms = list(zip(weights[mode, row].tolist(), (-freqs[mode]).tolist()))
+    ends = np.cumsum(np.bincount(row, minlength=weights.shape[1])).tolist()
+    return [terms[a:b] for a, b in zip([0, *ends], ends)]

@@ -38,7 +38,7 @@ import numpy as np
 from .basis import ALL_PERMUTATIONS, enumerate_manifold
 from .dressed import DressedParams
 from .dynamics import build_full_generator, build_large_xi_generator, project_onto
-from .evolve import _modes, propagate, sector_probabilities, spectrum
+from .evolve import _live_blocks, _modes, propagate, sector_probabilities, spectrum
 from .analytic import (
     FAMILIES,
     SQ2,
@@ -938,9 +938,11 @@ def _return_distance(fam, phases: np.ndarray) -> np.ndarray:
     with p_k > 1e-14, 2 - 2 Re sum_k p_k exp(-i f_k t), written as
     4 sum_k p_k sin^2(f_k t / 2) to avoid cancellation near a return."""
     spec = spectrum(build_large_xi_generator(fam.manifold, xi=1.0))
-    weights = np.abs(spec.modes.T @ fam.initial_state().amplitudes) ** 2
+    blocks = list(_live_blocks(spec, fam.initial_state().amplitudes))
+    freqs = np.concatenate([f for _, f, _, _ in blocks])
+    weights = np.abs(np.concatenate([c for _, _, _, c in blocks])) ** 2
     live = weights > 1e-14
-    half = 0.5 * np.multiply.outer(phases, spec.frequencies[live])
+    half = 0.5 * np.multiply.outer(phases, freqs[live])
     return 2.0 * np.sqrt(np.sin(half) ** 2 @ weights[live])
 
 

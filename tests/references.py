@@ -5,7 +5,9 @@ manifold's coordinate table, and the product-overlap sweep contracts over
 that table; these state-by-state and dense definitions are what that
 arithmetic must reproduce.  The suite's return distance, read off the
 return amplitude, and its closed-form stay average of an entangled start
-are compared against the dense trajectories they replace.
+are compared against the dense trajectories they replace.  The block-wise
+spectral solve and propagation are compared against one dense `eigh` of the
+whole generator.
 The product-overlap sweep is checked at N = 2 against the exact W-type
 closed form.
 """
@@ -92,6 +94,40 @@ def symmetric_start_stay_average() -> float:
     ts = np.linspace(0.0, math.pi, 20001)
     traj = propagate(gen, StateVector(man, amps), ts, times_are_phase=True)
     return float(np.trapezoid(np.abs(traj.amplitudes[:, stay]) ** 2, ts) / math.pi)
+
+
+def dense_spectrum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of a whole
+    symmetric matrix, from one dense `eigh`."""
+    return np.linalg.eigh(matrix)
+
+
+def dense_evolution(matrix: np.ndarray, initial: np.ndarray,
+                    times: np.ndarray) -> np.ndarray:
+    """Rows exp(-i M t) @ initial, one per time, from `dense_spectrum`."""
+    freqs, modes = dense_spectrum(matrix)
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), freqs))
+    return (phases * (modes.conj().T @ initial)[None, :]) @ modes.T
+
+
+def unique_pattern_probabilities(trajectory) -> dict:
+    """Total probability per excitation pattern along a trajectory, grouped
+    by `np.unique` over the basis states' excited-flag rows."""
+    man = trajectory.manifold
+    probs = np.abs(trajectory.amplitudes) ** 2
+    flags = np.array([lv.excited for lv in man.levels])[man.coords]
+    patterns, group = np.unique(flags, axis=0, return_inverse=True)
+    groups = {tuple((np.flatnonzero(pat) + 1).tolist()):
+              probs[:, np.flatnonzero(group == g)].sum(axis=1)
+              for g, pat in enumerate(patterns)}
+    return dict(sorted(groups.items()))
+
+
+def pairwise_term_lists(freqs: np.ndarray, weights: np.ndarray) -> list:
+    """Each row's (coefficient, -frequency) terms of merged (mode, row)
+    weights, kept by one `abs` per (row, mode) pair above 1e-14."""
+    return [[(complex(c), -float(f)) for f, c in zip(freqs, row) if abs(c) > 1e-14]
+            for row in weights.T]
 
 
 def n2_sides(state: StateVector) -> list:

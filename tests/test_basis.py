@@ -103,6 +103,22 @@ def test_sectors_partition_basis():
             assert all(man.basis[i].excited_count == k for i in sector)
 
 
+@pytest.mark.parametrize("n_total", range(0, 21, 2))
+def test_patterns_refine_the_sectors(n_total):
+    man = enumerate_manifold(n_total)
+    groups = {}
+    for i, b in enumerate(man.basis):
+        groups.setdefault(tuple(c + 1 for c, lv in enumerate(b.levels) if lv.excited),
+                          []).append(i)
+    assert list(man.patterns) == sorted(groups)
+    for key, idx in man.patterns.items():
+        assert idx.tolist() == groups[key]
+        assert set(idx.tolist()) <= set(man.sectors[len(key)])
+        assert not idx.flags.writeable
+    with pytest.raises(TypeError):
+        man.patterns[()] = np.arange(man.dim)
+
+
 def test_canonical_order_total_two():
     man = enumerate_manifold(2)
     assert [str(b) for b in man.basis] == [

@@ -131,6 +131,27 @@ def test_generator_validation():
     assert given.flags.writeable   # the generator froze a copy, not the input
 
 
+@pytest.mark.parametrize("n_total, count", [(0, 1), (2, 4), (4, 7), (6, 8), (8, 8), (20, 8)])
+def test_large_hopping_blocks_are_the_excitation_patterns(n_total, count):
+    man = enumerate_manifold(n_total)
+    large = build_large_xi_generator(man, xi=0.7)
+    assert len(large.blocks) == count
+    # the manifold's own index arrays, not copies made per generator
+    assert all(b is p for b, p in zip(large.blocks, man.patterns.values()))
+    if n_total:
+        full = build_full_generator(man, DressedParams(r=1.2, delta=0.3))
+        assert full.blocks == (slice(0, man.dim),)
+
+
+def test_a_matrix_coupling_two_patterns_is_one_block():
+    mat = build_large_xi_generator(MAN2).matrix.copy()
+    assert len(Generator(manifold=MAN2, matrix=mat, xi=1.0).blocks) == 4
+    # |g0,g0,g2> (pattern ()) to |g0,g0,e0> (pattern (3,))
+    mat[0, 3] = mat[3, 0] = 1e-300
+    assert Generator(manifold=MAN2, matrix=mat, xi=1.0).blocks == (slice(0, 6),)
+    assert len(Generator(manifold=MAN2, matrix=np.zeros((6, 6)), xi=1.0).blocks) == 4
+
+
 def _all_pairs_hopping(manifold, xi):
     """The element formula on every pair of states, lower index as bra."""
     mat = np.zeros((manifold.dim, manifold.dim))

@@ -5,6 +5,7 @@ conftest.py, so every run draws the same examples.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,19 @@ from trimodal.dynamics import (
 from trimodal.evolve import (
     NumericalContractError,
     Trajectory,
+    _merge_modes,
+    _modes,
     mode_expansion,
     propagate,
     sector_probabilities,
     spectrum,
+)
+
+from references import (
+    dense_evolution,
+    dense_spectrum,
+    pairwise_term_lists,
+    unique_pattern_probabilities,
 )
 
 MAN2 = enumerate_manifold(2)
@@ -36,13 +46,15 @@ def corner_state(manifold):
 
 
 def test_spectrum_is_an_eigendecomposition():
-    gen = build_full_generator(MAN6, DressedParams(r=1.0), xi=2.0)
-    spec = spectrum(gen)
-    assert np.all(np.diff(spec.frequencies) >= 0)
-    assert np.allclose(spec.modes @ np.diag(spec.frequencies) @ spec.modes.conj().T,
-                       gen.matrix)
-    assert np.allclose(spec.modes.conj().T @ spec.modes, np.eye(len(spec.frequencies)))
-    assert np.allclose(spec.frequencies, np.linalg.eigvalsh(gen.matrix))
+    for gen in _drawn_generators(MAN6, xi=2.0, r=1.0, delta=0.0):
+        spec = spectrum(gen)
+        assert spec.blocks is gen.blocks
+        for rows, freqs, modes in zip(spec.blocks, spec.frequencies, spec.modes):
+            assert np.all(np.diff(freqs) >= 0)
+            assert np.allclose(modes @ np.diag(freqs) @ modes.T, gen.matrix[rows][:, rows])
+            assert np.allclose(modes.T @ modes, np.eye(len(freqs)))
+        assert np.allclose(np.sort(np.concatenate(spec.frequencies)),
+                           np.linalg.eigvalsh(gen.matrix))
 
 
 @pytest.mark.parametrize("mat", [
@@ -120,11 +132,12 @@ def test_propagate_equals_the_formula_built_from_temporaries():
     amps = rng.normal(size=MAN6.dim) + 1j * rng.normal(size=MAN6.dim)
     x0 = StateVector(MAN6, amps / np.linalg.norm(amps))
     times = np.linspace(0.0, 2.3, 301)
-    spec = spectrum(gen)
-    assert spec.modes.dtype == np.float64
-    coeffs = spec.modes.T @ x0.amplitudes
-    osc = np.exp((-1j * times)[None, :] * spec.frequencies[:, None]) * coeffs[:, None]
-    reference = (spec.modes @ osc.view(float)).view(complex).T
+    # the full generator is one block: the whole basis
+    [freqs], [modes] = spectrum(gen).frequencies, spectrum(gen).modes
+    assert modes.dtype == np.float64
+    coeffs = modes.T @ x0.amplitudes
+    osc = np.exp((-1j * times)[None, :] * freqs[:, None]) * coeffs[:, None]
+    reference = (modes @ osc.view(float)).view(complex).T
     assert np.array_equal(propagate(gen, x0, times).amplitudes, reference)
 
 
@@ -191,8 +204,9 @@ def test_real_storage_matches_the_complex_solve(n_total):
         ref_f, ref_v = np.linalg.eigh(gen.matrix.astype(complex))
         scale = np.linalg.norm(gen.matrix, 2)
         spec = spectrum(gen)
-        assert spec.modes.dtype == np.float64
-        assert np.max(np.abs(spec.frequencies - ref_f)) <= 1e-12 * scale
+        assert all(modes.dtype == np.float64 for modes in spec.modes)
+        freqs = np.sort(np.concatenate(spec.frequencies))
+        assert np.max(np.abs(freqs - ref_f)) <= 1e-12 * scale
         for seed in rng.integers(0, 2**32, size=3):
             x0 = _drawn_state(man, seed)
             times = rng.uniform(-3.0, 3.0, size=7)
@@ -298,13 +312,14 @@ def test_mode_expansion_fails_closed_on_nan():
 
 
 def _per_row_expansion(generator, initial):
-    """Per-row loop: drop terms below 1e-14, merge frequencies within 1e-9."""
-    spec = spectrum(generator)
-    weights = spec.modes * (spec.modes.conj().T @ initial)[None, :]
+    """Per-row loop over the dense spectrum of the whole generator: drop
+    terms below 1e-14, merge frequencies within 1e-9."""
+    freqs, modes = dense_spectrum(generator.matrix)
+    weights = modes * (modes.conj().T @ initial)[None, :]
     out = []
     for row in weights:
         terms = []
-        for c, f in zip(row, spec.frequencies):
+        for c, f in zip(row, freqs):
             if abs(c) < 1e-14:
                 continue
             for t, (c0, mu0) in enumerate(terms):
@@ -329,3 +344,91 @@ def test_mode_expansion_matches_the_per_row_loop(n_total):
     for row, ref_row in zip(got, ref):
         for (c, mu), (c_ref, mu_ref) in zip(row, ref_row):
             assert abs(c - c_ref) <= 1e-14 and abs(mu - mu_ref) < 1e-9
+
+
+@pytest.mark.parametrize("n_total", [2, 4, 6, 8, 10])
+def test_block_spectrum_equals_the_dense_eigh(n_total):
+    man = enumerate_manifold(n_total)
+    for gen in _drawn_generators(man, xi=1.7, r=0.6, delta=-0.3):
+        spec = spectrum(gen)
+        ref_f, _ = dense_spectrum(gen.matrix)
+        scale = max(1.0, np.linalg.norm(gen.matrix, 2))
+        freqs = np.sort(np.concatenate(spec.frequencies))
+        assert np.max(np.abs(freqs - ref_f)) <= 1e-12 * scale
+        covered = np.zeros(man.dim, dtype=int)
+        for rows, f, modes in zip(spec.blocks, spec.frequencies, spec.modes):
+            covered[rows] += 1
+            # each block's modes are eigenvectors of the whole matrix
+            cols = np.zeros((man.dim, len(f)))
+            cols[rows] = modes
+            assert np.max(np.abs(gen.matrix @ cols - cols * f), initial=0.0) \
+                <= 1e-12 * scale
+        assert np.all(covered == 1)
+
+
+def _two_pattern_start(man, seed):
+    """A random start on the basis states of the patterns (1,) and (2, 3)."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(man.dim, dtype=complex)
+    rows = np.concatenate([man.patterns[(1,)], man.patterns[(2, 3)]])
+    amps[rows] = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+    return StateVector(man, amps / np.linalg.norm(amps)), rows
+
+
+@pytest.mark.parametrize("n_total", [4, 6, 10])
+def test_propagate_matches_the_dense_route_and_skips_untouched_blocks(n_total):
+    man = enumerate_manifold(n_total)
+    x0, rows = _two_pattern_start(man, n_total)
+    times = np.linspace(-2.0, 3.0, 41)
+    large, full = _drawn_generators(man, xi=1.3, r=0.9, delta=0.2)
+    for gen in (large, full):
+        got = propagate(gen, x0, times).amplitudes
+        ref = dense_evolution(gen.matrix, x0.amplitudes, times)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+    # the large-hopping evolution never leaves the two patterns it starts on
+    untouched = np.setdiff1d(np.arange(man.dim), rows)
+    assert np.all(propagate(large, x0, times).amplitudes[:, untouched] == 0)
+
+
+def test_full_propagation_holds_at_most_two_tables():
+    # the one-block GEMM writes straight into its output rows: the exp
+    # table and the output are the only (dim, times) tables alive at once
+    man = enumerate_manifold(20)
+    gen = build_full_generator(man, DressedParams(r=1.1, delta=0.3))
+    x0 = _drawn_state(man, 20)
+    times = np.linspace(0.0, 2.0, 2001)
+    table = man.dim * times.size * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        propagate(gen, x0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table
+
+
+@pytest.mark.parametrize("n_total", [0, 2, 4, 6, 8, 12])
+def test_pattern_probabilities_equal_the_unique_grouping(n_total):
+    man = enumerate_manifold(n_total)
+    gen = build_full_generator(man, DressedParams(r=0.7, delta=0.2)) if n_total \
+        else build_large_xi_generator(man)
+    traj = propagate(gen, _drawn_state(man, n_total + 1), [0.0, 0.4, 1.3])
+    got, ref = sector_probabilities(traj, by="pattern"), unique_pattern_probabilities(traj)
+    assert list(got) == list(ref)
+    for key, series in ref.items():
+        assert np.array_equal(got[key], series)
+
+
+@pytest.mark.parametrize("n_total", [6, 10, 14])
+def test_mode_expansion_terms_equal_the_pairwise_lists(n_total):
+    man = enumerate_manifold(n_total)
+    gen = build_large_xi_generator(man)
+    starts = [_drawn_state(man, n_total).amplitudes,
+              _two_pattern_start(man, n_total)[0].amplitudes]
+    for init in starts:
+        freqs, weights = _modes(spectrum(gen), init)
+        weights[np.abs(weights) < 1e-14] = 0.0
+        ref = pairwise_term_lists(*_merge_modes(freqs, weights))
+        got = mode_expansion(gen, init)
+        assert got == ref
+        assert any(got)

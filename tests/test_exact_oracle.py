@@ -65,7 +65,7 @@ def test_exact_spectrum_matches_the_float_solve(name):
     assert len(roots) == len(documented)
     exact_values = np.sort([float(r) for r in roots])
     if symmetric:
-        floats = spectrum(matrix).frequencies
+        [floats] = spectrum(matrix).frequencies
     else:
         eig = np.linalg.eigvals(matrix)
         assert np.max(np.abs(eig.imag)) <= 1e-12

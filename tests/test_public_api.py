@@ -56,9 +56,11 @@ READERS = {
     "analytic.Family.labels": "src/trimodal/scan.py::family_objective",
     "analytic.Family.manifold": "src/trimodal/verification.py::_invariants",
     "analytic.Family.modulus_period": "demos/03_closed_form_families.py::main",
+    "analytic.Family.patterns": "src/trimodal/analytic.py::Family.labels",
     "analytic.Family.n_total": "src/trimodal/analytic.py::Family.amplitudes_from_state",
     "basis.BasisState.levels": "src/trimodal/cli.py::_cmd_basis",
     "basis.Manifold.levels": "src/trimodal/dynamics.py::_hopping_matrix",
+    "basis.Manifold.patterns": "src/trimodal/evolve.py::sector_probabilities",
     "basis.Manifold.n_total": "src/trimodal/dynamics.py::build_full_generator",
     "basis.StateVector.amplitudes": "src/trimodal/evolve.py::propagate",
     "basis.StateVector.manifold": "src/trimodal/evolve.py::propagate",
@@ -72,11 +74,13 @@ READERS = {
     "dressed.DressedParams.r": "src/trimodal/dressed.py::splitting",
     "dynamics.Block.manifold": "src/trimodal/dynamics.py::symmetry_blocks",
     "dynamics.Block.matrix": "src/trimodal/dynamics.py::symmetry_blocks",
+    "dynamics.Generator.blocks": "src/trimodal/evolve.py::spectrum",
     "dynamics.Generator.manifold": "src/trimodal/evolve.py::propagate",
     "dynamics.Generator.matrix": "src/trimodal/cli.py::_cmd_dynamics",
     "dynamics.Generator.xi": "src/trimodal/evolve.py::propagate",
     "entanglement.ProductState.manifold":
         "src/trimodal/entanglement.py::ProductState.__post_init__",
+    "evolve.Spectrum.blocks": "src/trimodal/evolve.py::_live_blocks",
     "evolve.Trajectory.amplitudes": "src/trimodal/cli.py::_cmd_evolve",
     "evolve.Trajectory.manifold": "src/trimodal/evolve.py::sector_probabilities",
     "evolve.Trajectory.times":
