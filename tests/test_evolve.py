@@ -271,10 +271,13 @@ def test_sector_probabilities_pattern_matches_the_per_state_grouping(n_total):
     expected = {pat: probs[:, idx].sum(axis=1)
                 for pat, idx in sorted(groups.items())}
     got = sector_probabilities(traj, by="pattern")
-    assert list(got) == list(expected)
+    # the same keys, order and bits as grouping by np.unique over flag rows
+    unique = unique_pattern_probabilities(traj)
+    assert list(got) == list(expected) == list(unique)
     assert all(type(c) is int for pat in got for c in pat)
     for pat, series in expected.items():
         assert np.array_equal(got[pat], series)
+        assert np.array_equal(got[pat], unique[pat])
 
 
 def test_mode_expansion_exchange_example():
@@ -405,18 +408,6 @@ def test_full_propagation_holds_at_most_two_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * table
-
-
-@pytest.mark.parametrize("n_total", [0, 2, 4, 6, 8, 12])
-def test_pattern_probabilities_equal_the_unique_grouping(n_total):
-    man = enumerate_manifold(n_total)
-    gen = build_full_generator(man, DressedParams(r=0.7, delta=0.2)) if n_total \
-        else build_large_xi_generator(man)
-    traj = propagate(gen, _drawn_state(man, n_total + 1), [0.0, 0.4, 1.3])
-    got, ref = sector_probabilities(traj, by="pattern"), unique_pattern_probabilities(traj)
-    assert list(got) == list(ref)
-    for key, series in ref.items():
-        assert np.array_equal(got[key], series)
 
 
 @pytest.mark.parametrize("n_total", [6, 10, 14])
