@@ -24,8 +24,9 @@ def test_moved_digits_are_listed_with_their_moves():
     table = _edit("measured 2.0728881450103828e-14", "measured 1e-14")
     [(check_id, gap, rel)] = compare(GOLDEN, table)
     assert check_id == "c4.concentrated_family"
-    assert gap == pytest.approx(2.0728881450103828e-14 - 1e-14)
-    assert rel == pytest.approx(gap / 2.0728881450103828e-14)
+    # approx's default absolute tolerance (1e-12) would pass any gap this small
+    assert gap == pytest.approx(2.0728881450103828e-14 - 1e-14, rel=1e-12, abs=0.0)
+    assert rel == pytest.approx(gap / 2.0728881450103828e-14, rel=1e-12, abs=0.0)
 
 
 def test_a_move_from_zero_is_infinitely_relative():
