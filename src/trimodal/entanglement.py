@@ -8,26 +8,40 @@ state,
 
     P_max = max |<u (x) v (x) w | psi>|^2   over unit vectors u, v, w,
 
-maximized by alternating power sweeps: each cavity factor in turn is set to
-the exact optimum given the other two, which never decreases the overlap.
-That optimum is the half-step's vector normalized, so the norm of a sweep's
-last half-step is the sweep's overlap.  Every half-step gathers the factors
-at the basis states' levels, so it touches the state's ``dim`` amplitudes
-and none of the d**3 tensor entries off the manifold.  Sweeps run from
-every product-basis start (deterministic) plus a batch of seeded
-complex-normal starts, and the best squared overlap wins; ties go to the
-lowest start index.  A sweep's first step overwrites u, so basis starts
-(i, j, k) that differ only in i follow one trajectory: duplicate basis
-starts are collapsed to one swept row each, while every start keeps its
-own initial overlap, its w against the half-step from its (u, v), for the
-stop test and the tie rule.  The geometric entanglement is -log2(P_max).
+and the geometric entanglement is -log2(P_max).
 
-`max_product_overlaps` sweeps the rows of many states on one manifold in
-one loop; `max_product_overlap` is its one-state call.  Each row carries
-its own state's amplitudes and sums in a fixed order, so its bits do not
-depend on which rows share the call.  A state stops when all its starts
-settle; a row stops earlier only at an exact fixed point, a sweep that
-returns its (u, v, w) unchanged bit for bit.  Every result therefore
+At N = 2 every basis state has exactly one cavity off g0 (level position
+0), so psi = sum_c |x_c>_c (x) |g0 g0> is a W-type state and P_max has a
+closed form (Wei & Goldbart, PRA 68, 042307 (2003); Tamaryan, Park &
+Tamaryan, PRA 77, 022325 (2008)).  With squared sides s_c = |x_c|^2, s_a
+the largest: when s_a >= s_b + s_c the maximizer is x_a/|x_a| on cavity a
+and g0 on the other two, and P_max = s_a.  Otherwise, with p_c = S - s_c,
+S = (s_a + s_b + s_c)/2 and q = p_a p_b + p_b p_c + p_c p_a, each factor
+is cos t_c g0 + sin t_c x_c/|x_c| with cos^2 t_c = s_c p_c / q and
+sin^2 t_c = p_c' p_c'' / q (c', c'' the other two cavities), the solution
+of the stationarity conditions, and P_max = s_a s_b s_c / q: 4R^2, R the
+circumradius of the triangle of sides |x_a|, |x_b|, |x_c|.
+
+On larger manifolds P_max is maximized by alternating power sweeps: each
+cavity factor in turn is set to the exact optimum given the other two,
+which never decreases the overlap.  That optimum is the half-step's vector
+normalized, so the norm of a sweep's last half-step is the sweep's
+overlap.  Every half-step gathers the factors at the basis states' levels,
+so it touches the state's ``dim`` amplitudes and none of the d**3 tensor
+entries off the manifold.  Sweeps run from every product-basis start
+(deterministic) plus a batch of seeded complex-normal starts, and the best
+squared overlap wins; ties go to the lowest start index.  A sweep's first
+step overwrites u, so basis starts (i, j, k) that differ only in i follow
+one trajectory: duplicate basis starts are collapsed to one swept row
+each, while every start keeps its own initial overlap, its w against the
+half-step from its (u, v), for the stop test and the tie rule.
+
+`max_product_overlaps` solves many states on one manifold in one call;
+`max_product_overlap` is its one-state call.  In the sweep each row
+carries its own state's amplitudes and sums in a fixed order, so its bits
+do not depend on which rows share the call.  A state stops when all its
+starts settle; a row stops earlier only at an exact fixed point, a sweep
+that returns its (u, v, w) unchanged bit for bit.  Every result therefore
 equals the one the state would get alone.
 """
 
@@ -67,7 +81,16 @@ class ProductState:
 
 @dataclass(frozen=True, eq=False)
 class OverlapResult:
-    """Outcome of the product-overlap maximization."""
+    """Outcome of the product-overlap maximization.
+
+    The sweep fields report the sweep that found `maximizer`: `converged`
+    whether the winning start settled, `sweeps` the state's sweep count,
+    `start_index` the winning start (basis starts first, then the seeded
+    ones), `n_starts` the starts drawn, `row_sweeps` the (row, sweep) pairs
+    computed and `unconverged_starts` the starts not settled when the sweep
+    stopped.  An N = 2 result is the exact closed form and sweeps nothing:
+    it reads `converged=True` and 0 in each of the other five.
+    """
 
     overlap: float
     entanglement: float
@@ -76,8 +99,8 @@ class OverlapResult:
     sweeps: int
     start_index: int
     n_starts: int
-    row_sweeps: int           # (row, sweep) pairs actually computed
-    unconverged_starts: int   # starts not settled when the sweep stopped
+    row_sweeps: int
+    unconverged_starts: int
 
 
 def _normalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,16 +158,18 @@ def max_product_overlaps(states, restarts: int = 64, *,
                          seed) -> list[OverlapResult]:
     """Best squared overlap with any product state, one result per state.
 
-    Every state must lie on one manifold.  All (state, row) pairs are swept
-    in one loop, each row against its own state's amplitudes, so a row's bits
-    do not depend on which other rows share the call.  A state stops sweeping
-    once all its starts settle (or at MAX_SWEEPS) and keeps its own
-    `sweeps` count.  A row stops earlier only when a sweep returns its
-    (u, v, w) unchanged bit for bit: the next sweep is a function of (v, w)
-    alone, so the row could only repeat itself, and its starts keep their
-    overlaps.  Each result is never below the state's largest squared basis
-    amplitude, never above 1, and is monotone in `restarts` at fixed seed.
-    `restarts` must be an integer, not a bool, in 1 to MAX_RESTARTS,
+    Every state must lie on one manifold.  At N = 2 each result is the exact
+    W-type closed form of the module docstring; `restarts` and `seed` are
+    checked but unused there.  On larger manifolds all (state, row) pairs
+    are swept in one loop, each row against its own state's amplitudes, so
+    a row's bits do not depend on which other rows share the call.  A state
+    stops sweeping once all its starts settle (or at MAX_SWEEPS) and keeps
+    its own `sweeps` count.  A row stops earlier only when a sweep returns
+    its (u, v, w) unchanged bit for bit: the next sweep is a function of
+    (v, w) alone, so the row could only repeat itself, and its starts keep
+    their overlaps.  Each result is never below the state's largest squared
+    basis amplitude, never above 1, and is monotone in `restarts` at fixed
+    seed.  `restarts` must be an integer, not a bool, in 1 to MAX_RESTARTS,
     checked before any start is drawn.  `seed` is required, and may not be
     None, so repeated calls are reproducible.
     """
@@ -164,6 +189,62 @@ def max_product_overlaps(states, restarts: int = 64, *,
         norm = state.norm
         if not abs(norm - 1.0) <= 1e-6:
             raise ValueError(f"state norm is {norm!r}, expected 1")
+    if man.n_total == 2:
+        return _w_type_overlaps(states)
+    return _sweep_overlaps(states, restarts, seed)
+
+
+def _result(state: StateVector, overlap: float, vectors, **diagnostics) -> OverlapResult:
+    """The result for one state from its squared overlap (clamped to 1)."""
+    overlap = min(float(overlap), 1.0)
+    # abs, not negation: a product state's 0.0 stays 0.0 rather than -0.0
+    ent = abs(math.log2(overlap)) if overlap > 0 else math.inf
+    return OverlapResult(overlap=overlap, entanglement=ent,
+                         maximizer=ProductState(state.manifold, vectors),
+                         **diagnostics)
+
+
+def _w_type_overlaps(states: list[StateVector]) -> list[OverlapResult]:
+    """Exact results for states on the N = 2 manifold, from the W-type
+    closed form of the module docstring."""
+    man = states[0].manifold
+    d = man.qudit_dim
+    # each basis state's one cavity off g0 and its level there
+    cav = np.argmax(man.coords != 0, axis=1)
+    x = np.zeros((len(states), 3, d), dtype=complex)
+    x[:, cav, man.coords[np.arange(man.dim), cav]] = np.stack(
+        [state.amplitudes for state in states])
+    xhat, norms = _normalize_rows(x.reshape(-1, d))
+    xhat = xhat.reshape(x.shape)
+    g0 = np.eye(d)[0]
+    results = []
+    for state, s, directions in zip(states, (norms ** 2).reshape(-1, 3).tolist(), xhat):
+        half = sum(s) / 2.0
+        p = [half - side for side in s]
+        if min(p) <= 0.0:
+            # obtuse or right: the largest side's direction alone
+            big = p.index(min(p))
+            cos = np.arange(3) != big
+            sin = ~cos
+            overlap = s[big]
+        else:
+            q = p[0] * p[1] + p[1] * p[2] + p[2] * p[0]
+            cos = np.sqrt([s[c] * p[c] / q for c in range(3)])
+            sin = np.sqrt([p[c - 2] * p[c - 1] / q for c in range(3)])
+            overlap = s[0] * s[1] * s[2] / q
+        vectors = cos[:, None] * g0 + sin[:, None] * directions
+        results.append(_result(state, overlap, tuple(vectors), converged=True,
+                               sweeps=0, start_index=0, n_starts=0,
+                               row_sweeps=0, unconverged_starts=0))
+    return results
+
+
+def _sweep_overlaps(states: list[StateVector], restarts: int,
+                    seed) -> list[OverlapResult]:
+    """Alternating power sweeps from every product-basis start plus
+    `restarts` seeded ones, for states already checked by
+    `max_product_overlaps`."""
+    man = states[0].manifold
     n_states, d = len(states), man.qudit_dim
     orders, others, starts = _cavity_runs(man.coords, d)
     amps = np.stack([state.amplitudes for state in states])
@@ -214,12 +295,8 @@ def max_product_overlaps(states, restarts: int = 64, *,
     for b, state in enumerate(states):
         best = int(np.argmax(sigma[b]))
         row = b * n_rows + row_of[best]
-        overlap = min(float(sigma[b, best] ** 2), 1.0)
-        # abs, not negation: a product state's 0.0 stays 0.0 rather than -0.0
-        ent = abs(math.log2(overlap)) if overlap > 0 else math.inf
-        results.append(OverlapResult(
-            overlap=overlap, entanglement=ent,
-            maximizer=ProductState(state.manifold, (u[row], v[row], w[row])),
+        results.append(_result(
+            state, sigma[b, best] ** 2, (u[row], v[row], w[row]),
             converged=bool(settled[b, best]), sweeps=int(sweeps[b]),
             start_index=best, n_starts=n_starts,
             row_sweeps=int(row_sweeps[b]),
@@ -227,16 +304,18 @@ def max_product_overlaps(states, restarts: int = 64, *,
     return results
 
 
+
+
 def max_product_overlap(state: StateVector, restarts: int = 64, *,
                         seed) -> OverlapResult:
     """Best squared overlap of `state` with any product state: the one-state
     call of `max_product_overlaps`.
 
-    Runs alternating power sweeps from every product-basis start plus
-    `restarts` seeded random starts.  The result is never below the largest
-    squared basis amplitude, never above 1, and is monotone in `restarts`
-    at fixed seed.  `seed` is required, and may not be None, so repeated
-    calls are reproducible.
+    Solves N = 2 in closed form; larger manifolds run alternating power
+    sweeps from every product-basis start plus `restarts` seeded random
+    starts.  The result is never below the largest squared basis amplitude,
+    never above 1, and is monotone in `restarts` at fixed seed.  `seed` is
+    required, and may not be None, so repeated calls are reproducible.
     """
     return max_product_overlaps([state], restarts, seed=seed)[0]
 

@@ -392,14 +392,25 @@ def test_evolve_rejects_nan_xi(capsys):
     assert "xi must be positive and finite" in capsys.readouterr().err
 
 
-def test_entangle_product_state(capsys):
-    assert main(["entangle", "--N", "2", "--init", "g0|e0|g0",
-                 "--restarts", "4"]) == 0
+def _entangle_output(capsys, *args):
+    assert main(["entangle", *args, "--restarts", "4"]) == 0
     out = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
     assert float(out["overlap"]) == pytest.approx(1.0, abs=1e-10)
     assert float(out["entanglement_log2"]) == pytest.approx(0.0, abs=1e-9)
     assert out["converged"] == "true"
-    assert int(out["starts"]) == 27 + 4
+    return out
+
+
+def test_entangle_product_state(capsys):
+    # N = 2 is solved in closed form: no sweep, no start
+    out = _entangle_output(capsys, "--N", "2", "--init", "g0|e0|g0")
+    assert (int(out["sweeps"]), int(out["starts"])) == (0, 0)
+
+
+def test_entangle_product_state_counts_every_start_at_n4(capsys):
+    # every basis start of the five-level qudits plus the restarts
+    out = _entangle_output(capsys, "--N", "4", "--init", "g0|e2|g0")
+    assert int(out["starts"]) == 125 + 4
 
 
 def test_entangle_rejects_a_state_file_for_another_n(tmp_path, capsys):

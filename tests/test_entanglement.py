@@ -30,6 +30,7 @@ from trimodal.entanglement import (
     _half_step,
     _normalize_rows,
     _starts,
+    _sweep_overlaps,
     closed_form_overlap_n2,
     max_product_overlap,
     max_product_overlaps,
@@ -147,7 +148,8 @@ def test_unentangled_state_has_unit_overlap():
     result = max_product_overlap(vec, seed=0)
     assert result.overlap == pytest.approx(1.0, abs=1e-10)
     assert result.converged
-    assert result.n_starts >= 1
+    # N = 2 is solved in closed form: no start is drawn
+    assert (result.n_starts, result.sweeps) == (0, 0)
     assert result.entanglement == pytest.approx(0.0, abs=1e-9)
 
 
@@ -289,6 +291,14 @@ def _gather_kernel(state):
     return overlaps, sweep
 
 
+def _swept(states, restarts, seed):
+    """The sweep's results: the private sweep at N = 2, where the public
+    route is the closed form, and the public route on larger manifolds."""
+    if states[0].manifold.n_total == 2:
+        return _sweep_overlaps(states, restarts, seed)
+    return max_product_overlaps(states, restarts, seed=seed)
+
+
 def _all_start_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
     """The sweep run on every start row, without collapsing duplicates."""
     overlaps, sweep = _gather_kernel(state)
@@ -320,7 +330,7 @@ def test_collapsed_sweep_equals_the_all_start_reference(n_total, init, phase, re
                      [phase], times_are_phase=True)
     state = traj.state(0)
     ref = _all_start_reference(state, restarts, seed=0)
-    got = max_product_overlap(state, restarts, seed=0)
+    got = _swept([state], restarts, seed=0)[0]
     d = man.qudit_dim
     assert got.n_starts == ref["n_starts"] == d ** 3 + restarts
     assert (got.start_index, got.sweeps, got.converged) == \
@@ -382,13 +392,13 @@ def _seeded_state(n_total, seed):
 def test_batched_sweep_equals_the_per_state_loop(n_total, seed, restarts):
     state = _seeded_state(n_total, seed)
     ref = _per_state_reference(state, restarts, seed=seed)
-    _assert_equals_reference(max_product_overlap(state, restarts, seed=seed), ref)
+    _assert_equals_reference(_swept([state], restarts, seed=seed)[0], ref)
 
 
 def test_batched_sweep_equals_the_per_state_loop_on_a_product_state():
     state = parse_init("g0|0.6:g2+0.8:e0|g0", 2)
     ref = _per_state_reference(state, 64, seed=0)
-    got = max_product_overlap(state, seed=0)
+    got = _sweep_overlaps([state], 64, seed=0)[0]
     _assert_equals_reference(got, ref)
     assert got.unconverged_starts == 0
 
@@ -432,13 +442,13 @@ def _mixed_batch():
 
 def test_batch_of_fast_and_slow_states_equals_the_per_state_loop():
     states = _mixed_batch()
-    results = max_product_overlaps(states, 16, seed=4)
+    results = _sweep_overlaps(states, 16, seed=4)
     sweeps = {res.sweeps for res in results}
     assert len(sweeps) > 3 and min(sweeps) * 2 < max(sweeps)
     for state, got in zip(states, results):
         _assert_equals_reference(got, _per_state_reference(state, 16, seed=4))
         # a state's rows leave on its own schedule, whoever shares the call
-        assert got.row_sweeps == max_product_overlap(state, 16, seed=4).row_sweeps
+        assert got.row_sweeps == _sweep_overlaps([state], 16, seed=4)[0].row_sweeps
     # rows that repeat themselves bit for bit leave before their state does
     n_rows = MAN2.qudit_dim ** 2 + 16
     assert any(res.row_sweeps < res.sweeps * n_rows for res in results)
@@ -447,7 +457,7 @@ def test_batch_of_fast_and_slow_states_equals_the_per_state_loop():
 def test_sweep_cutoff_reports_the_unsettled_starts(monkeypatch):
     states = _mixed_batch()
     monkeypatch.setattr(entanglement, "MAX_SWEEPS", 3)
-    results = max_product_overlaps(states, 16, seed=4)
+    results = _sweep_overlaps(states, 16, seed=4)
     for state, got in zip(states, results):
         ref = _per_state_reference(state, 16, seed=4, max_sweeps=3)
         _assert_equals_reference(got, ref)
@@ -548,18 +558,29 @@ def test_w_type_oracle_closed_form_cases():
 
 def test_sweep_never_exceeds_the_w_type_oracle():
     states = [_dense_n2_state(seed) for seed in range(200)]
-    for state, res in zip(states, max_product_overlaps(states, 64, seed=0)):
+    for state, res in zip(states, _sweep_overlaps(states, 64, seed=0)):
         assert res.overlap <= w_type_overlap(*n2_sides(state)) + 1e-12
 
 
-def test_sweep_equals_the_w_type_oracle_on_the_random_agreement_states():
-    # the 100 states of c7.random_agreement at seed 0, drawn as the suite does
+def _random_agreement_states():
+    """The 100 states of c7.random_agreement at seed 0, drawn as the suite
+    does."""
     rng = np.random.default_rng(0)
     points = [(*_unit_pair(rng), float(rng.uniform(0.0, math.pi)))
               for _ in range(100)]
-    states = [N2.state_vector(N2.evaluate(1.0, t, a=a, b=b)) for a, b, t in points]
+    return [N2.state_vector(N2.evaluate(1.0, t, a=a, b=b)) for a, b, t in points]
+
+
+def _product_overlap(state, vectors):
+    """|<u (x) v (x) w|psi>|^2 on the dense qudit tensor."""
+    return abs(np.einsum("ijk,i,j,k->", embed(state),
+                         *(x.conj() for x in vectors))) ** 2
+
+
+def test_sweep_equals_the_w_type_oracle_on_the_random_agreement_states():
+    states = _random_agreement_states()
     misses = [abs(res.overlap - w_type_overlap(*n2_sides(state)))
-              for state, res in zip(states, max_product_overlaps(states, 64, seed=0))]
+              for state, res in zip(states, _sweep_overlaps(states, 64, seed=0))]
     assert max(misses) <= 1e-12
 
 
@@ -570,7 +591,9 @@ def test_pair_antinode_overlap_is_64_over_135():
     assert n2_sides(state) == pytest.approx([float(x) for x in sides], abs=1e-15)
     assert w_type_overlap(*sides) == Fraction(64, 135)
     res = max_product_overlap(state, 64, seed=0)
-    assert abs(res.overlap - 64 / 135) <= 1e-12
+    assert abs(res.overlap - 64 / 135) <= 1e-14
+    assert abs(_product_overlap(state, res.maximizer.vectors) - 64 / 135) <= 1e-14
+    assert abs(_sweep_overlaps([state], 64, seed=0)[0].overlap - 64 / 135) <= 1e-12
 
 
 # Each of these states sits near the right-triangle boundary
@@ -581,8 +604,101 @@ def test_pair_antinode_overlap_is_64_over_135():
 @pytest.mark.parametrize("seed", [55, 146, 162])
 def test_sweep_reaches_the_w_type_oracle_near_the_right_triangle_boundary(seed):
     state = _dense_n2_state(seed)
+    res = _sweep_overlaps([state], 64, seed=seed)[0]
+    assert abs(res.overlap - w_type_overlap(*n2_sides(state))) <= 1e-12
+
+
+# --------------------------------------------------- N = 2 closed-form route
+
+def test_closed_form_equals_the_w_type_oracle():
+    states = [_dense_n2_state(seed) for seed in range(200)]
+    states += _random_agreement_states()
+    for state, res in zip(states, max_product_overlaps(states, 64, seed=0)):
+        assert abs(res.overlap - w_type_overlap(*n2_sides(state))) <= 1e-14
+        # the maximizer contracts to the overlap it reports
+        assert abs(_product_overlap(state, res.maximizer.vectors) - res.overlap) <= 1e-14
+        assert (res.converged, res.sweeps, res.start_index, res.n_starts,
+                res.row_sweeps, res.unconverged_starts) == (True, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [55, 146, 162])
+def test_closed_form_reaches_the_w_type_oracle_near_the_right_triangle_boundary(seed):
+    state = _dense_n2_state(seed)
     res = max_product_overlap(state, 64, seed=seed)
     assert abs(res.overlap - w_type_overlap(*n2_sides(state))) <= 1e-12
+
+
+def _w_state(sides, phases=(0.3, -1.1, 2.0)):
+    """The N = 2 state whose cavity c holds sqrt(s_c) (0.6 g2 + 0.8 e^{i phi_c} e0),
+    so each direction x_c/|x_c| mixes both levels off g0."""
+    amps = np.zeros(MAN2.dim, dtype=complex)
+    for cav, (side, phase) in enumerate(zip(sides, phases)):
+        for level, part in ((1, 0.6), (2, 0.8 * np.exp(1j * phase))):
+            pos = [0, 0, 0]
+            pos[cav] = level
+            amps[MAN2.index_at(pos)] = math.sqrt(side) * part
+    return StateVector(MAN2, amps)
+
+
+@pytest.mark.parametrize("sides, big", [
+    ((1 / 8, 3 / 4, 1 / 8), 1),     # obtuse
+    ((1 / 2, 1 / 4, 1 / 4), 0),     # the right-angle boundary
+    ((2 / 5, 0.0, 3 / 5), 2),       # one zero side
+])
+def test_closed_form_puts_the_largest_side_alone_on_a_non_acute_triangle(sides, big):
+    state = _w_state(sides)
+    res = max_product_overlap(state, seed=0)
+    assert res.overlap == pytest.approx(sides[big], abs=1e-15)
+    assert _product_overlap(state, res.maximizer.vectors) == pytest.approx(sides[big], abs=1e-15)
+    g0 = np.eye(MAN2.qudit_dim)[0]
+    for cav, vec in enumerate(res.maximizer.vectors):
+        if cav == big:
+            want = [0.0, 0.6, 0.8 * np.exp(1j * (0.3, -1.1, 2.0)[cav])]
+            assert np.allclose(vec, want, rtol=0.0, atol=1e-15)
+        else:
+            assert np.array_equal(vec, g0)
+
+
+def test_closed_form_exact_acute_and_product_cases():
+    # the symmetric W state (acute): P = 4/9, each factor sqrt(2/3) g0 + sqrt(1/3) x_c/|x_c|
+    state = _w_state([1 / 3] * 3)
+    res = max_product_overlap(state, seed=0)
+    assert res.overlap == pytest.approx(4 / 9, abs=1e-15)
+    assert _product_overlap(state, res.maximizer.vectors) == pytest.approx(4 / 9, abs=1e-15)
+    assert [abs(vec[0]) for vec in res.maximizer.vectors] == \
+        pytest.approx([math.sqrt(2 / 3)] * 3, abs=1e-15)
+    for init in ("g0|g0|g2", "g0|0.6:g2+0.8:e0|g0"):
+        res = max_product_overlap(parse_init(init, 2), seed=0)
+        assert (res.overlap, res.entanglement) == (1.0, 0.0)
+
+
+def test_closed_form_ignores_restarts_and_seed():
+    state = _dense_n2_state(3)
+    first = max_product_overlap(state, 1, seed=0)
+    for restarts, seed in ((64, 0), (MAX_RESTARTS, 99)):
+        other = max_product_overlap(state, restarts, seed=seed)
+        assert other.overlap == first.overlap
+        for mine, theirs in zip(other.maximizer.vectors, first.maximizer.vectors):
+            assert np.array_equal(mine, theirs)
+
+
+def test_closed_form_route_keeps_the_fail_closed_checks(monkeypatch):
+    # every argument check runs before the N = 2 route is taken
+    monkeypatch.setattr(entanglement, "_w_type_overlaps",
+                        lambda states: pytest.fail("solved before the checks"))
+    state = StateVector(MAN2, np.eye(6)[0])
+    nan = np.eye(6)[0].astype(complex)
+    nan[3] = np.nan
+    for kwargs, match in [
+        (dict(states=[state], seed=None), "seed"),
+        (dict(states=[state], restarts=0, seed=0), "restarts must be"),
+        (dict(states=[state], restarts=MAX_RESTARTS + 1, seed=0), "restarts must be"),
+        (dict(states=[state], restarts=True, seed=0), "restarts must be"),
+        (dict(states=[StateVector(MAN2, 0.7 * np.eye(6)[0])], seed=0), "norm"),
+        (dict(states=[state, StateVector(MAN2, nan)], seed=0), "norm"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            max_product_overlaps(**kwargs)
 
 
 # ------------------------------------------------------ initial-overlap route
