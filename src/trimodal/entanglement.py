@@ -37,12 +37,10 @@ each, while every start keeps its own initial overlap, its w against the
 half-step from its (u, v), for the stop test and the tie rule.
 
 `max_product_overlaps` solves many states on one manifold in one call;
-`max_product_overlap` is its one-state call.  In the sweep each row
-carries its own state's amplitudes and sums in a fixed order, so its bits
-do not depend on which rows share the call.  A state stops when all its
-starts settle; a row stops earlier only at an exact fixed point, a sweep
-that returns its (u, v, w) unchanged bit for bit.  Every result therefore
-equals the one the state would get alone.
+`max_product_overlap` is its one-state call.  Each state is swept alone,
+all its rows at once, until all its starts settle; a row stops earlier
+only at an exact fixed point, a sweep that returns its (u, v, w) unchanged
+bit for bit.
 """
 
 from __future__ import annotations
@@ -144,11 +142,12 @@ def _half_step(a: np.ndarray, others: np.ndarray, starts: np.ndarray,
     """Best factor for one cavity given the other two, x and y, per row, not
     yet normalized: its norm is |<x (x) y (x) z|psi>| for z its unit form.
 
-    `a` holds each row's amplitudes in the cavity's run order; `others` and
-    `starts` are the cavity's entries of `_cavity_runs`.  Each run is summed
-    by numpy's reduceat, so a row's bits do not depend on how many rows
-    share the call (a BLAS product with a one-hot scatter matrix rounds a
-    lone row differently: gemv, not gemm).
+    `a` holds the amplitudes in the cavity's run order, per row or as one
+    row broadcast over all of them; `others` and `starts` are the cavity's
+    entries of `_cavity_runs`.  Each run is summed by numpy's reduceat, so
+    a row's bits do not depend on how many rows share the call (a BLAS
+    product with a one-hot scatter matrix rounds a lone row differently:
+    gemv, not gemm).
     """
     prod = a * x.conj()[:, others[0]] * y.conj()[:, others[1]]
     return np.add.reduceat(prod, starts, axis=1)
@@ -160,18 +159,16 @@ def max_product_overlaps(states, restarts: int = 64, *,
 
     Every state must lie on one manifold.  At N = 2 each result is the exact
     W-type closed form of the module docstring; `restarts` and `seed` are
-    checked but unused there.  On larger manifolds all (state, row) pairs
-    are swept in one loop, each row against its own state's amplitudes, so
-    a row's bits do not depend on which other rows share the call.  A state
-    stops sweeping once all its starts settle (or at MAX_SWEEPS) and keeps
-    its own `sweeps` count.  A row stops earlier only when a sweep returns
-    its (u, v, w) unchanged bit for bit: the next sweep is a function of
-    (v, w) alone, so the row could only repeat itself, and its starts keep
-    their overlaps.  Each result is never below the state's largest squared
-    basis amplitude, never above 1, and is monotone in `restarts` at fixed
-    seed.  `restarts` must be an integer, not a bool, in 1 to MAX_RESTARTS,
-    checked before any start is drawn.  `seed` is required, and may not be
-    None, so repeated calls are reproducible.
+    checked but unused there.  On larger manifolds each state is swept
+    alone until all its starts settle (or for MAX_SWEEPS sweeps).  A row
+    stops earlier only when a sweep returns its (u, v, w) unchanged bit for
+    bit: the next sweep is a function of (v, w) alone, so the row could only
+    repeat itself, and its starts keep their overlaps.  Each result is never
+    below the state's largest squared basis amplitude, never above 1, and is
+    monotone in `restarts` at fixed seed.  `restarts` must be an integer,
+    not a bool, in 1 to MAX_RESTARTS, checked before any start is drawn.
+    `seed` is required, and may not be None, so repeated calls are
+    reproducible.
     """
     if seed is None:
         raise ValueError("seed must be given; None would draw fresh starts every call")
@@ -245,65 +242,52 @@ def _sweep_overlaps(states: list[StateVector], restarts: int,
     `restarts` seeded ones, for states already checked by
     `max_product_overlaps`."""
     man = states[0].manifold
-    n_states, d = len(states), man.qudit_dim
+    d = man.qudit_dim
     orders, others, starts = _cavity_runs(man.coords, d)
-    amps = np.stack([state.amplitudes for state in states])
-    u, v, w = _starts(d, restarts, seed)
-    n_starts = u.shape[0]
-    # per (state, start): the start's w against the w half-step from its (u, v)
-    raw = _half_step(np.repeat(amps[:, orders[2]], n_starts, axis=0), others[2],
-                     starts[2], *(np.tile(x, (n_states, 1)) for x in (u, v)))
-    sigma = np.abs((np.tile(w, (n_states, 1)).conj() * raw).sum(axis=1))
-    sigma = sigma.reshape(n_states, n_starts)
+    u0, v0, w0 = _starts(d, restarts, seed)
     # swept row of each start: basis start (i, j, k) shares the row of
     # (0, j, k), since the first half-sweep reads only v and w; `first` is
     # the first start of each row
     row_of = np.concatenate([np.arange(d ** 3) % d ** 2,
                              d ** 2 + np.arange(restarts)])
     first = np.concatenate([np.arange(d ** 2), d ** 3 + np.arange(restarts)])
-    n_rows = first.size
-    # rows of all states, state-major; the live ones are also held compactly
-    u, v, w = (np.tile(x[first], (n_states, 1)) for x in (u, v, w))
-    row_sigma = np.empty(n_states * n_rows)
-    settled = np.zeros(sigma.shape, dtype=bool)
-    sweeps = np.zeros(n_states, dtype=int)
-    row_sweeps = np.zeros(n_states, dtype=int)
-    active = np.ones(n_states, dtype=bool)
-    live = np.arange(n_states * n_rows)
-    # each live row's amplitudes, in each cavity's run order
-    ai, aj, ak = (amps[:, order][live // n_rows] for order in orders)
-    lu, lv, lw = u, v, w
-    while live.size:
-        nu = _normalize_rows(_half_step(ai, others[0], starts[0], lv, lw))[0]
-        nv = _normalize_rows(_half_step(aj, others[1], starts[1], nu, lw))[0]
-        nw, row_sigma[live] = _normalize_rows(_half_step(ak, others[2], starts[2], nu, nv))
-        fixed = ((nu == lu) & (nv == lv) & (nw == lw)).all(axis=1)
-        lu, lv, lw = nu, nv, nw
-        row_sweeps += np.bincount(live // n_rows, minlength=n_states)
-        swept = np.flatnonzero(active)
-        new = row_sigma.reshape(n_states, n_rows)[swept][:, row_of]
-        settled[swept] = np.abs(new - sigma[swept]) <= SETTLE_TOL
-        sigma[swept] = new
-        sweeps[swept] += 1
-        active[swept] = (sweeps[swept] < MAX_SWEEPS) & ~settled[swept].all(axis=1)
-        keep = active[live // n_rows] & ~fixed
-        if not keep.all():
-            gone = ~keep
-            u[live[gone]], v[live[gone]], w[live[gone]] = lu[gone], lv[gone], lw[gone]
-            live, ai, aj, ak, lu, lv, lw = (x[keep] for x in (live, ai, aj, ak, lu, lv, lw))
     results = []
-    for b, state in enumerate(states):
-        best = int(np.argmax(sigma[b]))
-        row = b * n_rows + row_of[best]
+    for state in states:
+        # the state's amplitudes in each cavity's run order, one row that
+        # broadcasts over the swept rows
+        ai, aj, ak = (state.amplitudes[order][None] for order in orders)
+        # each start's w against the w half-step from its (u, v)
+        raw = _half_step(ak, others[2], starts[2], u0, v0)
+        sigma = np.abs((w0.conj() * raw).sum(axis=1))
+        u, v, w = (x[first] for x in (u0, v0, w0))
+        row_sigma = np.empty(first.size)
+        sweeps = row_sweeps = 0
+        live = np.arange(first.size)
+        lu, lv, lw = u, v, w
+        while live.size:
+            nu = _normalize_rows(_half_step(ai, others[0], starts[0], lv, lw))[0]
+            nv = _normalize_rows(_half_step(aj, others[1], starts[1], nu, lw))[0]
+            nw, row_sigma[live] = _normalize_rows(_half_step(ak, others[2], starts[2], nu, nv))
+            fixed = ((nu == lu) & (nv == lv) & (nw == lw)).all(axis=1)
+            lu, lv, lw = nu, nv, nw
+            row_sweeps += live.size
+            sweeps += 1
+            new = row_sigma[row_of]
+            settled = np.abs(new - sigma) <= SETTLE_TOL
+            sigma = new
+            keep = ~fixed & (sweeps < MAX_SWEEPS and not settled.all())
+            if not keep.all():
+                gone = ~keep
+                u[live[gone]], v[live[gone]], w[live[gone]] = lu[gone], lv[gone], lw[gone]
+                live, lu, lv, lw = (x[keep] for x in (live, lu, lv, lw))
+        best = int(np.argmax(sigma))
+        row = row_of[best]
         results.append(_result(
-            state, sigma[b, best] ** 2, (u[row], v[row], w[row]),
-            converged=bool(settled[b, best]), sweeps=int(sweeps[b]),
-            start_index=best, n_starts=n_starts,
-            row_sweeps=int(row_sweeps[b]),
-            unconverged_starts=int(np.count_nonzero(~settled[b]))))
+            state, sigma[best] ** 2, (u[row], v[row], w[row]),
+            converged=bool(settled[best]), sweeps=sweeps, start_index=best,
+            n_starts=row_of.size, row_sweeps=row_sweeps,
+            unconverged_starts=int(np.count_nonzero(~settled))))
     return results
-
-
 
 
 def max_product_overlap(state: StateVector, restarts: int = 64, *,
@@ -324,9 +308,11 @@ def closed_form_overlap_n2(a: complex, b: complex, xi: float, t) -> float | np.n
     """Reference best-overlap curve for the total-2 seeded family:
     (1/9)(5 + 4 cos(6 xi t))|a|^2 + |b|^2.
 
-    Tracks the product combination aligned with the seeded cavity; the sweep
-    optimizer can exceed it on the window where cos(6 xi t) < -1/8 (see the
-    verification suite), so treat it as a component curve, not a bound.
+    Tracks the product combination aligned with the seeded cavity.  The
+    exact best overlap (the W-type closed form of the module docstring)
+    equals it where cos(6 xi t) >= -1/8 and exceeds it elsewhere, where
+    rotated product states do better (see the verification suite), so treat
+    it as a component curve, not a bound.
     """
     phase = 6.0 * xi * np.asarray(t, dtype=float)
     out = (5.0 + 4.0 * np.cos(phase)) / 9.0 * abs(a) ** 2 + abs(b) ** 2

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .analytic import (
     n2_exchange_symmetric,
     pattern_compression,
 )
-from .entanglement import closed_form_overlap_n2, max_product_overlaps
+from .entanglement import closed_form_overlap_n2, max_product_overlap, max_product_overlaps
 from .scan import Extremum, _time_averages, dwell_times, family_objective, scan_extrema
 
 PASS = "pass"
@@ -866,12 +865,9 @@ def _entanglement(seed: int, minima: dict) -> dict:
         amps = fam.evaluate(1.0, phase, a=1.0, b=0.0)
         cases.append((name, fam.state_vector(amps), overlap))
 
-    # one sweep call per run of cases on one manifold
-    results = [res for _, group in groupby((case[1] for case in cases),
-                                           key=lambda st: st.manifold.n_total)
-               for res in max_product_overlaps(list(group), restarts=64, seed=seed)]
     out = {}
-    for (name, _, overlap), res in zip(cases, results):
+    for name, state, overlap in cases:
+        res = max_product_overlap(state, restarts=64, seed=seed)
         out[f"c7.{name}"] = _Measured(res.entanglement, fields=dict(
             overlap=_fmt(res.overlap), documented=_fmt(overlap)))
         out[f"c7.{name}_component_route"] = -math.log2(overlap)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trimodal import entanglement
+from trimodal import entanglement, verification
 from trimodal.analytic import FAMILIES
 from trimodal.basis import (
     ALL_PERMUTATIONS,
@@ -714,15 +714,43 @@ def test_initial_overlaps_read_the_third_cavity_half_step(monkeypatch):
 
     monkeypatch.setattr(entanglement, "_half_step", record)
     man = enumerate_manifold(4)
-    states = [_seeded_state(4, 0), _seeded_state(4, 1)]
+    state = _seeded_state(4, 0)
     restarts, seed = 3, 7
-    max_product_overlaps(states, restarts, seed=seed)
+    max_product_overlap(state, restarts, seed=seed)
     a, others, starts, x, y = calls[0]
     orders, want_others, want_starts = _cavity_runs(man.coords, man.qudit_dim)
     u0, v0, _ = _starts(man.qudit_dim, restarts, seed)
-    amps = np.stack([s.amplitudes for s in states])
     assert np.array_equal(others, want_others[2])
     assert np.array_equal(starts, want_starts[2])
-    assert np.array_equal(a, np.repeat(amps[:, orders[2]], len(u0), axis=0))
-    assert np.array_equal(x, np.tile(u0, (2, 1)))
-    assert np.array_equal(y, np.tile(v0, (2, 1)))
+    # the state's amplitudes in the third cavity's run order, one row that
+    # broadcasts over every start of the start table
+    assert a.shape == (1, man.dim)
+    assert np.array_equal(a[0], state.amplitudes[orders[2]])
+    assert np.array_equal(x, u0)
+    assert np.array_equal(y, v0)
+
+
+# ------------------------------------------------------ the suite's sweeps
+
+def test_the_suites_sweeps_keep_their_diagnostics(monkeypatch):
+    # the five N >= 4 c7 states at seed 0, pinned to the bit: no verify row
+    # prints `row_sweeps`, so this is the check on when rows leave the sweep
+    swept = []
+
+    def record(states, restarts, seed):
+        results = _sweep_overlaps(states, restarts, seed)
+        swept.extend(results)
+        return results
+
+    monkeypatch.setattr(entanglement, "_sweep_overlaps", record)
+    verification._entanglement(0, verification._extrema()[1])
+    # (sweeps, row_sweeps, start_index, unconverged_starts, overlap bits)
+    assert [(res.sweeps, res.row_sweeps, res.start_index, res.unconverged_starts,
+             res.overlap.hex()) for res in swept] == [
+        (18, 1214, 130, 0, "0x1.6d793abf7dc16p-2"),   # single_cavity_min
+        (43, 2879, 180, 0, "0x1.544b90d5d922ap-2"),   # two_cavity_min
+        (243, 15680, 371, 0, "0x1.e03415ac2a109p-3"),  # concentrated_min
+        (17, 1187, 353, 0, "0x1.c3599092b04f5p-2"),   # sym_half_turn
+        (17, 1192, 389, 0, "0x1.022bb7cb63a83p-2"),   # sym_quarter_turn
+    ]
+    assert all(res.converged for res in swept)

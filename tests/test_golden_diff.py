@@ -44,7 +44,7 @@ def test_a_move_from_zero_is_infinitely_relative():
     ("".join(GOLDEN.splitlines(keepends=True)[1:]), "IDs"),
     ("".join(reversed(GOLDEN.splitlines(keepends=True)[:2]))
      + "".join(GOLDEN.splitlines(keepends=True)[2:]), "IDs"),
-])
+], ids=["status", "text", "renamed-id", "dropped-row", "swapped-rows"])
 def test_anything_beyond_digits_is_refused(table, reason):
     with pytest.raises(ValueError, match=reason):
         compare(GOLDEN, table)
