@@ -36,7 +36,6 @@ from .entanglement import (
     OverlapResult,
     closed_form_overlap_n2,
     max_product_overlap,
-    max_product_overlaps,
 )
 from .scan import (
     DwellTime,
@@ -80,7 +79,6 @@ __all__ = [
     "family_objective",
     "matrix_representation",
     "max_product_overlap",
-    "max_product_overlaps",
     "mixing_angle",
     "parse_level",
     "parse_objective",

@@ -35,12 +35,6 @@ step overwrites u, so basis starts (i, j, k) that differ only in i follow
 one trajectory: duplicate basis starts are collapsed to one swept row
 each, while every start keeps its own initial overlap, its w against the
 half-step from its (u, v), for the stop test and the tie rule.
-
-`max_product_overlaps` solves many states on one manifold in one call;
-`max_product_overlap` is its one-state call.  Each state is swept alone,
-all its rows at once, until all its starts settle; a row stops earlier
-only at an exact fixed point, a sweep that returns its (u, v, w) unchanged
-bit for bit.
 """
 
 from __future__ import annotations
@@ -153,46 +147,37 @@ def _half_step(a: np.ndarray, others: np.ndarray, starts: np.ndarray,
     return np.add.reduceat(prod, starts, axis=1)
 
 
-def max_product_overlaps(states, restarts: int = 64, *,
-                         seed) -> list[OverlapResult]:
-    """Best squared overlap with any product state, one result per state.
+def max_product_overlap(state: StateVector, restarts: int = 64, *,
+                        seed) -> OverlapResult:
+    """Best squared overlap of `state` with any product state.
 
-    Every state must lie on one manifold.  At N = 2 each result is the exact
-    W-type closed form of the module docstring; `restarts` and `seed` are
-    checked but unused there.  On larger manifolds each state is swept
-    alone until all its starts settle (or for MAX_SWEEPS sweeps).  A row
-    stops earlier only when a sweep returns its (u, v, w) unchanged bit for
-    bit: the next sweep is a function of (v, w) alone, so the row could only
-    repeat itself, and its starts keep their overlaps.  Each result is never
-    below the state's largest squared basis amplitude, never above 1, and is
-    monotone in `restarts` at fixed seed.  `restarts` must be an integer,
-    not a bool, in 1 to MAX_RESTARTS, checked before any start is drawn.
-    `seed` is required, and may not be None, so repeated calls are
-    reproducible.
+    At N = 2 the result is the exact W-type closed form of the module
+    docstring; `restarts` and `seed` are checked but unused there.  On
+    larger manifolds the state is swept until all its starts settle (or for
+    MAX_SWEEPS sweeps).  A row stops earlier only when a sweep returns its
+    (u, v, w) unchanged bit for bit: the next sweep is a function of (v, w)
+    alone, so the row could only repeat itself, and its starts keep their
+    overlaps.  The result is never below the state's largest squared basis
+    amplitude, never above 1, and is monotone in `restarts` at fixed seed.
+    `restarts` must be an integer, not a bool, in 1 to MAX_RESTARTS, checked
+    before any start is drawn.  `seed` is required, and may not be None, so
+    repeated calls are reproducible.
     """
     if seed is None:
         raise ValueError("seed must be given; None would draw fresh starts every call")
     if not (_is_int(restarts) and 1 <= restarts <= MAX_RESTARTS):
         raise ValueError(f"restarts must be an integer in 1-{MAX_RESTARTS}, "
                          f"got {restarts!r}")
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one state")
-    man = states[0].manifold
-    for state in states:
-        if state.manifold.n_total != man.n_total:
-            raise ValueError("states lie on different manifolds "
-                             f"(N = {man.n_total} and {state.manifold.n_total})")
-        norm = state.norm
-        if not abs(norm - 1.0) <= 1e-6:
-            raise ValueError(f"state norm is {norm!r}, expected 1")
-    if man.n_total == 2:
-        return _w_type_overlaps(states)
-    return _sweep_overlaps(states, restarts, seed)
+    norm = state.norm
+    if not abs(norm - 1.0) <= 1e-6:
+        raise ValueError(f"state norm is {norm!r}, expected 1")
+    if state.manifold.n_total == 2:
+        return _w_type_overlap(state)
+    return _sweep_overlap(state, restarts, seed)
 
 
 def _result(state: StateVector, overlap: float, vectors, **diagnostics) -> OverlapResult:
-    """The result for one state from its squared overlap (clamped to 1)."""
+    """The result for `state` from its squared overlap (clamped to 1)."""
     overlap = min(float(overlap), 1.0)
     # abs, not negation: a product state's 0.0 stays 0.0 rather than -0.0
     ent = abs(math.log2(overlap)) if overlap > 0 else math.inf
@@ -201,47 +186,40 @@ def _result(state: StateVector, overlap: float, vectors, **diagnostics) -> Overl
                          **diagnostics)
 
 
-def _w_type_overlaps(states: list[StateVector]) -> list[OverlapResult]:
-    """Exact results for states on the N = 2 manifold, from the W-type
+def _w_type_overlap(state: StateVector) -> OverlapResult:
+    """The exact result for a state on the N = 2 manifold, from the W-type
     closed form of the module docstring."""
-    man = states[0].manifold
+    man = state.manifold
     d = man.qudit_dim
     # each basis state's one cavity off g0 and its level there
     cav = np.argmax(man.coords != 0, axis=1)
-    x = np.zeros((len(states), 3, d), dtype=complex)
-    x[:, cav, man.coords[np.arange(man.dim), cav]] = np.stack(
-        [state.amplitudes for state in states])
-    xhat, norms = _normalize_rows(x.reshape(-1, d))
-    xhat = xhat.reshape(x.shape)
-    g0 = np.eye(d)[0]
-    results = []
-    for state, s, directions in zip(states, (norms ** 2).reshape(-1, 3).tolist(), xhat):
-        half = sum(s) / 2.0
-        p = [half - side for side in s]
-        if min(p) <= 0.0:
-            # obtuse or right: the largest side's direction alone
-            big = p.index(min(p))
-            cos = np.arange(3) != big
-            sin = ~cos
-            overlap = s[big]
-        else:
-            q = p[0] * p[1] + p[1] * p[2] + p[2] * p[0]
-            cos = np.sqrt([s[c] * p[c] / q for c in range(3)])
-            sin = np.sqrt([p[c - 2] * p[c - 1] / q for c in range(3)])
-            overlap = s[0] * s[1] * s[2] / q
-        vectors = cos[:, None] * g0 + sin[:, None] * directions
-        results.append(_result(state, overlap, tuple(vectors), converged=True,
-                               sweeps=0, start_index=0, n_starts=0,
-                               row_sweeps=0, unconverged_starts=0))
-    return results
+    x = np.zeros((3, d), dtype=complex)
+    x[cav, man.coords[np.arange(man.dim), cav]] = state.amplitudes
+    directions, norms = _normalize_rows(x)
+    s = (norms ** 2).tolist()
+    half = sum(s) / 2.0
+    p = [half - side for side in s]
+    if min(p) <= 0.0:
+        # obtuse or right: the largest side's direction alone
+        big = p.index(min(p))
+        cos = np.arange(3) != big
+        sin = ~cos
+        overlap = s[big]
+    else:
+        q = p[0] * p[1] + p[1] * p[2] + p[2] * p[0]
+        cos = np.sqrt([s[c] * p[c] / q for c in range(3)])
+        sin = np.sqrt([p[c - 2] * p[c - 1] / q for c in range(3)])
+        overlap = s[0] * s[1] * s[2] / q
+    vectors = cos[:, None] * np.eye(d)[0] + sin[:, None] * directions
+    return _result(state, overlap, tuple(vectors), converged=True, sweeps=0,
+                   start_index=0, n_starts=0, row_sweeps=0, unconverged_starts=0)
 
 
-def _sweep_overlaps(states: list[StateVector], restarts: int,
-                    seed) -> list[OverlapResult]:
+def _sweep_overlap(state: StateVector, restarts: int, seed) -> OverlapResult:
     """Alternating power sweeps from every product-basis start plus
-    `restarts` seeded ones, for states already checked by
-    `max_product_overlaps`."""
-    man = states[0].manifold
+    `restarts` seeded ones, for a state already checked by
+    `max_product_overlap`."""
+    man = state.manifold
     d = man.qudit_dim
     orders, others, starts = _cavity_runs(man.coords, d)
     u0, v0, w0 = _starts(d, restarts, seed)
@@ -251,57 +229,40 @@ def _sweep_overlaps(states: list[StateVector], restarts: int,
     row_of = np.concatenate([np.arange(d ** 3) % d ** 2,
                              d ** 2 + np.arange(restarts)])
     first = np.concatenate([np.arange(d ** 2), d ** 3 + np.arange(restarts)])
-    results = []
-    for state in states:
-        # the state's amplitudes in each cavity's run order, one row that
-        # broadcasts over the swept rows
-        ai, aj, ak = (state.amplitudes[order][None] for order in orders)
-        # each start's w against the w half-step from its (u, v)
-        raw = _half_step(ak, others[2], starts[2], u0, v0)
-        sigma = np.abs((w0.conj() * raw).sum(axis=1))
-        u, v, w = (x[first] for x in (u0, v0, w0))
-        row_sigma = np.empty(first.size)
-        sweeps = row_sweeps = 0
-        live = np.arange(first.size)
-        lu, lv, lw = u, v, w
-        while live.size:
-            nu = _normalize_rows(_half_step(ai, others[0], starts[0], lv, lw))[0]
-            nv = _normalize_rows(_half_step(aj, others[1], starts[1], nu, lw))[0]
-            nw, row_sigma[live] = _normalize_rows(_half_step(ak, others[2], starts[2], nu, nv))
-            fixed = ((nu == lu) & (nv == lv) & (nw == lw)).all(axis=1)
-            lu, lv, lw = nu, nv, nw
-            row_sweeps += live.size
-            sweeps += 1
-            new = row_sigma[row_of]
-            settled = np.abs(new - sigma) <= SETTLE_TOL
-            sigma = new
-            keep = ~fixed & (sweeps < MAX_SWEEPS and not settled.all())
-            if not keep.all():
-                gone = ~keep
-                u[live[gone]], v[live[gone]], w[live[gone]] = lu[gone], lv[gone], lw[gone]
-                live, lu, lv, lw = (x[keep] for x in (live, lu, lv, lw))
-        best = int(np.argmax(sigma))
-        row = row_of[best]
-        results.append(_result(
-            state, sigma[best] ** 2, (u[row], v[row], w[row]),
-            converged=bool(settled[best]), sweeps=sweeps, start_index=best,
-            n_starts=row_of.size, row_sweeps=row_sweeps,
-            unconverged_starts=int(np.count_nonzero(~settled))))
-    return results
-
-
-def max_product_overlap(state: StateVector, restarts: int = 64, *,
-                        seed) -> OverlapResult:
-    """Best squared overlap of `state` with any product state: the one-state
-    call of `max_product_overlaps`.
-
-    Solves N = 2 in closed form; larger manifolds run alternating power
-    sweeps from every product-basis start plus `restarts` seeded random
-    starts.  The result is never below the largest squared basis amplitude,
-    never above 1, and is monotone in `restarts` at fixed seed.  `seed` is
-    required, and may not be None, so repeated calls are reproducible.
-    """
-    return max_product_overlaps([state], restarts, seed=seed)[0]
+    # the amplitudes in each cavity's run order, one row that broadcasts
+    # over the swept rows
+    ai, aj, ak = (state.amplitudes[order][None] for order in orders)
+    # each start's w against the w half-step from its (u, v)
+    raw = _half_step(ak, others[2], starts[2], u0, v0)
+    sigma = np.abs((w0.conj() * raw).sum(axis=1))
+    u, v, w = (x[first] for x in (u0, v0, w0))
+    row_sigma = np.empty(first.size)
+    sweeps = row_sweeps = 0
+    live = np.arange(first.size)
+    lu, lv, lw = u, v, w
+    while live.size:
+        nu = _normalize_rows(_half_step(ai, others[0], starts[0], lv, lw))[0]
+        nv = _normalize_rows(_half_step(aj, others[1], starts[1], nu, lw))[0]
+        nw, row_sigma[live] = _normalize_rows(_half_step(ak, others[2], starts[2], nu, nv))
+        fixed = ((nu == lu) & (nv == lv) & (nw == lw)).all(axis=1)
+        lu, lv, lw = nu, nv, nw
+        row_sweeps += live.size
+        sweeps += 1
+        new = row_sigma[row_of]
+        settled = np.abs(new - sigma) <= SETTLE_TOL
+        sigma = new
+        keep = ~fixed & (sweeps < MAX_SWEEPS and not settled.all())
+        if not keep.all():
+            gone = ~keep
+            u[live[gone]], v[live[gone]], w[live[gone]] = lu[gone], lv[gone], lw[gone]
+            live, lu, lv, lw = (x[keep] for x in (live, lu, lv, lw))
+    best = int(np.argmax(sigma))
+    row = row_of[best]
+    return _result(
+        state, sigma[best] ** 2, (u[row], v[row], w[row]),
+        converged=bool(settled[best]), sweeps=sweeps, start_index=best,
+        n_starts=row_of.size, row_sweeps=row_sweeps,
+        unconverged_starts=int(np.count_nonzero(~settled)))
 
 
 def closed_form_overlap_n2(a: complex, b: complex, xi: float, t) -> float | np.ndarray:

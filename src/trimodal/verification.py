@@ -50,7 +50,7 @@ from .analytic import (
     n2_exchange_symmetric,
     pattern_compression,
 )
-from .entanglement import closed_form_overlap_n2, max_product_overlap, max_product_overlaps
+from .entanglement import closed_form_overlap_n2, max_product_overlap
 from .scan import Extremum, _time_averages, dwell_times, family_objective, scan_extrema
 
 PASS = "pass"
@@ -877,9 +877,9 @@ def _entanglement(seed: int, minima: dict) -> dict:
     rng = np.random.default_rng(seed)
     points = [(*_unit_pair(rng), float(rng.uniform(0.0, math.pi)))
               for _ in range(100)]
-    states = [fam.state_vector(fam.evaluate(1.0, t, a=a, b=b))
-              for a, b, t in points]
-    results = max_product_overlaps(states, restarts=64, seed=seed)
+    results = [max_product_overlap(fam.state_vector(fam.evaluate(1.0, t, a=a, b=b)),
+                                   restarts=64, seed=seed)
+               for a, b, t in points]
     gaps = [res.overlap - closed_form_overlap_n2(a, b, 1.0, t)
             for (a, b, t), res in zip(points, results)]
     in_window = [abs(g) for g, (_, _, t) in zip(gaps, points)

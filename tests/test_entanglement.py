@@ -30,10 +30,9 @@ from trimodal.entanglement import (
     _half_step,
     _normalize_rows,
     _starts,
-    _sweep_overlaps,
+    _sweep_overlap,
     closed_form_overlap_n2,
     max_product_overlap,
-    max_product_overlaps,
 )
 from trimodal.evolve import propagate
 from trimodal.verification import _unit_pair
@@ -202,8 +201,8 @@ def test_sweep_input_validation():
     # each of these used to fail inside numpy or the range comparison
     for restarts in (True, 2.5, "3"):
         with pytest.raises(ValueError, match="restarts must be an integer"):
-            max_product_overlaps([state], restarts=restarts, seed=0)
-    assert max_product_overlaps([state], restarts=np.int64(2), seed=0)[0].overlap == 1.0
+            max_product_overlap(state, restarts=restarts, seed=0)
+    assert max_product_overlap(state, restarts=np.int64(2), seed=0).overlap == 1.0
     with pytest.raises(ValueError):
         max_product_overlap(StateVector(MAN2, 0.7 * np.eye(6)[0]), seed=0)
 
@@ -214,8 +213,6 @@ def test_sweep_rejects_a_seed_of_none():
     state = fam.state_vector(fam.evaluate(1.0, 0.7))
     with pytest.raises(ValueError, match="seed"):
         max_product_overlap(state, seed=None)
-    with pytest.raises(ValueError, match="seed"):
-        max_product_overlaps([state], seed=None)
 
 
 def test_sweep_input_validation_fails_closed_on_nan():
@@ -291,12 +288,12 @@ def _gather_kernel(state):
     return overlaps, sweep
 
 
-def _swept(states, restarts, seed):
-    """The sweep's results: the private sweep at N = 2, where the public
+def _swept(state, restarts, seed):
+    """The sweep's result: the private sweep at N = 2, where the public
     route is the closed form, and the public route on larger manifolds."""
-    if states[0].manifold.n_total == 2:
-        return _sweep_overlaps(states, restarts, seed)
-    return max_product_overlaps(states, restarts, seed=seed)
+    if state.manifold.n_total == 2:
+        return _sweep_overlap(state, restarts, seed)
+    return max_product_overlap(state, restarts, seed=seed)
 
 
 def _all_start_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
@@ -330,7 +327,7 @@ def test_collapsed_sweep_equals_the_all_start_reference(n_total, init, phase, re
                      [phase], times_are_phase=True)
     state = traj.state(0)
     ref = _all_start_reference(state, restarts, seed=0)
-    got = _swept([state], restarts, seed=0)[0]
+    got = _swept(state, restarts, seed=0)
     d = man.qudit_dim
     assert got.n_starts == ref["n_starts"] == d ** 3 + restarts
     assert (got.start_index, got.sweeps, got.converged) == \
@@ -341,8 +338,8 @@ def test_collapsed_sweep_equals_the_all_start_reference(n_total, init, phase, re
 
 
 def _per_state_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
-    """The one-state sweep loop before batching: duplicate basis starts
-    collapsed to one row, every row against the one state."""
+    """The sweep loop with no early row exit: duplicate basis starts
+    collapsed to one row, every row swept until all starts settle."""
     overlaps, sweep = _gather_kernel(state)
     d = state.manifold.qudit_dim
     u, v, w = _starts(d, restarts, seed)
@@ -392,44 +389,18 @@ def _seeded_state(n_total, seed):
 def test_batched_sweep_equals_the_per_state_loop(n_total, seed, restarts):
     state = _seeded_state(n_total, seed)
     ref = _per_state_reference(state, restarts, seed=seed)
-    _assert_equals_reference(_swept([state], restarts, seed=seed)[0], ref)
+    _assert_equals_reference(_swept(state, restarts, seed=seed), ref)
 
 
 def test_batched_sweep_equals_the_per_state_loop_on_a_product_state():
     state = parse_init("g0|0.6:g2+0.8:e0|g0", 2)
     ref = _per_state_reference(state, 64, seed=0)
-    got = _sweep_overlaps([state], 64, seed=0)[0]
+    got = _sweep_overlap(state, 64, seed=0)
     _assert_equals_reference(got, ref)
     assert got.unconverged_starts == 0
 
 
-def _sparse_state(n_total, seed):
-    """A seeded state on about two fifths of the basis."""
-    man = enumerate_manifold(n_total)
-    rng = np.random.default_rng(seed)
-    draw = rng.standard_normal((man.dim, 2))
-    amps = (draw[:, 0] + 1j * draw[:, 1]) * (rng.random(man.dim) < 0.4)
-    return StateVector(man, amps / np.linalg.norm(amps))
-
-
-@pytest.mark.parametrize("seed", [144, 177, 230])
-def test_a_lone_live_row_keeps_its_bits_beside_a_slower_state(seed):
-    # alone, these states sweep their last 11-36 rounds on one live row;
-    # beside a slower state that row has company.  A BLAS product with a
-    # one-hot scatter matrix rounds a one-row call differently (gemv, not
-    # gemm), which moved their overlaps by up to 2.2e-16
-    state = _sparse_state(4, seed)
-    x = np.random.default_rng(99).standard_normal(state.manifold.dim)
-    slower = StateVector(state.manifold, x / np.linalg.norm(x))
-    alone = max_product_overlap(state, 1, seed=0)
-    beside = max_product_overlaps([state, slower], 1, seed=0)[0]
-    for key in ("overlap", "sweeps", "row_sweeps", "start_index", "converged"):
-        assert getattr(beside, key) == getattr(alone, key), key
-    for mine, theirs in zip(beside.maximizer.vectors, alone.maximizer.vectors):
-        assert np.array_equal(mine, theirs)
-
-
-def _mixed_batch():
+def _mixed_states():
     """Fast and slow states on one manifold: a product state, trajectory
     states of the pair family and seeded random states."""
     fam = FAMILIES["n2_general"]
@@ -441,23 +412,21 @@ def _mixed_batch():
 
 
 def test_batch_of_fast_and_slow_states_equals_the_per_state_loop():
-    states = _mixed_batch()
-    results = _sweep_overlaps(states, 16, seed=4)
+    states = _mixed_states()
+    results = [_sweep_overlap(state, 16, seed=4) for state in states]
     sweeps = {res.sweeps for res in results}
     assert len(sweeps) > 3 and min(sweeps) * 2 < max(sweeps)
     for state, got in zip(states, results):
         _assert_equals_reference(got, _per_state_reference(state, 16, seed=4))
-        # a state's rows leave on its own schedule, whoever shares the call
-        assert got.row_sweeps == _sweep_overlaps([state], 16, seed=4)[0].row_sweeps
     # rows that repeat themselves bit for bit leave before their state does
     n_rows = MAN2.qudit_dim ** 2 + 16
     assert any(res.row_sweeps < res.sweeps * n_rows for res in results)
 
 
 def test_sweep_cutoff_reports_the_unsettled_starts(monkeypatch):
-    states = _mixed_batch()
+    states = _mixed_states()
     monkeypatch.setattr(entanglement, "MAX_SWEEPS", 3)
-    results = _sweep_overlaps(states, 16, seed=4)
+    results = [_sweep_overlap(state, 16, seed=4) for state in states]
     for state, got in zip(states, results):
         ref = _per_state_reference(state, 16, seed=4, max_sweeps=3)
         _assert_equals_reference(got, ref)
@@ -466,18 +435,17 @@ def test_sweep_cutoff_reports_the_unsettled_starts(monkeypatch):
     assert results[0].unconverged_starts == 0
 
 
-def test_batched_sweep_fails_closed():
-    state = StateVector(MAN2, np.eye(6)[0])
-    with pytest.raises(ValueError, match="at least one"):
-        max_product_overlaps([], seed=0)
-    with pytest.raises(ValueError, match="different manifolds"):
-        max_product_overlaps([state, _seeded_state(4, 0)], seed=0)
+def test_batched_sweep_fails_closed(monkeypatch):
+    # the norm check runs before the sweep route at N >= 4 as well
+    monkeypatch.setattr(entanglement, "_sweep_overlap",
+                        lambda *args: pytest.fail("swept before the checks"))
+    man = enumerate_manifold(4)
     with pytest.raises(ValueError, match="norm"):
-        max_product_overlaps([state, StateVector(MAN2, 0.7 * np.eye(6)[0])], seed=0)
-    amps = np.eye(6)[0].astype(complex)
+        max_product_overlap(StateVector(man, 0.7 * np.eye(man.dim)[0]), seed=0)
+    amps = np.eye(man.dim)[0].astype(complex)
     amps[3] = np.nan
     with pytest.raises(ValueError, match="norm"):
-        max_product_overlaps([state, StateVector(MAN2, amps)], seed=0)
+        max_product_overlap(StateVector(man, amps), seed=0)
 
 
 def _symmetric_power_oracle(state, restarts=64, seed=0, shift=2.0, tol=1e-15,
@@ -557,8 +525,9 @@ def test_w_type_oracle_closed_form_cases():
 
 
 def test_sweep_never_exceeds_the_w_type_oracle():
-    states = [_dense_n2_state(seed) for seed in range(200)]
-    for state, res in zip(states, _sweep_overlaps(states, 64, seed=0)):
+    for seed in range(200):
+        state = _dense_n2_state(seed)
+        res = _sweep_overlap(state, 64, seed=0)
         assert res.overlap <= w_type_overlap(*n2_sides(state)) + 1e-12
 
 
@@ -578,9 +547,8 @@ def _product_overlap(state, vectors):
 
 
 def test_sweep_equals_the_w_type_oracle_on_the_random_agreement_states():
-    states = _random_agreement_states()
-    misses = [abs(res.overlap - w_type_overlap(*n2_sides(state)))
-              for state, res in zip(states, _sweep_overlaps(states, 64, seed=0))]
+    misses = [abs(_sweep_overlap(state, 64, seed=0).overlap - w_type_overlap(*n2_sides(state)))
+              for state in _random_agreement_states()]
     assert max(misses) <= 1e-12
 
 
@@ -593,7 +561,7 @@ def test_pair_antinode_overlap_is_64_over_135():
     res = max_product_overlap(state, 64, seed=0)
     assert abs(res.overlap - 64 / 135) <= 1e-14
     assert abs(_product_overlap(state, res.maximizer.vectors) - 64 / 135) <= 1e-14
-    assert abs(_sweep_overlaps([state], 64, seed=0)[0].overlap - 64 / 135) <= 1e-12
+    assert abs(_sweep_overlap(state, 64, seed=0).overlap - 64 / 135) <= 1e-12
 
 
 # Each of these states sits near the right-triangle boundary
@@ -604,7 +572,7 @@ def test_pair_antinode_overlap_is_64_over_135():
 @pytest.mark.parametrize("seed", [55, 146, 162])
 def test_sweep_reaches_the_w_type_oracle_near_the_right_triangle_boundary(seed):
     state = _dense_n2_state(seed)
-    res = _sweep_overlaps([state], 64, seed=seed)[0]
+    res = _sweep_overlap(state, 64, seed=seed)
     assert abs(res.overlap - w_type_overlap(*n2_sides(state))) <= 1e-12
 
 
@@ -613,7 +581,8 @@ def test_sweep_reaches_the_w_type_oracle_near_the_right_triangle_boundary(seed):
 def test_closed_form_equals_the_w_type_oracle():
     states = [_dense_n2_state(seed) for seed in range(200)]
     states += _random_agreement_states()
-    for state, res in zip(states, max_product_overlaps(states, 64, seed=0)):
+    for state in states:
+        res = max_product_overlap(state, 64, seed=0)
         assert abs(res.overlap - w_type_overlap(*n2_sides(state))) <= 1e-14
         # the maximizer contracts to the overlap it reports
         assert abs(_product_overlap(state, res.maximizer.vectors) - res.overlap) <= 1e-14
@@ -684,21 +653,21 @@ def test_closed_form_ignores_restarts_and_seed():
 
 def test_closed_form_route_keeps_the_fail_closed_checks(monkeypatch):
     # every argument check runs before the N = 2 route is taken
-    monkeypatch.setattr(entanglement, "_w_type_overlaps",
-                        lambda states: pytest.fail("solved before the checks"))
+    monkeypatch.setattr(entanglement, "_w_type_overlap",
+                        lambda state: pytest.fail("solved before the checks"))
     state = StateVector(MAN2, np.eye(6)[0])
     nan = np.eye(6)[0].astype(complex)
     nan[3] = np.nan
     for kwargs, match in [
-        (dict(states=[state], seed=None), "seed"),
-        (dict(states=[state], restarts=0, seed=0), "restarts must be"),
-        (dict(states=[state], restarts=MAX_RESTARTS + 1, seed=0), "restarts must be"),
-        (dict(states=[state], restarts=True, seed=0), "restarts must be"),
-        (dict(states=[StateVector(MAN2, 0.7 * np.eye(6)[0])], seed=0), "norm"),
-        (dict(states=[state, StateVector(MAN2, nan)], seed=0), "norm"),
+        (dict(state=state, seed=None), "seed"),
+        (dict(state=state, restarts=0, seed=0), "restarts must be"),
+        (dict(state=state, restarts=MAX_RESTARTS + 1, seed=0), "restarts must be"),
+        (dict(state=state, restarts=True, seed=0), "restarts must be"),
+        (dict(state=StateVector(MAN2, 0.7 * np.eye(6)[0]), seed=0), "norm"),
+        (dict(state=StateVector(MAN2, nan), seed=0), "norm"),
     ]:
         with pytest.raises(ValueError, match=match):
-            max_product_overlaps(**kwargs)
+            max_product_overlap(**kwargs)
 
 
 # ------------------------------------------------------ initial-overlap route
@@ -737,12 +706,12 @@ def test_the_suites_sweeps_keep_their_diagnostics(monkeypatch):
     # prints `row_sweeps`, so this is the check on when rows leave the sweep
     swept = []
 
-    def record(states, restarts, seed):
-        results = _sweep_overlaps(states, restarts, seed)
-        swept.extend(results)
-        return results
+    def record(state, restarts, seed):
+        res = _sweep_overlap(state, restarts, seed)
+        swept.append(res)
+        return res
 
-    monkeypatch.setattr(entanglement, "_sweep_overlaps", record)
+    monkeypatch.setattr(entanglement, "_sweep_overlap", record)
     verification._entanglement(0, verification._extrema()[1])
     # (sweeps, row_sweeps, start_index, unconverged_starts, overlap bits)
     assert [(res.sweeps, res.row_sweeps, res.start_index, res.unconverged_starts,
@@ -754,3 +723,22 @@ def test_the_suites_sweeps_keep_their_diagnostics(monkeypatch):
         (17, 1192, 389, 0, "0x1.022bb7cb63a83p-2"),   # sym_quarter_turn
     ]
     assert all(res.converged for res in swept)
+
+
+def test_every_suite_overlap_goes_through_the_public_function(monkeypatch):
+    # perfbench's tracer keys the entanglement layer rows on
+    # `max_product_overlap`; a batched path beside it would hide its work
+    calls = []
+
+    def record(state, *args, **kwargs):
+        calls.append(state.manifold.n_total)
+        return max_product_overlap(state, *args, **kwargs)
+
+    for module in (entanglement, verification):
+        monkeypatch.setattr(module, "max_product_overlap", record)
+    verification.run_suite("paper", 0)
+    # pair_antinode and the 100 random_agreement states at N = 2, then the
+    # two N = 4 minima and the three N = 6 cases
+    assert len(calls) == 106
+    assert sum(n == 2 for n in calls) == 101
+    assert sorted(n for n in calls if n > 2) == [4, 4, 6, 6, 6]
