@@ -153,6 +153,7 @@ def propagate(generator: Generator, initial: StateVector, times,
     times are physical (in the generator's time unit) unless
     times_are_phase is set, in which case they are read as xi*t and the
     hopping strength drops out of the large-hopping dynamics entirely.
+    `times` is a scalar or a non-empty 1-D sequence of finite values.
 
     Raises NumericalContractError if any evolved norm drifts beyond 1e-10;
     the worst drift within that bound is the result's `norm_drift`.
@@ -162,6 +163,9 @@ def propagate(generator: Generator, initial: StateVector, times,
     if not abs(initial.norm - 1.0) <= 1e-9:
         raise ValueError(f"initial state is not normalized: |psi| = {initial.norm!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1 or not times.size:
+        raise ValueError(f"times must be a scalar or a non-empty 1-D sequence, "
+                         f"got shape {times.shape}")
     if times_are_phase and generator.xi == 0:
         raise ValueError("phase times xi*t cannot be read back as times when xi == 0")
     # The generator matrix carries the factor of xi itself, so exp(-i M t)

@@ -72,7 +72,8 @@ def parse_objective(expr: str) -> dict[str, float]:
 @dataclass(frozen=True, eq=False)
 class Objective:
     """phase -> sum_l w_l |X_l(phase)|^2, X_l = sum_f c_fl exp(-i f phase), one
-    `coeffs` column per `label_weights` entry; scans read these fields only."""
+    `coeffs` column per `label_weights` entry; scans read these fields only.
+    A non-finite phase raises ValueError."""
 
     freqs: np.ndarray
     coeffs: np.ndarray
@@ -80,6 +81,8 @@ class Objective:
 
     def __call__(self, phases):
         ph = np.atleast_1d(np.asarray(phases, dtype=float))
+        if not np.all(np.isfinite(ph)):
+            raise ValueError("phases must be finite")
         table = np.exp(-1j * np.multiply.outer(ph, self.freqs)) @ self.coeffs
         out = (np.abs(table) ** 2) @ self.label_weights
         return out if np.ndim(phases) else float(out[0])

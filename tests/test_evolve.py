@@ -157,6 +157,21 @@ def test_propagate_rejects_non_finite_times(bad, phase):
                   times_are_phase=phase)
 
 
+@pytest.mark.parametrize("times", [[], np.zeros((2, 3))], ids=["empty", "2-D"])
+def test_propagate_rejects_times_that_are_not_a_non_empty_1d_sequence(times):
+    # refused up front: numpy alone fails on these with a zero-size reduction
+    # or a broadcast error that does not name `times`
+    with pytest.raises(ValueError, match="times must be"):
+        propagate(build_large_xi_generator(MAN2), corner_state(MAN2), times)
+
+
+def test_propagate_accepts_a_scalar_time():
+    gen = build_large_xi_generator(MAN2, xi=2.0)
+    traj = propagate(gen, corner_state(MAN2), 0.25)
+    assert traj.times.shape == (1,)
+    assert np.array_equal(traj.amplitudes, propagate(gen, corner_state(MAN2), [0.25]).amplitudes)
+
+
 def test_norm_contract_fails_closed_on_nan():
     # a finite time whose product with a frequency overflows gives NaN rows
     with np.errstate(invalid="ignore", over="ignore"), \

@@ -260,6 +260,16 @@ def test_scan_rejects_non_finite_samples(monkeypatch):
             scan_extrema(_sum(*data), 0.0, 2.0)
 
 
+@pytest.mark.parametrize("phases", [math.nan, [0.0, math.inf], [-math.inf]])
+def test_objective_refuses_non_finite_phases(phases):
+    # the exponential would turn them into nan values; refused as
+    # Family.evaluate_phases refuses them
+    objective = family_objective(FAMILIES["n2_general"], "|A|^2")
+    with pytest.raises(ValueError, match="phases must be finite"):
+        objective(phases)
+    assert objective(0.0) == pytest.approx(1.0, abs=1e-15)
+
+
 # ------------------------------------------------------------------- dwell
 
 def test_dwell_averages_of_the_exchange_family():
