@@ -43,7 +43,7 @@ from .basis import (
     product_state,
 )
 from .dynamics import Block, Generator, build_large_xi_generator
-from .evolve import Spectrum, _merge_modes, _modes, spectrum
+from .evolve import Spectrum, _merge_modes, _modes, _phase_table, spectrum
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -297,10 +297,7 @@ def _exp_sum(phases, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     how many phases share the call; one (T, m) @ (m, labels) product can
     differ from them in the last bit.  A non-finite phase raises ValueError.
     """
-    ph = np.atleast_1d(np.asarray(phases, dtype=float))
-    if not np.all(np.isfinite(ph)):
-        raise ValueError("phases must be finite")
-    osc = np.exp(-1j * np.multiply.outer(ph, freqs))
+    osc = _phase_table(np.atleast_1d(phases), freqs)
     out = np.empty((osc.shape[0], coeffs.shape[1]), dtype=complex)
     for k, row in enumerate(osc):
         out[k] = row @ coeffs

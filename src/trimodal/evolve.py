@@ -68,20 +68,30 @@ def _live_blocks(spec: Spectrum, initial: np.ndarray):
             yield rows, freqs, modes, modes.conj().T @ start
 
 
+def _phase_table(a, b) -> np.ndarray:
+    """exp(-i a_j b_k), shape a.shape + b.shape, the table every exponential
+    sum of the package reads.  Each exponent's imaginary part is the float
+    product a_j * b_k negated, so the table has the bits of
+    np.exp(-1j * np.multiply.outer(a, b)), built in one complex buffer.
+    A non-finite entry of a or b raises ValueError."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("phases must be finite")
+    table = np.multiply.outer(a, -1j * b)
+    return np.exp(table, out=table)
+
+
 def _evolve(generator: Generator, initial: np.ndarray,
             times: np.ndarray) -> np.ndarray:
     """Rows exp(-i M t) @ initial, one per entry of times, which must be
     finite, for the real symmetric M of `generator`."""
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
     out = np.zeros((len(initial), len(times)), dtype=complex)
     for rows, freqs, modes, coeffs in _live_blocks(spectrum(generator), initial):
         # one (modes, times) buffer exp(-i f t) * c, updated in place; read
         # as (re, im) float pairs it is a (modes, 2 times) real matrix, so
         # the block's real modes multiply it in one real GEMM whose product
         # reads back as complex (rows, times)
-        buf = (-1j * times)[None, :] * freqs[:, None]
-        np.exp(buf, out=buf)
+        buf = _phase_table(freqs, times)
         buf *= coeffs[:, None]
         if isinstance(rows, slice):
             # written straight into its rows: no third (rows, times) table

@@ -23,6 +23,7 @@ import numpy as np
 
 from .analytic import Family
 from .dynamics import _is_int
+from .evolve import _phase_table
 
 MAX_SAMPLES = 1 << 20    # most samples a scan or a CLI time grid may hold
 PIECE_RADIANS = 8.0      # most radians g' turns over one scan piece mapped onto [-1, 1]
@@ -80,10 +81,7 @@ class Objective:
     label_weights: np.ndarray
 
     def __call__(self, phases):
-        ph = np.atleast_1d(np.asarray(phases, dtype=float))
-        if not np.all(np.isfinite(ph)):
-            raise ValueError("phases must be finite")
-        table = np.exp(-1j * np.multiply.outer(ph, self.freqs)) @ self.coeffs
+        table = _phase_table(np.atleast_1d(phases), self.freqs) @ self.coeffs
         out = (np.abs(table) ** 2) @ self.label_weights
         return out if np.ndim(phases) else float(out[0])
 
@@ -105,7 +103,7 @@ def _slopes(freqs: np.ndarray, coeffs: np.ndarray, weights: np.ndarray,
             phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g' = sum_l w_l 2 Re(conj(X_l) X_l') and g'' = sum_l w_l 2 (|X_l'|^2 +
     Re(conj(X_l) X_l'')) of g = sum_l w_l |X_l|^2 at `phases` (any shape)."""
-    table = np.exp(-1j * np.multiply.outer(phases, freqs))
+    table = _phase_table(phases, freqs)
     x, dx, ddx = (table @ (k[:, None] * coeffs)
                   for k in (np.ones_like(freqs), -1j * freqs, -freqs * freqs))
     return (2.0 * np.real(x.conj() * dx) @ weights,
@@ -192,7 +190,7 @@ def _time_averages(freqs: np.ndarray, coeffs: np.ndarray, span: float) -> np.nda
     """
     delta = np.subtract.outer(freqs, freqs) * span
     # np.sinc(x) = sin(pi x)/(pi x), and 1 at x = 0
-    kernel = np.exp(-0.5j * delta) * np.sinc(delta / (2.0 * np.pi))
+    kernel = _phase_table(delta, 0.5) * np.sinc(delta / (2.0 * np.pi))
     return np.array([np.real(col @ kernel @ col.conj()) for col in coeffs.T])
 
 
@@ -251,7 +249,7 @@ def dwell_times(family: Family, labels: Sequence[str], span: float = math.pi, *,
     # numpy.polynomial costs ~10 ms to import; only the quadrature needs it
     from numpy.polynomial.legendre import leggauss
     x, weights = leggauss(int(quadrature_points))
-    table = np.exp(-1j * np.multiply.outer(0.5 * span * (x + 1.0), freqs))
+    table = _phase_table(0.5 * span * (x + 1.0), freqs)
     # the mean over [0, span] is (1/span) * (span/2) * sum_k w_k y_k; each
     # label is its own matrix-vector product, so its bits do not depend on
     # the others

@@ -24,6 +24,7 @@ from trimodal.evolve import (
     Trajectory,
     _merge_modes,
     _modes,
+    _phase_table,
     mode_expansion,
     propagate,
     sector_probabilities,
@@ -139,6 +140,38 @@ def test_propagate_equals_the_formula_built_from_temporaries():
     osc = np.exp((-1j * times)[None, :] * freqs[:, None]) * coeffs[:, None]
     reference = (modes @ osc.view(float)).view(complex).T
     assert np.array_equal(propagate(gen, x0, times).amplitudes, reference)
+
+
+def _bits(table):
+    return np.ascontiguousarray(table).view(np.int64)
+
+
+@pytest.mark.parametrize("a_shape", [(7,), (3, 5)], ids=["1-D", "2-D"])
+def test_phase_table_has_the_bits_of_the_outer_product_formula(a_shape):
+    rng = np.random.default_rng(8)
+    a = 40.0 * rng.standard_normal(a_shape)
+    b = 9.0 * rng.standard_normal(11)
+    reference = np.exp(-1j * np.multiply.outer(a, b))
+    table = _phase_table(a, b)
+    assert table.shape == a_shape + (11,)
+    assert np.array_equal(_bits(table), _bits(reference))
+    if a.ndim == 1:
+        assert np.array_equal(_bits(_phase_table(b, a).T), _bits(reference))
+
+
+def test_phase_table_takes_a_scalar():
+    a = np.random.default_rng(9).standard_normal((4, 4))
+    table = _phase_table(a, 0.5)
+    assert table.shape == (4, 4)
+    assert np.array_equal(_bits(table), _bits(np.exp(-0.5j * a)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("first", [True, False], ids=["a", "b"])
+def test_phase_table_refuses_non_finite_entries(bad, first):
+    good, worse = np.array([0.0, 1.5]), np.array([0.5, bad])
+    with pytest.raises(ValueError, match="phases must be finite"):
+        _phase_table(*((worse, good) if first else (good, worse)))
 
 
 def test_propagate_rejects_phase_times_at_zero_xi():
