@@ -295,9 +295,13 @@ def _exp_sum(phases, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
     Each row is its own vector-matrix product, so its bits do not depend on
     how many phases share the call; one (T, m) @ (m, labels) product can
-    differ from them in the last bit.  A non-finite phase raises ValueError.
+    differ from them in the last bit.  Phases that are not a scalar or a 1-D
+    sequence, or a non-finite phase, raise ValueError.
     """
-    osc = _phase_table(np.atleast_1d(phases), freqs)
+    ph = np.atleast_1d(phases)
+    if ph.ndim != 1:
+        raise ValueError(f"phases must be a scalar or a 1-D sequence, got shape {ph.shape}")
+    osc = _phase_table(ph, freqs)
     out = np.empty((osc.shape[0], coeffs.shape[1]), dtype=complex)
     for k, row in enumerate(osc):
         out[k] = row @ coeffs

@@ -191,19 +191,32 @@ class Manifold:
         return int(self.index_at([self.levels.index(lv) for lv in state.levels]))
 
 
-@lru_cache(maxsize=None)
+def _is_int(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def enumerate_manifold(n_total: int) -> Manifold:
     """Enumerate the fixed-total manifold in canonical order.
 
     Parameters
     ----------
-    n_total : even total of the conserved counter (nonnegative).
+    n_total : even total of the conserved counter (nonnegative), an int or
+        numpy integer; every spelling of one total gives the same Manifold.
 
     Returns
     -------
     Manifold whose `coords` rows are in canonical order: by excited-atom
     count, then lexicographic on the levels with cavity 1 most significant.
     """
+    if not _is_int(n_total):
+        raise ValueError(f"total count must be an integer, got {n_total!r}")
+    return _manifold(int(n_total))
+
+
+@lru_cache(maxsize=None)
+def _manifold(n_total: int) -> Manifold:
+    """The manifold of `enumerate_manifold`, built once per int total."""
     if n_total < 0 or n_total % 2:
         raise ValueError(f"total count must be even and nonnegative, got {n_total}")
     levels = _local_levels(n_total)

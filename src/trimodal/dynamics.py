@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Manifold
+from .basis import Manifold, _is_int
 from .dressed import DressedParams, energy_scale, mixing_angle, splitting
 
 HERMITICITY_TOL = 1e-12
@@ -186,11 +186,6 @@ def project_onto(generator: Generator, states: np.ndarray) -> Block:
         raise ValueError("projection states must be orthonormal")
     mat = emb.T @ generator.matrix @ emb
     return Block(matrix=mat, embedding=emb, manifold=generator.manifold)
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def sector_block(generator: Generator, excited_count: int) -> Block:

@@ -44,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Manifold, StateVector
-from .dynamics import _is_int
+from .basis import Manifold, StateVector, _is_int
 
 MAX_SWEEPS = 10_000
 SETTLE_TOL = 1e-12        # a start settles once a sweep moves its overlap by at most this

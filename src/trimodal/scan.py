@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analytic import Family
-from .dynamics import _is_int
+from .basis import _is_int
 from .evolve import _phase_table
 
 MAX_SAMPLES = 1 << 20    # most samples a scan or a CLI time grid may hold
@@ -74,11 +74,16 @@ def parse_objective(expr: str) -> dict[str, float]:
 class Objective:
     """phase -> sum_l w_l |X_l(phase)|^2, X_l = sum_f c_fl exp(-i f phase), one
     `coeffs` column per `label_weights` entry; scans read these fields only.
-    A non-finite phase raises ValueError."""
+    Non-finite fields, or a non-finite phase, raise ValueError."""
 
     freqs: np.ndarray
     coeffs: np.ndarray
     label_weights: np.ndarray
+
+    def __post_init__(self):
+        if not all(np.isfinite(field).all()
+                   for field in (self.freqs, self.coeffs, self.label_weights)):
+            raise ValueError("objective frequencies, coefficients and weights must be finite")
 
     def __call__(self, phases):
         table = _phase_table(np.atleast_1d(phases), self.freqs) @ self.coeffs
@@ -121,16 +126,14 @@ def scan_extrema(objective: Objective, lo: float, hi: float) -> list[Extremum]:
     minimum where g' turns from - to +, a maximum from + to -, and none
     where g' keeps its sign.  Both endpoints are reported (`at_endpoint`),
     with the kind the sign of g' beside them gives.  A constant objective
-    has no extrema.  An empty or non-finite window, non-finite data, or a
-    window needing more than MAX_SAMPLES samples raises ValueError before
-    anything is sampled.
+    has no extrema.  An empty or non-finite window, or a window needing more
+    than MAX_SAMPLES samples, raises ValueError before anything is sampled;
+    non-finite data was refused when the Objective was built.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"the window [{lo}, {hi}] must be finite and not empty")
     freqs, coeffs = objective.freqs, objective.coeffs
     weights = objective.label_weights
-    if not all(np.isfinite(a).all() for a in (freqs, coeffs, weights)):
-        raise ValueError("objective frequencies, coefficients and weights must be finite")
     # g reads frequency gaps only: centring keeps the factors f and f^2 small
     freqs = freqs - 0.5 * (freqs.max() + freqs.min())
     turn = float(freqs.max() - freqs.min()) * (hi - lo) / 2.0

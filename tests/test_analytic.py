@@ -319,6 +319,15 @@ def test_evaluate_phases_rows_equal_evaluate(name):
         assert np.array_equal(table[k], fam.evaluate(1.0, phi, **params).values)
 
 
+def test_evaluate_phases_refuses_a_2d_phase_array():
+    # numpy alone fails with a broadcast error that does not name the phases
+    fam = FAMILIES["n2_general"]
+    with pytest.raises(ValueError, match="phases must be a scalar or a 1-D sequence"):
+        fam.evaluate_phases(np.zeros((3, 2)))
+    rows = fam.evaluate_phases([0.0, 0.7])
+    assert np.array_equal(fam.evaluate_phases(0.7), rows[1:])
+
+
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_batched_pattern_read_and_fill_equal_the_per_state_loops(name):
     fam = FAMILIES[name]

@@ -20,6 +20,9 @@ from trimodal.basis import (
     symmetrize,
 )
 
+from trimodal.dynamics import build_large_xi_generator
+from trimodal.evolve import propagate
+
 from references import permuted
 
 
@@ -144,6 +147,23 @@ def test_index_roundtrip_and_missing_state():
 @pytest.mark.parametrize("bad", [-2, 3, 5])
 def test_odd_or_negative_totals_rejected(bad):
     with pytest.raises(ValueError):
+        enumerate_manifold(bad)
+
+
+def test_a_numpy_integer_total_gives_the_same_manifold():
+    # propagate checks the manifold by identity, so a state built on one
+    # spelling of the total must evolve under a generator built on the other
+    man = enumerate_manifold(np.int64(2))
+    assert man is enumerate_manifold(2)
+    assert type(man.n_total) is int
+    start = StateVector(man, np.eye(man.dim)[0])
+    traj = propagate(build_large_xi_generator(enumerate_manifold(2)), start, [0.0, 0.4])
+    assert np.allclose(traj.amplitudes[0], start.amplitudes, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_a_total_that_is_not_an_integer_is_refused(bad):
+    with pytest.raises(ValueError, match="total count must be an integer"):
         enumerate_manifold(bad)
 
 

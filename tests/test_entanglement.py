@@ -386,13 +386,13 @@ def _seeded_state(n_total, seed):
 @pytest.mark.parametrize("n_total, seed, restarts", [
     (2, 3, 64), (2, 11, 8), (4, 5, 16), (6, 7, 8),
 ])
-def test_batched_sweep_equals_the_per_state_loop(n_total, seed, restarts):
+def test_sweep_equals_the_all_row_loop(n_total, seed, restarts):
     state = _seeded_state(n_total, seed)
     ref = _per_state_reference(state, restarts, seed=seed)
     _assert_equals_reference(_swept(state, restarts, seed=seed), ref)
 
 
-def test_batched_sweep_equals_the_per_state_loop_on_a_product_state():
+def test_sweep_equals_the_all_row_loop_on_a_product_state():
     state = parse_init("g0|0.6:g2+0.8:e0|g0", 2)
     ref = _per_state_reference(state, 64, seed=0)
     got = _sweep_overlap(state, 64, seed=0)
@@ -411,7 +411,7 @@ def _mixed_states():
     return states
 
 
-def test_batch_of_fast_and_slow_states_equals_the_per_state_loop():
+def test_fast_and_slow_states_each_equal_the_all_row_loop():
     states = _mixed_states()
     results = [_sweep_overlap(state, 16, seed=4) for state in states]
     sweeps = {res.sweeps for res in results}
@@ -435,7 +435,7 @@ def test_sweep_cutoff_reports_the_unsettled_starts(monkeypatch):
     assert results[0].unconverged_starts == 0
 
 
-def test_batched_sweep_fails_closed(monkeypatch):
+def test_overlap_checks_run_before_the_sweep(monkeypatch):
     # the norm check runs before the sweep route at N >= 4 as well
     monkeypatch.setattr(entanglement, "_sweep_overlap",
                         lambda *args: pytest.fail("swept before the checks"))

@@ -260,6 +260,13 @@ def test_scan_rejects_non_finite_samples(monkeypatch):
             scan_extrema(_sum(*data), 0.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_objective_refuses_non_finite_weights_when_built(bad):
+    # refused where scan_extrema would refuse it, before any evaluation
+    with pytest.raises(ValueError, match="must be finite"):
+        family_objective(FAMILIES["n2_general"], {"A": bad})
+
+
 @pytest.mark.parametrize("phases", [math.nan, [0.0, math.inf], [-math.inf]])
 def test_objective_refuses_non_finite_phases(phases):
     # the exponential would turn them into nan values; refused as
