@@ -2,9 +2,11 @@
 
 A family is one literal record: the basis patterns each label rides on
 (their keys are the labels), the parameter defaults (their keys are the
-parameters), the initial product state as a per-cavity table from level to
-coefficient (a number or a parameter name), and the label weights of each
-conserved sum, whose value is read off that initial state at t = 0.  Every
+parameters) and the initial product state as a per-cavity table from level to
+coefficient (a number or a parameter name).  Its conserved sums are not typed:
+the pair exchange never flips an atom, so the probability of each excitation
+pattern (`Manifold.patterns`) stays at its value in that initial state, and
+`conservation_residual` reads those probabilities.  Every
 amplitude is an exponential sum, and one solve produces all of them: the
 family's reduced matrix is symmetrized by the pattern norms and
 diagonalized in label coordinates once per family (the solve
@@ -88,13 +90,6 @@ class AmplitudeSet:
         return abs(self[label]) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class ConservedSum:
-    """sum_l weight_l |X_l(t)|^2 stays at its t = 0 value for all t."""
-
-    weights: Mapping[str, float]
-
-
 class _PatternIndex(NamedTuple):
     """Basis row, weight and label column of every pattern entry (label by
     label), each label's first entry, and the basis rows no pattern covers."""
@@ -122,7 +117,6 @@ class Family:
     patterns: Mapping[str, Pattern]
     defaults: Mapping[str, complex]
     initial: tuple[Mapping[str, complex | str], ...]
-    conserved: tuple[ConservedSum, ...]
     modulus_period: float | None
     documented_matrix: np.ndarray | None = None
 
@@ -266,9 +260,15 @@ class Family:
             )
         return values
 
+    def _values_of(self, ampset: AmplitudeSet) -> np.ndarray:
+        """The set's values; a set of another family raises ValueError."""
+        if ampset.family != self.name:
+            raise ValueError(f"{self.name} cannot read a {ampset.family} amplitude set")
+        return ampset.values
+
     def state_vector(self, ampset: AmplitudeSet) -> StateVector:
         """Assemble the manifold state carrying the labelled amplitudes."""
-        return StateVector(self.manifold, self.fill_patterns([ampset.values])[0])
+        return StateVector(self.manifold, self.fill_patterns([self._values_of(ampset)])[0])
 
     def amplitudes_from_state(self, state: StateVector) -> AmplitudeSet:
         """Read labelled amplitudes off a manifold state (see `read_patterns`)."""
@@ -278,16 +278,14 @@ class Family:
         return AmplitudeSet(self.name, self.labels, values)
 
     def conservation_residual(self, ampset: AmplitudeSet, **overrides) -> float:
-        """Largest deviation of any conserved sum from its value at t = 0,
-        read off `initial_state`."""
-        start = self.amplitudes_from_state(self.initial_state(**overrides))
-        worst = 0.0
-        for cons in self.conserved:
-            now, then = (sum(cons.weights[lab] * amps.probability(lab)
-                             for lab in cons.weights)
-                         for amps in (ampset, start))
-            worst = max(worst, abs(now - then))
-        return worst
+        """Largest change of any excitation-pattern probability
+        (`Manifold.patterns`) from its value in `initial_state`; NaN
+        amplitudes give NaN."""
+        probs = np.abs(np.vstack([self.fill_patterns([self._values_of(ampset)]),
+                                  self.initial_state(**overrides).amplitudes])) ** 2
+        sums = np.array([probs[:, idx].sum(axis=1)
+                         for idx in self.manifold.patterns.values()])
+        return float(np.max(np.abs(sums[:, 0] - sums[:, 1])))
 
 
 def _exp_sum(phases, freqs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -471,10 +469,6 @@ _register(Family(
     patterns=_N2_PATTERNS,
     defaults={"a": 1.0, "b": 0.0},
     initial=({"g0": 1.0}, {"g0": 1.0}, {"g2": "a", "e0": "b"}),
-    conserved=(
-        ConservedSum({"A": 1, "B": 1, "C": 1}),  # photon sector
-        ConservedSum({"D": 1, "E": 1, "F": 1}),  # excited sector
-    ),
     modulus_period=math.pi / 3,
 ))
 
@@ -484,10 +478,6 @@ _register(Family(
     patterns=_N4_SINGLE_PATTERNS,
     defaults={"a": 1.0, "b": 0.0},
     initial=({"g0": 1.0}, {"g0": 1.0}, {"g4": "a", "e2": "b"}),
-    conserved=(
-        ConservedSum({"A": 2, "B": 2, "C": 1, "F": 1}),  # photon sector
-        ConservedSum({"E": 2, "K": 1}),  # excited sector
-    ),
     modulus_period=math.pi,
 ))
 
@@ -497,12 +487,6 @@ _register(Family(
     patterns=_N4_TWO_PATTERNS,
     defaults={"a": 1.0, "b": 0.0, "c": 1.0, "d": 0.0},
     initial=({"g0": 1.0}, {"g2": "a", "e0": "b"}, {"g2": "c", "e0": "d"}),
-    conserved=(
-        ConservedSum({"A": 1, "B": 2, "F": 2, "P": 1}),  # photon sector
-        ConservedSum({"L": 1}),  # both excited
-        ConservedSum({"D": 2, "M": 1}),  # cavity 2 excited
-        ConservedSum({"E": 2, "N": 1}),  # cavity 3 excited
-    ),
     modulus_period=math.pi,
 ))
 
@@ -512,9 +496,6 @@ _register(Family(
     patterns=_N6_CONC_PATTERNS,
     defaults={},
     initial=({"g6": 1.0}, {"g0": 1.0}, {"g0": 1.0}),
-    conserved=(
-        ConservedSum({"A": 1, "B": 2, "E": 2, "G": 2, "K": 2, "F": 1}),  # norm
-    ),
     modulus_period=None,
 ))
 
@@ -524,12 +505,6 @@ _register(Family(
     patterns=_N6_SYM_PATTERNS,
     defaults={"a": 1.0, "b": 0.0},
     initial=({"g2": "a", "e0": "b"},) * 3,
-    conserved=(
-        ConservedSum({"A": 1, "F": 1, "K": 1}),  # photon sector
-        ConservedSum({"B": 1, "E": 1, "G": 1, "J": 1}),  # one excited
-        ConservedSum({"C": 1, "H": 1}),  # two excited
-        ConservedSum({"D": 1}),  # three excited
-    ),
     modulus_period=None,
     documented_matrix=_n6_symmetric_system(),
 ))
@@ -540,9 +515,6 @@ _register(Family(
     patterns=_N6_ASYM_PATTERNS,
     defaults={},
     initial=({"e2": 1.0}, {"g2": 1.0}, {"g0": 1.0}),
-    conserved=(
-        ConservedSum({"A": 1, "B": 1, "C": 1, "D": 1, "E": 1, "F": 1}),  # norm
-    ),
     modulus_period=math.pi,
 ))
 

@@ -74,7 +74,8 @@ def parse_objective(expr: str) -> dict[str, float]:
 class Objective:
     """phase -> sum_l w_l |X_l(phase)|^2, X_l = sum_f c_fl exp(-i f phase), one
     `coeffs` column per `label_weights` entry; scans read these fields only.
-    Non-finite fields, or a non-finite phase, raise ValueError."""
+    The fields are kept as read-only copies.  Non-finite fields, or a
+    non-finite phase, raise ValueError."""
 
     freqs: np.ndarray
     coeffs: np.ndarray
@@ -84,6 +85,10 @@ class Objective:
         if not all(np.isfinite(field).all()
                    for field in (self.freqs, self.coeffs, self.label_weights)):
             raise ValueError("objective frequencies, coefficients and weights must be finite")
+        for name in ("freqs", "coeffs", "label_weights"):
+            field = np.array(getattr(self, name))
+            field.flags.writeable = False
+            object.__setattr__(self, name, field)
 
     def __call__(self, phases):
         table = _phase_table(np.atleast_1d(phases), self.freqs) @ self.coeffs

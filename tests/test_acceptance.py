@@ -63,11 +63,21 @@ def test_suite_is_deterministic():
     assert render_table(run_suite(seed=0)) == render_table(ROWS)
 
 
-def test_table_matches_the_golden_bytes():
-    # the rendered `trimodal verify --suite paper --seed 0` table, kept
+def _assert_golden_bytes(rows, seed):
+    # the rendered `trimodal verify --suite paper --seed <seed>` table, kept
     # byte for byte: any change to a printed digit shows up here
-    golden = Path(__file__).parent / "data" / "verify_paper_seed0.txt"
-    assert render_table(ROWS) == golden.read_text(encoding="utf-8")
+    golden = Path(__file__).parent / "data" / f"verify_paper_seed{seed}.txt"
+    assert render_table(rows) == golden.read_text(encoding="utf-8")
+
+
+def test_table_matches_the_golden_bytes():
+    _assert_golden_bytes(ROWS, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11])
+def test_table_matches_the_golden_bytes_at_more_seeds(seed):
+    # the seeded rows (random states, restarts) print other digits
+    _assert_golden_bytes(run_suite(seed=seed), seed)
 
 
 def test_render_table_summary_line():

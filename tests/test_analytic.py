@@ -69,54 +69,59 @@ def test_conserved_sums_hold_along_the_orbit(name):
     for params in _parameter_draws(fam, n_draws=3):
         for phi in (0.0, 0.37, 1.91, 3.1):
             ampset = fam.evaluate(1.0, phi, **params)
-            assert fam.conservation_residual(ampset, **params) < 1e-9
+            assert fam.conservation_residual(ampset, **params) <= 1e-14
 
 
 # The paper's typed data per family, kept as a test-side reference for what
 # the registry derives from its records: labels, parameters, the initial
-# per-cavity factors (level, coefficient) and each conserved sum's value.
+# per-cavity factors (level, coefficient) and each conserved sum, as the
+# excitation patterns its labels cover (keyed by excited cavity) and its
+# value.
 _TYPED = {
     "n2_general": dict(
         labels=("A", "B", "C", "D", "E", "F"),
         parameters=("a", "b"),
         factors=lambda p: [[("g0", 1.0)], [("g0", 1.0)],
                            [("g2", p["a"]), ("e0", p["b"])]],
-        conserved={"photon sector": lambda p: abs(p["a"]) ** 2,
-                   "excited sector": lambda p: abs(p["b"]) ** 2}),
+        conserved={"photon sector": ([()], lambda p: abs(p["a"]) ** 2),
+                   "excited sector": ([(1,), (2,), (3,)],
+                                      lambda p: abs(p["b"]) ** 2)}),
     "n4_single_cavity": dict(
         labels=("A", "B", "C", "E", "F", "K"),
         parameters=("a", "b"),
         factors=lambda p: [[("g0", 1.0)], [("g0", 1.0)],
                            [("g4", p["a"]), ("e2", p["b"])]],
-        conserved={"photon sector": lambda p: abs(p["a"]) ** 2,
-                   "excited sector": lambda p: abs(p["b"]) ** 2}),
+        conserved={"photon sector": ([()], lambda p: abs(p["a"]) ** 2),
+                   "excited sector": ([(3,)], lambda p: abs(p["b"]) ** 2)}),
     "n4_two_cavity": dict(
         labels=("A", "B", "D", "E", "F", "L", "M", "N", "P"),
         parameters=("a", "b", "c", "d"),
         factors=lambda p: [[("g0", 1.0)], [("g2", p["a"]), ("e0", p["b"])],
                            [("g2", p["c"]), ("e0", p["d"])]],
-        conserved={"photon sector": lambda p: abs(p["a"] * p["c"]) ** 2,
-                   "both excited": lambda p: abs(p["b"] * p["d"]) ** 2,
-                   "cavity 2 excited": lambda p: abs(p["b"] * p["c"]) ** 2,
-                   "cavity 3 excited": lambda p: abs(p["a"] * p["d"]) ** 2}),
+        conserved={"photon sector": ([()], lambda p: abs(p["a"] * p["c"]) ** 2),
+                   "both excited": ([(2, 3)], lambda p: abs(p["b"] * p["d"]) ** 2),
+                   "cavity 2 excited": ([(2,)], lambda p: abs(p["b"] * p["c"]) ** 2),
+                   "cavity 3 excited": ([(3,)], lambda p: abs(p["a"] * p["d"]) ** 2)}),
     "n6_concentrated": dict(
         labels=("A", "B", "E", "G", "K", "F"),
         parameters=(),
         factors=lambda p: [[("g6", 1.0)], [("g0", 1.0)], [("g0", 1.0)]],
-        conserved={"norm": lambda p: 1.0}),
+        conserved={"norm": ([()], lambda p: 1.0)}),
     "n6_symmetric": dict(
         labels=("A", "B", "C", "D", "E", "F", "G", "H", "K", "J"),
         parameters=("a", "b"),
         factors=lambda p: [[("g2", p["a"]), ("e0", p["b"])]] * 3,
-        conserved={"photon sector": lambda p: abs(p["a"]) ** 6,
-                   "one excited": lambda p: 3 * abs(p["a"]) ** 4 * abs(p["b"]) ** 2,
-                   "two excited": lambda p: 3 * abs(p["a"]) ** 2 * abs(p["b"]) ** 4,
-                   "three excited": lambda p: abs(p["b"]) ** 6}),
+        conserved={"photon sector": ([()], lambda p: abs(p["a"]) ** 6),
+                   "one excited": ([(1,), (2,), (3,)],
+                                   lambda p: 3 * abs(p["a"]) ** 4 * abs(p["b"]) ** 2),
+                   "two excited": ([(1, 2), (1, 3), (2, 3)],
+                                   lambda p: 3 * abs(p["a"]) ** 2 * abs(p["b"]) ** 4),
+                   "three excited": ([(1, 2, 3)], lambda p: abs(p["b"]) ** 6)}),
     "n6_asymmetric": dict(
         labels=("A", "B", "C", "D", "E", "F"),
         parameters=(),
         factors=lambda p: [[("e2", 1.0)], [("g2", 1.0)], [("g0", 1.0)]],
-        conserved={"norm": lambda p: 1.0}),
+        conserved={"norm": ([(1,)], lambda p: 1.0)}),
 }
 
 
@@ -156,16 +161,38 @@ def test_initial_state_equals_the_typed_factor_table(name):
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_conserved_sums_start_at_the_typed_values(name):
+    # each typed sum is the probability of the excitation patterns it covers
     fam = FAMILIES[name]
-    typed = _TYPED[name]["conserved"]
-    assert len(fam.conserved) == len(typed)
+    patterns = fam.manifold.patterns
     for params in _parameter_draws(fam):
-        start = fam.read_patterns([fam.initial_state(**params).amplitudes])[0]
-        # the registry lists its sums in the typed order
-        for cons, value in zip(fam.conserved, typed.values()):
-            derived = sum(w * abs(start[fam.labels.index(lab)]) ** 2
-                          for lab, w in cons.weights.items())
+        probs = np.abs(fam.initial_state(**params).amplitudes) ** 2
+        for covered, value in _TYPED[name]["conserved"].values():
+            derived = sum(probs[patterns[key]].sum() for key in covered)
             assert abs(derived - value(params)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_nan_amplitudes_give_a_nan_residual(name):
+    fam = FAMILIES[name]
+    nan = AmplitudeSet(name, fam.labels, np.full(len(fam.labels), np.nan + 0j))
+    assert math.isnan(fam.conservation_residual(nan))
+
+
+def test_residual_reads_a_swap_across_patterns():
+    # A (no atom excited) and D (cavity 3 excited) trade 0.36 and 0.64
+    fam = FAMILIES["n2_general"]
+    start = fam.evaluate(1.0, 0.0, a=0.6, b=0.8)
+    values = start.values[[3, 1, 2, 0, 4, 5]]
+    swapped = AmplitudeSet(start.family, start.labels, values)
+    assert abs(fam.conservation_residual(swapped, a=0.6, b=0.8) - 0.28) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["state_vector", "conservation_residual"])
+def test_another_familys_set_is_refused(method):
+    # six n2_general values would fill six n4_single_cavity labels
+    theirs = FAMILIES["n2_general"].evaluate(1.0, 0.3)
+    with pytest.raises(ValueError, match="n4_single_cavity.*n2_general"):
+        getattr(FAMILIES["n4_single_cavity"], method)(theirs)
 
 
 @pytest.mark.parametrize("name", SOLVING)

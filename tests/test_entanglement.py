@@ -337,8 +337,8 @@ def test_collapsed_sweep_equals_the_all_start_reference(n_total, init, phase, re
         assert np.array_equal(mine, theirs)
 
 
-def _per_state_reference(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
-    """The sweep loop with no early row exit: duplicate basis starts
+def _all_row_sweep(state, restarts, seed, tol=1e-12, max_sweeps=10_000):
+    """The all-row sweep, with no early row exit: duplicate basis starts
     collapsed to one row, every row swept until all starts settle."""
     overlaps, sweep = _gather_kernel(state)
     d = state.manifold.qudit_dim
@@ -388,13 +388,13 @@ def _seeded_state(n_total, seed):
 ])
 def test_sweep_equals_the_all_row_loop(n_total, seed, restarts):
     state = _seeded_state(n_total, seed)
-    ref = _per_state_reference(state, restarts, seed=seed)
+    ref = _all_row_sweep(state, restarts, seed=seed)
     _assert_equals_reference(_swept(state, restarts, seed=seed), ref)
 
 
 def test_sweep_equals_the_all_row_loop_on_a_product_state():
     state = parse_init("g0|0.6:g2+0.8:e0|g0", 2)
-    ref = _per_state_reference(state, 64, seed=0)
+    ref = _all_row_sweep(state, 64, seed=0)
     got = _sweep_overlap(state, 64, seed=0)
     _assert_equals_reference(got, ref)
     assert got.unconverged_starts == 0
@@ -417,7 +417,7 @@ def test_fast_and_slow_states_each_equal_the_all_row_loop():
     sweeps = {res.sweeps for res in results}
     assert len(sweeps) > 3 and min(sweeps) * 2 < max(sweeps)
     for state, got in zip(states, results):
-        _assert_equals_reference(got, _per_state_reference(state, 16, seed=4))
+        _assert_equals_reference(got, _all_row_sweep(state, 16, seed=4))
     # rows that repeat themselves bit for bit leave before their state does
     n_rows = MAN2.qudit_dim ** 2 + 16
     assert any(res.row_sweeps < res.sweeps * n_rows for res in results)
@@ -428,7 +428,7 @@ def test_sweep_cutoff_reports_the_unsettled_starts(monkeypatch):
     monkeypatch.setattr(entanglement, "MAX_SWEEPS", 3)
     results = [_sweep_overlap(state, 16, seed=4) for state in states]
     for state, got in zip(states, results):
-        ref = _per_state_reference(state, 16, seed=4, max_sweeps=3)
+        ref = _all_row_sweep(state, 16, seed=4, max_sweeps=3)
         _assert_equals_reference(got, ref)
         assert got.sweeps <= 3
     assert any(res.unconverged_starts > 0 and not res.converged for res in results)

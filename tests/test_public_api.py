@@ -38,6 +38,7 @@ PACKAGE = ROOT / "src" / "trimodal"
 # it: the README names these features in prose, so the scans cannot see them
 ALLOWED = {
     "basis.permute_cavities": "cavity permutations, symmetrization (`trimodal.basis`)",
+    "analytic.Family.amplitudes_from_state": "`amplitudes_from_state` reads the labels back off a manifold state",
     "dynamics.Block.embedding": "keeps its columns as its `embedding`",
     "entanglement.OverlapResult.start_index": "ties still go to the lowest start index",
     "entanglement.OverlapResult.row_sweeps": "`row_sweeps`",
@@ -52,7 +53,6 @@ ALLOWED = {
 READERS = {
     "analytic.AmplitudeSet.family": "src/trimodal/analytic.py::n2_exchange_symmetric",
     "analytic.AmplitudeSet.labels": "src/trimodal/analytic.py::AmplitudeSet.__getitem__",
-    "analytic.ConservedSum.weights": "src/trimodal/analytic.py::Family.conservation_residual",
     "analytic.Family.labels": "src/trimodal/scan.py::family_objective",
     "analytic.Family.manifold": "src/trimodal/verification.py::_invariants",
     "analytic.Family.modulus_period": "demos/03_closed_form_families.py::main",

@@ -267,6 +267,19 @@ def test_objective_refuses_non_finite_weights_when_built(bad):
         family_objective(FAMILIES["n2_general"], {"A": bad})
 
 
+def test_objective_fields_are_read_only_copies():
+    # a NaN written after the check would read as a constant objective
+    weights = np.array([1.0])
+    objective = Objective(np.array([0.0, 1.0]), np.ones((2, 1), dtype=complex), weights)
+    weights[0] = math.nan
+    assert objective.label_weights[0] == 1.0
+    for field in (objective.freqs, objective.coeffs, objective.label_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = math.nan
+    # kept in the instance dict, where functools.wraps copies them from
+    assert {"freqs", "coeffs", "label_weights"} <= set(vars(objective))
+
+
 @pytest.mark.parametrize("phases", [math.nan, [0.0, math.inf], [-math.inf]])
 def test_objective_refuses_non_finite_phases(phases):
     # the exponential would turn them into nan values; refused as
